@@ -9,7 +9,7 @@ process (a closed loop with a single caller) in whole rounds, as many
 as fit in the run length.
 
     python3 sweepbench/run.py --workload central_marginals --seed 1 \\
-        --seconds 36 --trace 0
+        --seconds 33 --trace 0
     python3 sweepbench/run.py --workload all       # every workload
     python3 sweepbench/run.py --selftest           # checks catch faults
 
@@ -55,10 +55,19 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 RESULTS = BENCH_DIR / "results"
 
-# Besides the set-up at the start and at the end, an untraced run sets up
-# again after the rounds that cross these shares of the run length, so
-# that the median set-up time samples the machine at five moments.
-SETUP_MARKS = (0.25, 0.5, 0.75)
+# Set-ups measured in fresh interpreters after the timed phase, besides
+# the run's own; setup_s is the median of them all.  Each is cold, so a
+# cache filled during set-up counts in every sample.
+FRESH_SETUPS = 4
+# The machine's speed swings by up to 2x over seconds to minutes, for
+# reasons no process in it can see (README, "Why scaled").  A fixed
+# reference kernel is timed between cells and around each set-up, and
+# every reported time is scaled to the speed at which it takes REF_MS.
+# A set-up, timed once, is scaled by the median of REF_AROUND_SETUP
+# kernel runs on each side, which damps the kernel's own jitter.
+REF_MS = 20.0
+REF_AROUND_SETUP = 3
+REF_POINTS = np.random.default_rng(0).random((256, 28))
 # Seeds of the workload whose inputs do not follow --seed.
 FIXED_DATA_SEED = 1811
 FIXED_CELL_SEED = 3763
@@ -86,9 +95,9 @@ class Workload:
 
 WORKLOADS = {
     # Chaining on 2-way marginals, the paper's headline mechanism on its
-    # canonical query class.  Inputs are fixed because about a third of
-    # its releases end at the hull solver's iteration cap uncertified;
-    # with fixed inputs the same releases fail in every run.
+    # canonical query class.  Inputs are fixed because one release in
+    # nine (in the n=1000 cell) ends at the hull solver's iteration cap
+    # uncertified; with fixed inputs the same release fails in every run.
     "central_marginals": Workload(
         "central_marginals", "gen_marginals2", 8,
         {"mechanism": "chaining", "rho": 0.5, "alpha": 0.1},
@@ -173,14 +182,23 @@ class Inputs:
         self.targets = {n: self.universe.points[d.indices].mean(axis=0)
                         for n, d in self.datasets.items()}
 
-    def round(self, r: int) -> list[Cell]:
+    def _cells(self, r: int) -> list[Cell]:
+        """Round r's cells in grid order."""
         wl = self.wl
-        slots = [(n, j) for n in wl.n_grid for j in range(wl.cells_per_n)]
-        if wl.seeded:
-            return [Cell(n, self.datasets[n], _int_seed(self.seed, r, i))
-                    for i, (n, _) in enumerate(slots)]
-        cells = [Cell(n, self.datasets[n], FIXED_CELL_SEED + i)
-                 for i, (n, _) in enumerate(slots)]
+        slots = [n for n in wl.n_grid for _ in range(wl.cells_per_n)]
+        return [Cell(n, self.datasets[n],
+                     _int_seed(self.seed, r, i) if wl.seeded
+                     else FIXED_CELL_SEED + i)
+                for i, n in enumerate(slots)]
+
+    def warmup_cell(self) -> Cell:
+        """Round 0's first cell in grid order, which round 0 also times."""
+        return self._cells(0)[0]
+
+    def round(self, r: int) -> list[Cell]:
+        cells = self._cells(r)
+        if self.wl.seeded:
+            return cells
         order = np.random.default_rng([self.seed, r]).permutation(len(cells))
         return [cells[i] for i in order]
 
@@ -191,6 +209,61 @@ def run_cell(wl: Workload, cell: Cell):
                                  seed=cell.seed)
 
 
+def reference_s() -> float:
+    """Wall seconds of a fixed kernel of the three kinds of work the
+    workloads do: Fraction sums, small numpy draws in a Python loop, and
+    a block of squared distances."""
+    t = time.perf_counter()
+    for _ in range(5):
+        total = Fraction(0)
+        for i in range(1, 300):
+            total += Fraction(1, i)
+    rng = np.random.default_rng(0)
+    for _ in range(1250):
+        z = rng.standard_normal(REF_POINTS.shape[1])
+        np.sign(z @ REF_POINTS[0]) * z
+    for row in REF_POINTS:
+        ((REF_POINTS - row) ** 2).sum(axis=1).max()
+    return time.perf_counter() - t
+
+
+def scaled(seconds: float, ref_before: float, ref_after: float) -> float:
+    """Seconds at the speed where the reference kernel takes REF_MS."""
+    return seconds * (REF_MS / 1e3) / ((ref_before + ref_after) / 2.0)
+
+
+def set_up(wl: Workload, seed: int,
+           import_s: float) -> tuple[Inputs, str, float, float]:
+    """Inputs and one untimed warm-up cell.
+
+    Returns the inputs, the cell's hash, and the set-up seconds with
+    imports, raw and scaled by the kernel timed before and after.
+    """
+    def reference_median_s():
+        return statistics.median(reference_s()
+                                 for _ in range(REF_AROUND_SETUP))
+
+    before = reference_median_s()
+    t = time.perf_counter()
+    inputs = Inputs(wl, seed)
+    warm_hash = run_cell(wl, inputs.warmup_cell()).determinism_hash()
+    raw = import_s + time.perf_counter() - t
+    return inputs, warm_hash, raw, scaled(raw, before, reference_median_s())
+
+
+def fresh_set_ups(wl: Workload, seed: int) -> list[tuple[float, float, str]]:
+    """(scaled and raw set-up seconds, warm-up hash) from fresh interpreters."""
+    cmd = [sys.executable, str(Path(__file__)), "--workload", wl.name,
+           "--seed", str(seed), "--setup-only"]
+    out = []
+    for _ in range(FRESH_SETUPS):
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              check=True, timeout=120)
+        res = json.loads(proc.stdout.strip().splitlines()[-1])
+        out.append((res["setup_s"], res["raw_s"], res["warm_hash"]))
+    return out
+
+
 def collect_releases(wl, inputs, records, capture):
     """Releases of every timed cell, with the cell's failures marked."""
     releases, attempted, failed = [], 0, 0
@@ -199,14 +272,15 @@ def collect_releases(wl, inputs, records, capture):
         if error is not None:
             failed += wl.trials
             continue
-        for trial, (out, non_certified) in enumerate(
+        for trial, (out, projections) in enumerate(
                 capture.releases[start:end]):
+            bad = any(not res.certified for _, res in projections)
             releases.append(checks.Release(
                 n=cell.n, cell_seed=cell.seed, trial=trial, trials=wl.trials,
-                target=inputs.targets[cell.n], estimate=out.estimate,
-                budget=out.budget_consumed, trace=out.trace,
-                failed=non_certified > 0))
-            failed += non_certified > 0
+                rows=cell.dataset.indices, target=inputs.targets[cell.n],
+                estimate=out.estimate, budget=out.budget_consumed,
+                trace=out.trace, projections=tuple(projections), failed=bad))
+            failed += bad
     return releases, attempted, failed
 
 
@@ -226,11 +300,13 @@ class Checks:
             self.privacy = Fraction(str(spec["epsilon"]))
             self.expected = PrivacyBudget(kind="pure", epsilon=self.privacy)
         self.k = checks.levels_count(self.alpha)
+        self.redraw = wl.trials
         self.levels = []
         if self.mech in ("chaining", "lcm"):
-            self.levels = geometry.chaining_decomposition(
+            dec = geometry.chaining_decomposition(
                 universe, self.alpha, Norm.L2,
-                delta_cap=math.sqrt(universe.dim)).levels
+                delta_cap=math.sqrt(universe.dim))
+            self.levels, self.assignments = dec.levels, dec.assignments
 
     def run(self, releases) -> dict[str, list[str]]:
         ok = [r for r in releases if not r.failed]
@@ -244,9 +320,12 @@ class Checks:
                 self.privacy)
             out["l2_error"] = checks.check_l2_error(ok, self.alpha, self.k)
         elif self.mech == "lcm":
-            out["local_tail"] = checks.check_local_tail(
-                ok, [checks.own_scale(lv) for lv in self.levels],
-                self.privacy, self.alpha)
+            out["local_means"] = checks.check_local_means(
+                ok, self.levels, self.assignments, self.privacy, self.redraw)
+            out["local_projection"] = checks.check_local_projection(
+                ok, self.levels)
+            out["local_sum"] = checks.check_local_sum(
+                ok, self.levels, self.assignments)
         elif self.mech == "chaining_linf":
             out["linf_falls"] = checks.check_linf_falls(ok)
         return out
@@ -289,16 +368,8 @@ def per_layer(tracer, capture, cells: int) -> dict:
 def run_workload(wl: Workload, seed: int, seconds: float, trace: bool,
                  import_s: float) -> dict:
     capture = Capture()
-    warm_hashes, setup_times = [], []
-
-    def set_up():
-        t = time.perf_counter()
-        fresh = Inputs(wl, seed)
-        warm_hashes.append(run_cell(wl, fresh.round(0)[0]).determinism_hash())
-        setup_times.append(time.perf_counter() - t)
-        return fresh
-
-    inputs = set_up()
+    inputs, warm_hash, raw_setup_s, setup_s = set_up(wl, seed, import_s)
+    warm = inputs.warmup_cell()
     tracer = Tracer() if trace else None
     for name in tracer.missing if tracer else ():
         print(f"trace: no function {name}; its metrics read 0",
@@ -306,11 +377,11 @@ def run_workload(wl: Workload, seed: int, seconds: float, trace: bool,
     capture.reset()
     gc.collect()
 
-    records, cell_s, round_rates, first_hash = [], [], [], None
-    rounds, timed_s = 0, 0.0
+    records, cell_s, first_hash = [], [], None
+    refs = [reference_s()]
+    rounds, timed_s, completed = 0, 0.0, 0
     while True:
         r0 = time.perf_counter()
-        completed = 0
         for cell in inputs.round(rounds):
             start = len(capture.releases)
             c0 = time.perf_counter()
@@ -322,22 +393,24 @@ def run_workload(wl: Workload, seed: int, seconds: float, trace: bool,
                 error = traceback.format_exc()
                 print(error, file=sys.stderr)
             cell_s.append(time.perf_counter() - c0)
-            if first_hash is None:
+            refs.append(reference_s())
+            if first_hash is None and (cell.n, cell.seed) == (warm.n,
+                                                               warm.seed):
                 first_hash = "" if error else report.determinism_hash()
             records.append((cell, error, start, len(capture.releases)))
         rounds += 1
-        round_s = time.perf_counter() - r0
-        round_rates.append(completed / round_s)
-        for mark in SETUP_MARKS:
-            if not trace and timed_s < mark * seconds <= timed_s + round_s:
-                set_up()
-        timed_s += round_s
+        timed_s += time.perf_counter() - r0
         # Stop when one more round of the mean length would overrun.
         if timed_s + timed_s / rounds > seconds:
             break
+    hull_counts = {"calls": capture.hull_calls,
+                   "iterations": capture.hull_iterations,
+                   "non_certified": capture.hull_non_certified}
+    setups = [(setup_s, raw_setup_s, warm_hash)]
     if not trace:
-        set_up()
-    setup_s = import_s + statistics.median(setup_times)
+        setups += fresh_set_ups(wl, seed)
+    cell_scaled = [scaled(c, refs[i], refs[i + 1])
+                   for i, c in enumerate(cell_s)]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     # Taken before the checks, whose own library calls would be traced.
     layers = per_layer(tracer, capture, len(records)) if trace else None
@@ -346,15 +419,14 @@ def run_workload(wl: Workload, seed: int, seconds: float, trace: bool,
     releases, attempted, failed = collect_releases(wl, inputs, records,
                                                    capture)
     problems = Checks(wl, inputs.universe).run(releases)
-    problems["determinism"] = checks.check_determinism(warm_hashes,
-                                                       first_hash)
+    problems["determinism"] = checks.check_determinism(
+        [h for _, _, h in setups], first_hash)
     if trace:
         metrics = layers
     else:
-        # Best round and fastest cell: see README, "Why best-of".
-        values = {"setup_s": setup_s,
-                  "releases_per_s": max(round_rates),
-                  "cell_ms": min(cell_s) * 1e3,
+        values = {"setup_s": statistics.median(t for t, _, _ in setups),
+                  "releases_per_s": completed / sum(cell_scaled),
+                  "cell_ms": statistics.median(cell_scaled) * 1e3,
                   "peak_rss_mb": peak_rss_mb}
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in END_TO_END}
@@ -362,14 +434,12 @@ def run_workload(wl: Workload, seed: int, seconds: float, trace: bool,
         "workload": wl.name, "seed": seed, "seconds": seconds,
         "trace": int(trace), "environment": environment(),
         "rounds": rounds, "cells": len(records), "timed_s": timed_s,
-        "setup_repeats_s": setup_times, "import_s": import_s,
-        "cell_ms": [s * 1e3 for s in cell_s],
-        "cell_ms_median": statistics.median(cell_s) * 1e3,
-        "cell_ms_mean": statistics.fmean(cell_s) * 1e3,
-        "round_rates": round_rates,
-        "hull": {"calls": capture.hull_calls,
-                 "iterations": capture.hull_iterations,
-                 "non_certified": capture.hull_non_certified},
+        "setups_s": [t for t, _, _ in setups],
+        "setups_raw_s": [t for _, t, _ in setups], "import_s": import_s,
+        "cell_ms": [s * 1e3 for s in cell_scaled],
+        "cell_raw_ms": [s * 1e3 for s in cell_s],
+        "reference_ms": [r * 1e3 for r in refs],
+        "hull": hull_counts,
         "problems": problems,
         "result": {"correct": not any(problems.values()),
                    "attempted": attempted, "failed": failed,
@@ -427,9 +497,9 @@ def selftest() -> int:
             status += "; perturbed output caught" if caught else \
                 "; perturbed output NOT caught"
             bad += bool(found) or not caught
-            print(f"{name:18s} {check:12s} {status}")
+            print(f"{name:18s} {check:16s} {status}")
     caught = checks.check_determinism(["0" * 64], "1" * 64)
-    print(f"{'all':18s} {'determinism':12s} perturbed hash "
+    print(f"{'all':18s} {'determinism':16s} perturbed hash "
           f"{'caught' if caught else 'NOT caught'}")
     bad += not caught
     print(json.dumps({"selftest_failures": bad}))
@@ -462,13 +532,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float, default=33.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="run tiny workloads and check the checks")
+    parser.add_argument("--setup-only", action="store_true",
+                        help="set up once and print its time and hash")
     args = parser.parse_args(argv)
     if not args.selftest and args.workload is None:
         parser.error("need --workload or --selftest")
+    if args.setup_only and args.workload in (None, "all"):
+        parser.error("--setup-only needs one --workload")
 
     if not (SRC / "meanpoint" / "__init__.py").is_file():
         print(f"error: no meanpoint package under {SRC}", file=sys.stderr)
@@ -483,6 +557,13 @@ def main(argv=None) -> int:
 
     if args.selftest:
         return selftest()
+    if args.setup_only:
+        Capture()
+        _, warm_hash, raw_s, setup_s = set_up(WORKLOADS[args.workload],
+                                              args.seed, import_s)
+        print(json.dumps({"setup_s": setup_s, "raw_s": raw_s,
+                          "warm_hash": warm_hash}))
+        return 0
     if args.workload == "all":
         return run_all(args)
     record = run_workload(WORKLOADS[args.workload], args.seed, args.seconds,

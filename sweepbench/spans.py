@@ -7,9 +7,10 @@ package's modules call one another through module attributes
 (``compose`` inside ``privacy``), so a replaced attribute is seen by
 every internal caller.
 
-``Capture`` is on in every run: it keeps each release's output for the
-correctness checks and counts hull outcomes, at the cost of one extra
-Python call per release and per projection.  ``Tracer`` is on only in a
+``Capture`` is on in every run: it keeps each release's output and the
+hull projections made during it for the correctness checks, and counts
+hull outcomes, at the cost of one extra Python call per release and per
+projection.  ``Tracer`` is on only in a
 traced run: it records one span per call of the named functions.
 """
 
@@ -19,6 +20,8 @@ import functools
 import importlib
 import time
 from collections import Counter
+
+import numpy as np
 
 PACKAGE = "meanpoint"
 
@@ -59,16 +62,18 @@ def _lookup(dotted: str):
 class Capture:
     """Keeps every release a cell makes and counts hull outcomes.
 
-    ``releases`` holds ``(output, non_certified_projections)`` in call
-    order; a release made by a protocol's server (whose trace does not
-    carry the projection flag) is still seen through the hull counter.
+    ``releases`` holds ``(output, projections)`` in call order, where
+    ``projections`` lists ``(target, ProjectionResult)`` for each hull
+    projection made during that release.  A protocol's server, whose
+    trace does not carry the projection results, is seen this way too.
     """
 
     def __init__(self):
-        self.releases: list[tuple[object, int]] = []
+        self.releases: list[tuple[object, list]] = []
         self.hull_calls = 0
         self.hull_iterations = 0
         self.hull_non_certified = 0
+        self._current: list | None = None
         harness = importlib.import_module(f"{PACKAGE}.harness")
         hull = importlib.import_module(f"{PACKAGE}.hull")
         make_mechanism = harness.make_mechanism
@@ -79,20 +84,25 @@ class Capture:
             runner = make_mechanism(spec)
 
             def run(d, seed):
-                before = self.hull_non_certified
-                out = runner(d, seed)
-                self.releases.append((out, self.hull_non_certified - before))
+                self._current = projections = []
+                try:
+                    out = runner(d, seed)
+                finally:
+                    self._current = None
+                self.releases.append((out, projections))
                 return out
 
             return run
 
         @functools.wraps(project)
-        def counting_project(*args, **kwargs):
-            res = project(*args, **kwargs)
+        def counting_project(y, *args, **kwargs):
+            res = project(y, *args, **kwargs)
             self.hull_calls += 1
             self.hull_iterations += res.iterations
             if not res.certified:
                 self.hull_non_certified += 1
+            if self._current is not None:
+                self._current.append((np.array(y, dtype=float), res))
             return res
 
         harness.make_mechanism = capturing_make_mechanism
@@ -112,15 +122,15 @@ class Tracer:
     times are not counted twice.
     """
 
-    def __init__(self, span_names=SPAN_NAMES, count_names=COUNT_NAMES):
+    def __init__(self):
         self.spans: list[list] = []
         self.counts: Counter = Counter()
         self.missing: list[str] = []
         self._stack: list[int] = []
         self._open: Counter = Counter()
-        for name in span_names:
+        for name in SPAN_NAMES:
             self._install(name, self._span_wrapper)
-        for name in count_names:
+        for name in COUNT_NAMES:
             self._install(name, self._count_wrapper)
 
     def _install(self, name: str, make_wrapper) -> None:
@@ -162,10 +172,6 @@ class Tracer:
             return fn(*args, **kwargs)
 
         return counted
-
-    def reset(self) -> None:
-        self.spans.clear()
-        self.counts.clear()
 
     def totals(self) -> dict[str, dict[str, float]]:
         """Per name: calls, inclusive ms (outermost spans) and self ms."""

@@ -103,8 +103,7 @@ def main(argv=None) -> int:
                 shift = stats["median"] / base["median"] - 1.0
                 moved = f"{100 * shift:+6.1f}%"
             flag = ""
-            if bound is not None and name != "setup_s" \
-                    and stats["spread"] > bound / 3:
+            if bound is not None and stats["spread"] > bound / 3:
                 flag = "  above bound/3"
                 ok = False
             print(f"  {name:40s} {stats['median']:12.4f} {stats['q1']:12.4f} "
