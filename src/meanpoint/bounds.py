@@ -88,37 +88,47 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
 
     ``threshold`` overrides the lower grid end (the lower-bound
     estimators pin it at 4*alpha resp. 6*alpha).  Greedy estimates come
-    from one nested evaluation, so they are non-increasing in t.
+    from one nested evaluation, so they are non-increasing in t.  The
+    profile is cached on the universe and shared (see ``geometry``).
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if C < 1:
         raise ValueError("C must be at least 1")
-    t_min = alpha / C if threshold is None else float(threshold)
-    t_max = geometry.metric_diameter(u, metric)
-    ts = geometry.t_grid(t_min, t_max)
-    if ts.size == 0:
-        packing = np.array([], dtype=int)
-    elif packing_mode == "greedy":
-        packing = geometry.packing_profile(u, ts, metric)
-    elif packing_mode == "exact":
-        packing = np.array([
-            geometry.packing_number(u, t, metric, mode="exact",
-                                    exact_cap=exact_cap) for t in ts])
-    else:
-        raise ValueError(f"unknown packing mode {packing_mode!r}")
-    log_packing = np.log(packing) if packing.size else np.array([])
-    sup_terms = {
-        T_SQRT_LOG: _sup_over_grid(ts, log_packing,
-                                   lambda t, lp: t * math.sqrt(lp)),
-        T2_SQRT_LOG: _sup_over_grid(ts, log_packing,
-                                    lambda t, lp: t * t * math.sqrt(lp)),
-        T2_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t * t * lp),
-        T4_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t ** 4 * lp),
-    }
-    return BoundProfile(metric=metric, alpha=float(alpha), threshold=t_min,
-                        ts=ts, packing=packing, log_packing=log_packing,
-                        sup_terms=sup_terms, packing_mode=packing_mode)
+
+    def build() -> BoundProfile:
+        t_min = alpha / C if threshold is None else float(threshold)
+        t_max = geometry.metric_diameter(u, metric)
+        ts = geometry.t_grid(t_min, t_max)
+        if ts.size == 0:
+            packing = np.array([], dtype=int)
+        elif packing_mode == "greedy":
+            packing = geometry.packing_profile(u, ts, metric)
+        elif packing_mode == "exact":
+            packing = np.array([
+                geometry.packing_number(u, t, metric, mode="exact",
+                                        exact_cap=exact_cap) for t in ts])
+        else:
+            raise ValueError(f"unknown packing mode {packing_mode!r}")
+        log_packing = np.log(packing) if packing.size else np.array([])
+        for a in (ts, packing, log_packing):
+            a.setflags(write=False)
+        sup_terms = {
+            T_SQRT_LOG: _sup_over_grid(ts, log_packing,
+                                       lambda t, lp: t * math.sqrt(lp)),
+            T2_SQRT_LOG: _sup_over_grid(ts, log_packing,
+                                        lambda t, lp: t * t * math.sqrt(lp)),
+            T2_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t * t * lp),
+            T4_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t ** 4 * lp),
+        }
+        return BoundProfile(metric=metric, alpha=float(alpha),
+                            threshold=t_min, ts=ts, packing=packing,
+                            log_packing=log_packing, sup_terms=sup_terms,
+                            packing_mode=packing_mode)
+
+    key = ("bound_profile", metric, alpha, C, packing_mode, exact_cap,
+           threshold)
+    return geometry._memo(u, key, build)
 
 
 # ---------------------------------------------------------------------------

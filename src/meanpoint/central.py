@@ -166,21 +166,16 @@ def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
     budget.  The dropped remainder is covered by the zero mechanism on a
     ball of radius (alpha/2)*sqrt(m), which costs nothing.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
     u = d.universe
-    sep = geometry.greedy_separated_set(u, alpha / 2.0,
-                                        geometry.Metric.NORMALIZED_L2)
-    centers = u.points[sep.indices]
-    rounding = geometry.nearest_point_map(u, centers, Norm.L2)
-    rounded = Dataset(universe=Universe(points=centers),
-                      indices=rounding[d.indices])
+    coarse = geometry.coarse_rounding(u, alpha)
+    rounded = Dataset(universe=coarse.centers,
+                      indices=coarse.rounding[d.indices])
     out = projection_mechanism(rounded, rho, seed=seed, tol=tol)
     trace = dict(out.trace)
     trace.update({
         "mechanism": "coarse_projection",
         "alpha": float(alpha),
-        "cover_size": sep.size,
+        "cover_size": coarse.cover.size,
         "remainder_radius": 0.5 * alpha * math.sqrt(u.dim),
     })
     return MechanismOutput(estimate=out.estimate,
@@ -204,7 +199,7 @@ def run_projection(d: Dataset, budget: PrivacyBudget, seed) -> MechanismOutput:
 
 def level_dataset(d: Dataset, dec: Decomposition, j: int) -> Dataset:
     """Dataset induced on level j by the decomposition's assignments."""
-    return Dataset(universe=Universe(points=dec.levels[j]),
+    return Dataset(universe=dec.level_universes[j],
                    indices=dec.assignments[d.indices, j])
 
 

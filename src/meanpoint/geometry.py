@@ -5,8 +5,14 @@ Separated subsets and the covers they induce, packing-number estimates
 chaining decompositions, support functions, and Monte-Carlo Gaussian
 mean width.
 
-All operations are pure functions of their inputs plus an explicit
-seed, so they are safe to call concurrently.
+Every result depends only on its inputs plus an explicit seed.  The
+public preprocessing of a universe -- its diameters, chaining
+decompositions, coarse roundings and (in ``bounds``) packing profiles --
+is computed once and cached on the ``Universe``: later calls with the
+same arguments return the same object, shared by every caller.  Cached
+values and the universe's points are read-only, so a cached value cannot
+go stale; two threads that miss at once both compute the value and one
+of the identical results is kept.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -69,6 +75,7 @@ class Universe:
 
     points: np.ndarray
     labels: list[str] | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float, copy=True)
@@ -82,6 +89,7 @@ class Universe:
             raise ValueError("universe coordinates must be finite")
         if self.labels is not None and len(self.labels) != pts.shape[0]:
             raise ValueError("need exactly one label per point")
+        pts.setflags(write=False)
         self.points = pts
 
     @property
@@ -95,6 +103,25 @@ class Universe:
     @cached_property
     def in_unit_box(self) -> bool:
         return bool((self.points >= 0.0).all() and (self.points <= 1.0).all())
+
+
+_T = TypeVar("_T")
+
+
+def _memo(u: Universe, key: Hashable, build: Callable[[], _T]) -> _T:
+    """Value of ``build()`` cached on the universe under ``key``.
+
+    ``build`` must be a pure function of the universe and the key.
+    """
+    try:
+        return u._cache[key]
+    except KeyError:
+        return u._cache.setdefault(key, build())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
@@ -158,6 +185,11 @@ class Decomposition:
     def remainders(self, u: "Universe") -> np.ndarray:
         return u.points - self.component_sums(u.points)
 
+    @cached_property
+    def level_universes(self) -> list[Universe]:
+        """One universe per level, holding that level's components."""
+        return [Universe(points=lvl) for lvl in self.levels]
+
 
 # ---------------------------------------------------------------------------
 # distances
@@ -175,16 +207,20 @@ def pairwise_distance(u: Universe, i: int, j: int,
 
 def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
     """Largest pairwise distance under a plain norm; 0 for a singleton."""
-    pts = u.points
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    block = max(1, int(4_000_000 // max(1, n * pts.shape[1])))
-    worst = 0.0
-    for i0 in range(0, n, block):
-        diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
-        worst = max(worst, float(_row_norms(diff, norm).max()))
-    return worst
+
+    def build() -> float:
+        pts = u.points
+        n = pts.shape[0]
+        if n == 1:
+            return 0.0
+        block = max(1, int(4_000_000 // max(1, n * pts.shape[1])))
+        worst = 0.0
+        for i0 in range(0, n, block):
+            diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
+            worst = max(worst, float(_row_norms(diff, norm).max()))
+        return worst
+
+    return _memo(u, ("diameter", norm), build)
 
 
 def metric_diameter(u: Universe, metric: Metric) -> float:
@@ -203,17 +239,28 @@ def _greedy_extend(pts: np.ndarray, selected: Sequence[int],
 
     Candidates are scanned in the given order; a point joins when its
     distance to everything already selected exceeds ``raw_t`` strictly.
+    Kept as a cover mask: the first uncovered candidate joins, and every
+    candidate within ``raw_t`` of it is marked covered, so the work is one
+    distance row per selected point rather than per candidate.
     """
-    sel = list(selected)
-    for i in candidates:
-        i = int(i)
-        if not sel:
-            sel.append(i)
-            continue
-        d = _row_norms(pts[sel] - pts[i], norm)
-        if bool((d > raw_t).all()):
-            sel.append(i)
-    return sel
+    sel = [int(i) for i in selected]
+    candidates = np.asarray(candidates, dtype=int)
+    covered = np.zeros(candidates.size, dtype=bool)
+    if sel:
+        seeds = pts[sel]
+        block = max(1, int(4_000_000 // max(1, len(sel) * pts.shape[1])))
+        for c0 in range(0, candidates.size, block):
+            diff = seeds[None, :, :] - pts[candidates[c0:c0 + block], None, :]
+            covered[c0:c0 + block] = (_row_norms(diff, norm) <= raw_t).any(axis=1)
+    while True:
+        free = np.flatnonzero(~covered)
+        if free.size == 0:
+            return sel
+        first, rest = free[0], free[1:]
+        i = int(candidates[first])
+        sel.append(i)
+        covered[first] = True
+        covered[rest] = _row_norms(pts[i] - pts[candidates[rest]], norm) <= raw_t
 
 
 def greedy_separated_set(u: Universe, t: float,
@@ -422,36 +469,69 @@ def chaining_decomposition(u: Universe, alpha: float,
         math.sqrt(m) if norm is Norm.L2 else 1.0)
     if delta <= 0:
         raise ValueError("delta_cap must be positive")
-    max_norm = float(_row_norms(u.points, norm).max())
-    if max_norm > delta * (1 + 1e-12):
-        raise ValueError(
-            f"universe has a point of norm {max_norm:.6g} outside the "
-            f"stated ball of radius {delta:.6g}")
-    k = max(1, math.ceil(math.log2(2.0 / alpha)))
-    pts = u.points
-    candidates = np.arange(u.size)
-    gen: list[np.ndarray] = []
-    proj: list[np.ndarray] = []
-    for j in range(k):
-        raw_t = 2.0 ** (-(j + 1)) * delta
-        sel = _greedy_extend(pts, [], candidates, raw_t, norm)
-        gen.append(np.array(sel, dtype=int))
-        idx, _ = _nearest(pts, pts[gen[j]], norm)
-        proj.append(idx)
-    levels = [pts[gen[0]].copy()]
-    for j in range(1, k):
-        parents = gen[j - 1][proj[j - 1][gen[j]]]
-        levels.append(pts[gen[j]] - pts[parents])
-    assign = np.empty((u.size, k), dtype=int)
-    assign[:, k - 1] = proj[k - 1]
-    for j in range(k - 2, -1, -1):
-        assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
-    level_radii = [2.0 ** (-j) * delta for j in range(k)]
-    return Decomposition(levels=levels, assignments=assign,
-                         generator_indices=gen,
-                         remainder_radius=0.5 * alpha * delta,
-                         norm=norm, level_radii=level_radii,
-                         delta=delta, alpha=float(alpha))
+
+    def build() -> Decomposition:
+        max_norm = float(_row_norms(u.points, norm).max())
+        if max_norm > delta * (1 + 1e-12):
+            raise ValueError(
+                f"universe has a point of norm {max_norm:.6g} outside the "
+                f"stated ball of radius {delta:.6g}")
+        k = max(1, math.ceil(math.log2(2.0 / alpha)))
+        pts = u.points
+        candidates = np.arange(u.size)
+        gen: list[np.ndarray] = []
+        proj: list[np.ndarray] = []
+        for j in range(k):
+            raw_t = 2.0 ** (-(j + 1)) * delta
+            sel = _greedy_extend(pts, [], candidates, raw_t, norm)
+            gen.append(_read_only(np.array(sel, dtype=int)))
+            idx, _ = _nearest(pts, pts[gen[j]], norm)
+            proj.append(idx)
+        levels = [_read_only(pts[gen[0]].copy())]
+        for j in range(1, k):
+            parents = gen[j - 1][proj[j - 1][gen[j]]]
+            levels.append(_read_only(pts[gen[j]] - pts[parents]))
+        assign = np.empty((u.size, k), dtype=int)
+        assign[:, k - 1] = proj[k - 1]
+        for j in range(k - 2, -1, -1):
+            assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
+        level_radii = [2.0 ** (-j) * delta for j in range(k)]
+        return Decomposition(levels=levels, assignments=_read_only(assign),
+                             generator_indices=gen,
+                             remainder_radius=0.5 * alpha * delta,
+                             norm=norm, level_radii=level_radii,
+                             delta=delta, alpha=float(alpha))
+
+    return _memo(u, ("chaining_decomposition", alpha, norm, delta), build)
+
+
+class CoarseRounding(NamedTuple):
+    """A maximal separated subset, each point's nearest subset member,
+    and the subset as a universe of its own."""
+
+    cover: SeparatedSet
+    rounding: np.ndarray
+    centers: Universe
+
+
+def coarse_rounding(u: Universe, alpha: float) -> CoarseRounding:
+    """Rounding to a maximal (alpha/2)-separated subset in normalized L2.
+
+    The public preprocessing of the coarse projection mechanisms: every
+    universe point rounds to a cover point within (alpha/2) * sqrt(m).
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+
+    def build() -> CoarseRounding:
+        cover = greedy_separated_set(u, alpha / 2.0, Metric.NORMALIZED_L2)
+        _read_only(cover.indices)
+        centers = Universe(points=u.points[cover.indices])
+        rounding = nearest_point_map(u, centers.points, Norm.L2)
+        return CoarseRounding(cover=cover, rounding=_read_only(rounding),
+                              centers=centers)
+
+    return _memo(u, ("coarse_rounding", alpha), build)
 
 
 def identity_decomposition(u: Universe, norm: Norm = Norm.L2) -> Decomposition:

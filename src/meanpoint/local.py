@@ -270,21 +270,15 @@ def local_coarse_projection(d: Dataset, epsilon, alpha: float,
                             seed=None) -> MechanismOutput:
     """Each party rounds her own point to a public coarse cover, then the
     local projection protocol runs over the cover with the full budget."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    u = d.universe
-    sep = geometry.greedy_separated_set(u, alpha / 2.0,
-                                        geometry.Metric.NORMALIZED_L2)
-    centers = u.points[sep.indices]
-    rounding = geometry.nearest_point_map(u, centers, Norm.L2)
-    rounded = Dataset(universe=Universe(points=centers),
-                      indices=rounding[d.indices])
+    coarse = geometry.coarse_rounding(d.universe, alpha)
+    rounded = Dataset(universe=coarse.centers,
+                      indices=coarse.rounding[d.indices])
     out = local_projection_protocol(rounded, epsilon, seed=seed)
     trace = dict(out.trace)
     trace.update({
         "mechanism": "local_coarse_projection",
         "alpha": float(alpha),
-        "cover_size": sep.size,
+        "cover_size": coarse.cover.size,
     })
     return MechanismOutput(estimate=out.estimate,
                            budget_consumed=out.budget_consumed,
