@@ -17,14 +17,18 @@ order (the tolerance absorbs reduction noise).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-7
-# Absolute slack on the duality gap so that interior targets (residual
-# going to zero) can terminate once the gap is at rounding level.
-GAP_FLOOR = 1e-15
+# Absolute slack on the duality gap, per coordinate and unit of scale^2,
+# so that interior targets (residual going to zero) terminate once the
+# gap is at rounding level.  The gap is a difference of inner products
+# over m coordinates of size up to scale^2, so its rounding error grows
+# like eps * m * scale^2; a floor below that is never reached.
+GAP_FLOOR = 8 * sys.float_info.epsilon
 # Pairwise steps between least-squares polishes of the active set.
 POLISH_EVERY = 5
 
@@ -108,7 +112,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
         max_iter = 50 * n
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
-    gap_floor = GAP_FLOOR * sqrt_m * scale * scale
+    gap_floor = GAP_FLOOR * m * scale * scale
 
     # Degenerate hull: all vertices identical.
     if n == 1 or bool((V == V[0]).all()):

@@ -144,6 +144,16 @@ class TestChainingMechanism:
         b = chaining_mechanism(small_dataset, 0.4, 0.3, seed=19)
         assert np.array_equal(a.estimate, b.estimate)
 
+    def test_interior_targets_certify_quickly(self):
+        # The level-0 target lies inside its hull, where the duality gap
+        # bottoms out at its own rounding; the solver must stop there
+        # rather than run to its iteration cap.
+        d = harness.gen_dataset(harness.gen_marginals2(8), 1000, seed=1)
+        out = chaining_mechanism(d, 0.5, 0.1, seed=0)
+        for level in out.trace["levels"]:
+            assert level["projection_certified"] is True
+            assert level["projection_iterations"] < 200
+
 
 class TestDecomposeAndRun:
     def test_identity_decomposition_matches_direct_call(self, small_dataset):
