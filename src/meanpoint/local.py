@@ -318,12 +318,15 @@ def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOut
         return [local_release(comps[j], level_params[j], rng)
                 for j in range(dec.k)]
 
+    projections = []
+
     def server(payloads):
         total = np.zeros(u.dim)
         for j in range(dec.k):
             level_mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
-            total = total + hull.project_onto_hull(level_mean,
-                                                   dec.levels[j]).point
+            proj = hull.project_onto_hull(level_mean, dec.levels[j])
+            projections.append(proj)
+            total = total + proj.point
         return total
 
     spec = LocalProtocolSpec(name="lcm", party=party, server=server)
@@ -336,6 +339,10 @@ def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOut
         "n_parties": len(transcript),
         "per_party": True,
         "remainder_radius": dec.remainder_radius,
+        "levels": [{"projection_iterations": p.iterations,
+                    "projection_gap": p.gap,
+                    "projection_certified": p.certified}
+                   for p in projections],
     }
     return MechanismOutput(estimate=estimate, budget_consumed=per_party,
                            trace=trace, seed=seed)
