@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from meanpoint.geometry import (Metric, Norm, Universe, chaining_decomposition,
-                                coarse_dudley_bound, covering_radius, diameter,
+from meanpoint import bounds, harness
+from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
+                                _row_norms, chaining_decomposition,
+                                coarse_dudley_bound, coarse_rounding,
+                                covering_radius, diameter,
                                 gaussian_mean_width, greedy_separated_set,
                                 identity_decomposition, metric_diameter,
                                 nearest_point_map, packing_number,
@@ -33,6 +36,20 @@ def brute_force_max_packing(pts, t, metric):
         if best:
             break
     return 1
+
+
+def reference_greedy_extend(pts, selected, candidates, raw_t, norm):
+    """The candidate-by-candidate scan the cover mask replaced."""
+    sel = list(selected)
+    for i in candidates:
+        i = int(i)
+        if not sel:
+            sel.append(i)
+            continue
+        d = _row_norms(pts[sel] - pts[i], norm)
+        if bool((d > raw_t).all()):
+            sel.append(i)
+    return sel
 
 
 def random_universe(rng, max_m=6, max_size=30):
@@ -335,3 +352,121 @@ class TestTGrid:
     def test_single_point_when_equal(self):
         ts = t_grid(0.3, 0.3)
         assert list(ts) == [0.3]
+
+
+KERNEL_UNIVERSES = {
+    "sphere": lambda: harness.gen_random_sphere(8, 300, 1.0, seed=0),
+    "thresholds": lambda: harness.gen_thresholds(32),
+    "marginals2": lambda: harness.gen_marginals2(6),
+    "cone": lambda: harness.gen_cone(8, 0.2, density=60, seed=1),
+}
+
+
+class TestCoverMaskKernel:
+    """The cover-mask greedy selects exactly what the plain scan does."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
+    @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
+    def test_separated_sets_match_the_scan(self, name, metric):
+        u = KERNEL_UNIVERSES[name]()
+        norm, scale = _metric_factor(metric, u.dim)
+        # 0.25 puts pairs of thresholds(32) exactly at distance t.
+        for order in ("index", "random"):
+            for t in (0.05, 0.15, 0.25, 0.3):
+                got = greedy_separated_set(u, t, metric, order=order, seed=7)
+                candidates = (np.arange(u.size) if order == "index" else
+                              np.random.default_rng(7).permutation(u.size))
+                want = reference_greedy_extend(u.points, [], candidates,
+                                               t * scale, norm)
+                assert got.indices.tolist() == want, (order, t)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
+    @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
+    def test_packing_profiles_match_the_scan(self, name, metric):
+        u = KERNEL_UNIVERSES[name]()
+        norm, scale = _metric_factor(metric, u.dim)
+        ts = t_grid(0.02, metric_diameter(u, metric))
+        sel, want = [], {}
+        for t in ts[::-1]:
+            sel = reference_greedy_extend(u.points, sel, np.arange(u.size),
+                                          t * scale, norm)
+            want[t] = len(sel)
+        got = packing_profile(u, ts, metric)
+        assert got.tolist() == [want[t] for t in ts]
+
+    def test_carried_selection_is_kept_and_respected(self):
+        u = KERNEL_UNIVERSES["sphere"]()
+        from meanpoint.geometry import _greedy_extend
+        seed_sel = [5, 17, 40]
+        got = _greedy_extend(u.points, seed_sel, np.arange(u.size), 0.4,
+                             Norm.L2)
+        want = reference_greedy_extend(u.points, seed_sel, np.arange(u.size),
+                                       0.4, Norm.L2)
+        assert got == want
+        assert got[:3] == seed_sel
+
+
+class TestPreprocessingCache:
+    def test_points_are_read_only(self):
+        u = Universe(points=np.random.default_rng(20).random((6, 2)))
+        with pytest.raises(ValueError):
+            u.points[0, 0] = 0.5
+
+    def test_caller_array_is_copied(self):
+        pts = np.random.default_rng(21).random((6, 2))
+        u = Universe(points=pts)
+        pts[0, 0] = 9.0
+        assert u.points[0, 0] != 9.0
+        assert pts.flags.writeable
+
+    def test_second_call_returns_the_cached_object(self):
+        u = harness.gen_marginals2(5)
+        dec = chaining_decomposition(u, 0.2)
+        assert chaining_decomposition(u, 0.2) is dec
+        assert chaining_decomposition(u, 0.2, Norm.L2,
+                                      delta_cap=math.sqrt(u.dim)) is dec
+        assert chaining_decomposition(u, 0.2, Norm.LINF) is not dec
+        assert dec.level_universes is dec.level_universes
+        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        assert bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1) is prof
+        assert bounds.bound_profile(u, Metric.LINF, 0.1) is not prof
+        rounding = coarse_rounding(u, 0.3)
+        assert coarse_rounding(u, 0.3) is rounding
+
+    def test_cached_values_match_a_fresh_universe(self):
+        u = harness.gen_random_sphere(6, 80, 1.0, seed=2)
+        for norm in Norm:
+            first = diameter(u, norm)
+            assert diameter(u, norm) == first
+        dec = chaining_decomposition(u, 0.1)
+        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        rounding = coarse_rounding(u, 0.3)
+        fresh = Universe(points=u.points.copy())
+        for norm in Norm:
+            assert diameter(fresh, norm) == diameter(u, norm)
+        again = chaining_decomposition(fresh, 0.1)
+        assert again is not dec
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.levels, dec.levels))
+        assert np.array_equal(again.assignments, dec.assignments)
+        again_prof = bounds.bound_profile(fresh, Metric.NORMALIZED_L2, 0.1)
+        assert np.array_equal(again_prof.packing, prof.packing)
+        assert again_prof.sup_terms == prof.sup_terms
+        again_rounding = coarse_rounding(fresh, 0.3)
+        assert np.array_equal(again_rounding.rounding, rounding.rounding)
+        assert np.array_equal(again_rounding.centers.points,
+                              rounding.centers.points)
+
+    def test_cached_arrays_are_read_only(self):
+        u = harness.gen_thresholds(8)
+        dec = chaining_decomposition(u, 0.2)
+        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        for a in (*dec.levels, dec.assignments, *dec.generator_indices,
+                  prof.ts, prof.packing, coarse_rounding(u, 0.3).rounding):
+            assert not a.flags.writeable
+
+    def test_failed_build_is_not_cached(self):
+        u = Universe(points=np.array([[5.0, 0.0]]))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
