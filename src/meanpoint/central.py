@@ -167,15 +167,14 @@ def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
     ball of radius (alpha/2)*sqrt(m), which costs nothing.
     """
     u = d.universe
-    coarse = geometry.coarse_rounding(u, alpha)
-    rounded = Dataset(universe=coarse.centers,
-                      indices=coarse.rounding[d.indices])
+    centers, rounding = geometry.coarse_rounding(u, alpha)
+    rounded = Dataset(universe=centers, indices=rounding[d.indices])
     out = projection_mechanism(rounded, rho, seed=seed, tol=tol)
     trace = dict(out.trace)
     trace.update({
         "mechanism": "coarse_projection",
         "alpha": float(alpha),
-        "cover_size": coarse.cover.size,
+        "cover_size": centers.size,
         "remainder_radius": 0.5 * alpha * math.sqrt(u.dim),
     })
     return MechanismOutput(estimate=out.estimate,

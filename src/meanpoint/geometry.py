@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,10 +105,7 @@ class Universe:
         return bool((self.points >= 0.0).all() and (self.points <= 1.0).all())
 
 
-_T = TypeVar("_T")
-
-
-def _memo(u: Universe, key: Hashable, build: Callable[[], _T]) -> _T:
+def _memo(u: Universe, key: tuple, build: Callable):
     """Value of ``build()`` cached on the universe under ``key``.
 
     ``build`` must be a pure function of the universe and the key.
@@ -117,11 +114,6 @@ def _memo(u: Universe, key: Hashable, build: Callable[[], _T]) -> _T:
         return u._cache[key]
     except KeyError:
         return u._cache.setdefault(key, build())
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass
@@ -247,8 +239,10 @@ def _greedy_extend(pts: np.ndarray, selected: Sequence[int],
     candidates = np.asarray(candidates, dtype=int)
     covered = np.zeros(candidates.size, dtype=bool)
     if sel:
+        # Blocks of 2^17 entries (1 MiB): the mask is seeded at every scale
+        # of a profile, and the allocator keeps larger temporaries resident.
         seeds = pts[sel]
-        block = max(1, int(4_000_000 // max(1, len(sel) * pts.shape[1])))
+        block = max(1, int(131_072 // max(1, len(sel) * pts.shape[1])))
         for c0 in range(0, candidates.size, block):
             diff = seeds[None, :, :] - pts[candidates[c0:c0 + block], None, :]
             covered[c0:c0 + block] = (_row_norms(diff, norm) <= raw_t).any(axis=1)
@@ -484,19 +478,21 @@ def chaining_decomposition(u: Universe, alpha: float,
         for j in range(k):
             raw_t = 2.0 ** (-(j + 1)) * delta
             sel = _greedy_extend(pts, [], candidates, raw_t, norm)
-            gen.append(_read_only(np.array(sel, dtype=int)))
+            gen.append(np.array(sel, dtype=int))
             idx, _ = _nearest(pts, pts[gen[j]], norm)
             proj.append(idx)
-        levels = [_read_only(pts[gen[0]].copy())]
+        levels = [pts[gen[0]].copy()]
         for j in range(1, k):
             parents = gen[j - 1][proj[j - 1][gen[j]]]
-            levels.append(_read_only(pts[gen[j]] - pts[parents]))
+            levels.append(pts[gen[j]] - pts[parents])
         assign = np.empty((u.size, k), dtype=int)
         assign[:, k - 1] = proj[k - 1]
         for j in range(k - 2, -1, -1):
             assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
+        for a in (*gen, *levels, assign):
+            a.setflags(write=False)
         level_radii = [2.0 ** (-j) * delta for j in range(k)]
-        return Decomposition(levels=levels, assignments=_read_only(assign),
+        return Decomposition(levels=levels, assignments=assign,
                              generator_indices=gen,
                              remainder_radius=0.5 * alpha * delta,
                              norm=norm, level_radii=level_radii,
@@ -505,31 +501,23 @@ def chaining_decomposition(u: Universe, alpha: float,
     return _memo(u, ("chaining_decomposition", alpha, norm, delta), build)
 
 
-class CoarseRounding(NamedTuple):
-    """A maximal separated subset, each point's nearest subset member,
-    and the subset as a universe of its own."""
-
-    cover: SeparatedSet
-    rounding: np.ndarray
-    centers: Universe
-
-
-def coarse_rounding(u: Universe, alpha: float) -> CoarseRounding:
+def coarse_rounding(u: Universe, alpha: float) -> tuple[Universe, np.ndarray]:
     """Rounding to a maximal (alpha/2)-separated subset in normalized L2.
 
-    The public preprocessing of the coarse projection mechanisms: every
-    universe point rounds to a cover point within (alpha/2) * sqrt(m).
+    The public preprocessing of the coarse projection mechanisms.
+    Returns the subset as a universe of its own (a cover: every point
+    lies within (alpha/2) * sqrt(m) of it) and, for every universe
+    point, the row of its nearest subset member.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
 
-    def build() -> CoarseRounding:
+    def build() -> tuple[Universe, np.ndarray]:
         cover = greedy_separated_set(u, alpha / 2.0, Metric.NORMALIZED_L2)
-        _read_only(cover.indices)
         centers = Universe(points=u.points[cover.indices])
         rounding = nearest_point_map(u, centers.points, Norm.L2)
-        return CoarseRounding(cover=cover, rounding=_read_only(rounding),
-                              centers=centers)
+        rounding.setflags(write=False)
+        return centers, rounding
 
     return _memo(u, ("coarse_rounding", alpha), build)
 

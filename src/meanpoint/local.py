@@ -270,15 +270,14 @@ def local_coarse_projection(d: Dataset, epsilon, alpha: float,
                             seed=None) -> MechanismOutput:
     """Each party rounds her own point to a public coarse cover, then the
     local projection protocol runs over the cover with the full budget."""
-    coarse = geometry.coarse_rounding(d.universe, alpha)
-    rounded = Dataset(universe=coarse.centers,
-                      indices=coarse.rounding[d.indices])
+    centers, rounding = geometry.coarse_rounding(d.universe, alpha)
+    rounded = Dataset(universe=centers, indices=rounding[d.indices])
     out = local_projection_protocol(rounded, epsilon, seed=seed)
     trace = dict(out.trace)
     trace.update({
         "mechanism": "local_coarse_projection",
         "alpha": float(alpha),
-        "cover_size": coarse.cover.size,
+        "cover_size": centers.size,
     })
     return MechanismOutput(estimate=out.estimate,
                            budget_consumed=out.budget_consumed,

@@ -452,17 +452,18 @@ class TestPreprocessingCache:
         again_prof = bounds.bound_profile(fresh, Metric.NORMALIZED_L2, 0.1)
         assert np.array_equal(again_prof.packing, prof.packing)
         assert again_prof.sup_terms == prof.sup_terms
-        again_rounding = coarse_rounding(fresh, 0.3)
-        assert np.array_equal(again_rounding.rounding, rounding.rounding)
-        assert np.array_equal(again_rounding.centers.points,
-                              rounding.centers.points)
+        centers, rounding_map = rounding
+        again_centers, again_map = coarse_rounding(fresh, 0.3)
+        assert np.array_equal(again_map, rounding_map)
+        assert np.array_equal(again_centers.points, centers.points)
 
     def test_cached_arrays_are_read_only(self):
         u = harness.gen_thresholds(8)
         dec = chaining_decomposition(u, 0.2)
         prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        centers, rounding = coarse_rounding(u, 0.3)
         for a in (*dec.levels, dec.assignments, *dec.generator_indices,
-                  prof.ts, prof.packing, coarse_rounding(u, 0.3).rounding):
+                  prof.ts, prof.packing, centers.points, rounding):
             assert not a.flags.writeable
 
     def test_failed_build_is_not_cached(self):
