@@ -35,6 +35,11 @@ EXACT_PACKING_CAP = 24
 # Ratio of consecutive scales in sup-evaluation grids.
 GRID_RATIO = 2.0 ** 0.25
 
+# Entries (2^17, 1 MiB of floats) per temporary in blocked distance
+# computations.  The allocator keeps larger freed temporaries resident,
+# and the results do not depend on the blocking.
+BLOCK_ENTRIES = 131_072
+
 
 class Metric(Enum):
     """Distance conventions behind the two separation-number families."""
@@ -205,7 +210,7 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
         n = pts.shape[0]
         if n == 1:
             return 0.0
-        block = max(1, int(4_000_000 // max(1, n * pts.shape[1])))
+        block = max(1, BLOCK_ENTRIES // max(1, n * pts.shape[1]))
         worst = 0.0
         for i0 in range(0, n, block):
             diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
@@ -239,10 +244,8 @@ def _greedy_extend(pts: np.ndarray, selected: Sequence[int],
     candidates = np.asarray(candidates, dtype=int)
     covered = np.zeros(candidates.size, dtype=bool)
     if sel:
-        # Blocks of 2^17 entries (1 MiB): the mask is seeded at every scale
-        # of a profile, and the allocator keeps larger temporaries resident.
         seeds = pts[sel]
-        block = max(1, int(131_072 // max(1, len(sel) * pts.shape[1])))
+        block = max(1, BLOCK_ENTRIES // max(1, len(sel) * pts.shape[1]))
         for c0 in range(0, candidates.size, block):
             diff = seeds[None, :, :] - pts[candidates[c0:c0 + block], None, :]
             covered[c0:c0 + block] = (_row_norms(diff, norm) <= raw_t).any(axis=1)
@@ -300,7 +303,7 @@ def covering_radius(u: Universe, indices: np.ndarray, metric: Metric) -> float:
 def _pairwise_matrix(pts: np.ndarray, norm: Norm) -> np.ndarray:
     n = pts.shape[0]
     out = np.zeros((n, n))
-    block = max(1, int(4_000_000 // max(1, n * pts.shape[1])))
+    block = max(1, BLOCK_ENTRIES // max(1, n * pts.shape[1]))
     for i0 in range(0, n, block):
         diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
         out[i0:i0 + block] = _row_norms(diff, norm)
@@ -408,7 +411,7 @@ def _nearest(points: np.ndarray, centers: np.ndarray,
     k = centers.shape[0]
     idx = np.empty(n, dtype=int)
     dist = np.empty(n)
-    block = max(1, int(4_000_000 // max(1, k * m)))
+    block = max(1, BLOCK_ENTRIES // max(1, k * m))
     for i0 in range(0, n, block):
         diff = points[i0:i0 + block, None, :] - centers[None, :, :]
         d = _row_norms(diff, norm)
