@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
-                                _row_norms, chaining_decomposition,
+from meanpoint.geometry import (Metric, Norm, Universe, _greedy_extend,
+                                _metric_factor, _row_norms,
+                                chaining_decomposition,
                                 coarse_dudley_bound, coarse_rounding,
                                 covering_radius, diameter,
                                 gaussian_mean_width, greedy_separated_set,
@@ -396,7 +397,6 @@ class TestCoverMaskKernel:
 
     def test_carried_selection_is_kept_and_respected(self):
         u = KERNEL_UNIVERSES["sphere"]()
-        from meanpoint.geometry import _greedy_extend
         seed_sel = [5, 17, 40]
         got = _greedy_extend(u.points, seed_sel, np.arange(u.size), 0.4,
                              Norm.L2)
