@@ -35,6 +35,7 @@ class TestPrivacyScaling:
             assert est(u, alpha, 4 * eps) == est(u, alpha, eps) / 16, est
 
     def test_estimates_are_positive(self):
+        # Zero estimates would pass the scaling checks vacuously.
         u = harness.gen_marginals2(5)
         for est in UPPER_CENTRAL + UPPER_LOCAL + (bounds.lb_packing,):
             assert est(u, 0.05, 0.5) > 0.0
