@@ -10,7 +10,7 @@ from .central import (Dataset, MechanismOutput, PMWConfig,
                       coarse_projection_mechanism, decompose_and_run,
                       pmw_mechanism, projection_mechanism)
 from .geometry import (Decomposition, Metric, Norm, SeparatedSet, Universe,
-                       chaining_decomposition, coarse_dudley_bound, diameter,
+                       chaining_decomposition, diameter,
                        gaussian_mean_width, greedy_separated_set,
                        nearest_point_map, packing_number, pairwise_distance,
                        support_function)

@@ -25,7 +25,6 @@ T_SQRT_LOG = "t_sqrt_log"
 T2_SQRT_LOG = "t2_sqrt_log"
 T2_LOG = "t2_log"
 T4_LOG = "t4_log"
-SUP_TERM_NAMES = (T_SQRT_LOG, T2_SQRT_LOG, T2_LOG, T4_LOG)
 
 
 @dataclass(frozen=True)

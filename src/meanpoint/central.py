@@ -2,11 +2,11 @@
 
 Projection, coarse projection, chaining (average error), multiplicative
 weights (worst-case error), chaining over multiplicative weights, and
-the generic level combinator that runs one sub-mechanism per summand of
-a decomposition and adds the results.
+the level combinator that runs one level mechanism on every summand of
+a decomposition with an equal share of rho and adds the results.
 
 Every mechanism owns one RNG stream derived from its seed; identical
-seeds and inputs give bit-identical outputs.  Level sub-mechanisms get
+seeds and inputs give bit-identical outputs.  Level mechanisms get
 independent child streams derived from the run seed by level index
 (a single level passes the stream through unchanged, so a one-level run
 matches the direct mechanism call).
@@ -15,9 +15,9 @@ matches the direct mechanism call).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def trace_all_certified(trace: dict) -> bool:
 # projection mechanism and its coarse variant
 
 
-def projection_mechanism(d: Dataset, rho, seed=None,
-                         tol: float = hull.DEFAULT_TOL) -> MechanismOutput:
+def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     """Gaussian-noise the dataset mean, then project back onto the hull.
 
     Noise is calibrated to the exact mean sensitivity (universe diameter
@@ -142,7 +141,7 @@ def projection_mechanism(d: Dataset, rho, seed=None,
     rng = np.random.default_rng(seed)
     noisy = d.mean() + rng.normal(0.0, spec.sigma, size=u.dim)
     acct.charge(spec.budget)
-    proj = hull.project_onto_hull(noisy, u.points, tol=tol)
+    proj = hull.project_onto_hull(noisy, u.points)
     trace = {
         "mechanism": "projection",
         "sigma": spec.sigma,
@@ -157,8 +156,7 @@ def projection_mechanism(d: Dataset, rho, seed=None,
 
 
 def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
-                                seed=None,
-                                tol: float = hull.DEFAULT_TOL) -> MechanismOutput:
+                                seed=None) -> MechanismOutput:
     """Round to a maximal (alpha/2)-separated subset, then project there.
 
     The rounding is public preprocessing; the projection mechanism runs
@@ -169,7 +167,7 @@ def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
     u = d.universe
     centers, rounding = geometry.coarse_rounding(u, alpha)
     rounded = Dataset(universe=centers, indices=rounding[d.indices])
-    out = projection_mechanism(rounded, rho, seed=seed, tol=tol)
+    out = projection_mechanism(rounded, rho, seed=seed)
     trace = dict(out.trace)
     trace.update({
         "mechanism": "coarse_projection",
@@ -186,57 +184,42 @@ def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
 # level combinator
 
 
-MechanismRunner = Callable[[Dataset, PrivacyBudget, object], MechanismOutput]
-
-
-def run_projection(d: Dataset, budget: PrivacyBudget, seed) -> MechanismOutput:
-    """Runner adapter: projection mechanism under a zCDP budget."""
-    if budget.kind != privacy.ZCDP:
-        raise ValueError("projection mechanism needs a zCDP budget")
-    return projection_mechanism(d, budget.rho, seed=seed)
-
-
 def level_dataset(d: Dataset, dec: Decomposition, j: int) -> Dataset:
     """Dataset induced on level j by the decomposition's assignments."""
     return Dataset(universe=dec.level_universes[j],
                    indices=dec.assignments[d.indices, j])
 
 
-def decompose_and_run(d: Dataset, decomposition: Decomposition,
-                      sub_mechanisms: Sequence[MechanismRunner],
-                      budgets: Sequence[PrivacyBudget],
-                      seed=None) -> MechanismOutput:
-    """Run one sub-mechanism per decomposition level and add the outputs.
+def decompose_and_run(d: Dataset, dec: Decomposition,
+                      release: Callable[[Dataset, Fraction, object],
+                                        MechanismOutput],
+                      rho, seed=None) -> MechanismOutput:
+    """Run ``release(level_dataset, rho / k, level_seed)`` on each of the
+    decomposition's k levels and add the outputs.
 
     Both error measures in use are subadditive, so the summed release
     inherits the per-level error bounds, and the ledger composes the
     per-level budgets.  The remainder term is handled by the (free) zero
     mechanism, which adds nothing.
     """
-    k = decomposition.k
-    if len(sub_mechanisms) != k or len(budgets) != k:
-        raise ValueError(
-            f"need exactly {k} sub-mechanisms and budgets, got "
-            f"{len(sub_mechanisms)} and {len(budgets)}")
-    seeds = _level_seeds(seed, k)
+    k = dec.k
+    parts = privacy.split_budget(as_fraction(rho), k)
     estimate = np.zeros(d.universe.dim)
-    level_traces = []
     outputs = []
-    for j in range(k):
-        out = sub_mechanisms[j](level_dataset(d, decomposition, j),
-                                budgets[j], seeds[j])
+    for j, level_seed in enumerate(_level_seeds(seed, k)):
+        out = release(level_dataset(d, dec, j), parts[j], level_seed)
         outputs.append(out)
         estimate = estimate + out.estimate
-        level_traces.append(out.trace)
-    consumed = privacy.compose([o.budget_consumed for o in outputs])
     trace = {
         "mechanism": "decompose_and_run",
         "k": k,
-        "remainder_radius": decomposition.remainder_radius,
-        "levels": level_traces,
+        "remainder_radius": dec.remainder_radius,
+        "levels": [o.trace for o in outputs],
     }
-    return MechanismOutput(estimate=estimate, budget_consumed=consumed,
-                           trace=trace, seed=seed)
+    return MechanismOutput(
+        estimate=estimate,
+        budget_consumed=privacy.compose([o.budget_consumed for o in outputs]),
+        trace=trace, seed=seed)
 
 
 def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
@@ -247,20 +230,9 @@ def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOut
     summed.  The remainder ball contributes at most alpha/2 error for
     free.
     """
-    rho_fr = as_fraction(rho)
-    if rho_fr <= 0:
-        raise ValueError("rho must be positive")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    u = d.universe
-    dec = geometry.chaining_decomposition(u, alpha, Norm.L2,
-                                          delta_cap=math.sqrt(u.dim))
-    parts = privacy.split_budget(rho_fr, dec.k)
-    budgets = [PrivacyBudget.zcdp(p) for p in parts]
-    out = decompose_and_run(d, dec, [run_projection] * dec.k, budgets,
-                            seed=seed)
-    out.trace["mechanism"] = "chaining"
-    out.trace["alpha"] = float(alpha)
+    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.L2)
+    out = decompose_and_run(d, dec, projection_mechanism, rho, seed=seed)
+    out.trace.update(mechanism="chaining", alpha=float(alpha))
     return out
 
 
@@ -370,17 +342,6 @@ def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
                            trace=trace, seed=seed)
 
 
-def run_pmw(config: PMWConfig | None = None) -> MechanismRunner:
-    """Runner adapter: multiplicative weights under a zCDP budget."""
-
-    def run(d: Dataset, budget: PrivacyBudget, seed) -> MechanismOutput:
-        if budget.kind != privacy.ZCDP:
-            raise ValueError("multiplicative weights needs a zCDP budget")
-        return pmw_mechanism(d, budget.rho, config=config, seed=seed)
-
-    return run
-
-
 def chaining_mechanism_linf(d: Dataset, rho, alpha: float,
                             seed=None) -> MechanismOutput:
     """Worst-case-error chaining: multiplicative weights per level.
@@ -390,20 +351,14 @@ def chaining_mechanism_linf(d: Dataset, rho, alpha: float,
     with budget rho/k on every level, and sums.  The remainder ball
     contributes at most alpha/2 in sup norm.
     """
-    rho_fr = as_fraction(rho)
-    if rho_fr <= 0:
-        raise ValueError("rho must be positive")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    u = d.universe
-    if not u.in_unit_box:
+    if not d.universe.in_unit_box:
         raise ValueError("sup-norm chaining requires a [0, 1]^m universe")
-    dec = geometry.chaining_decomposition(u, alpha, Norm.LINF, delta_cap=1.0)
-    parts = privacy.split_budget(rho_fr, dec.k)
-    budgets = [PrivacyBudget.zcdp(p) for p in parts]
+    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.LINF)
     config = PMWConfig(alpha_target=alpha / (2.0 * dec.k))
-    out = decompose_and_run(d, dec, [run_pmw(config)] * dec.k, budgets,
-                            seed=seed)
-    out.trace["mechanism"] = "chaining_linf"
-    out.trace["alpha"] = float(alpha)
+
+    def release(level: Dataset, rho_part, level_seed) -> MechanismOutput:
+        return pmw_mechanism(level, rho_part, config=config, seed=level_seed)
+
+    out = decompose_and_run(d, dec, release, rho, seed=seed)
+    out.trace.update(mechanism="chaining_linf", alpha=float(alpha))
     return out

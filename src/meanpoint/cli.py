@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from . import geometry, harness
+from . import geometry, harness, local
+from .central import as_seed_sequence
 from .geometry import Metric, Norm, Universe
 
 EXIT_OK = 0
@@ -25,11 +23,6 @@ EXIT_NONCONVERGENCE = 3
 
 BENCH_HEADER = ("universe,mechanism,n,rho_or_eps,alpha,err2_mean,err2_sd,"
                 "errinf_mean,bound_ub,bound_lb,seed")
-
-_UB_KEYS = {"coarse": "ub_coarse", "chaining": "ub_chain",
-            "chaining_linf": "ub_infty", "lcpm": "ub_local_coarse",
-            "lcm": "ub_local_chain"}
-
 
 class ConfigError(ValueError):
     pass
@@ -210,18 +203,29 @@ def _dataset_from_arg(u, arg: str, n: int, seed: int):
     raise ConfigError(f"unknown dataset spec {arg!r}")
 
 
+def _spec(name: str, args) -> dict:
+    """Spec for a ``harness.MECHANISMS`` row from the parsed options."""
+    mech = harness.MECHANISMS.get(name)
+    if mech is None:
+        raise ConfigError(f"unknown mechanism {name!r}")
+    value = getattr(args, mech.privacy, None)
+    if value is None:
+        raise ConfigError(f"{name} needs --{mech.privacy}")
+    spec: dict = {"mechanism": name, mech.privacy: value}
+    if args.alpha is not None:
+        spec["alpha"] = args.alpha
+    elif mech.needs_alpha:
+        raise ConfigError(f"{name} needs --alpha")
+    return spec
+
+
 def _report_exit(report) -> int:
     return EXIT_NONCONVERGENCE if report.num_non_certified else EXIT_OK
 
 
 def _run(args) -> int:
     u = _load_universe(args.universe)
-    spec: dict = {"mechanism": args.mechanism, "rho": args.rho}
-    if args.alpha is not None:
-        spec["alpha"] = args.alpha
-    if args.mechanism in ("coarse", "chaining", "chaining_linf") \
-            and args.alpha is None:
-        raise ConfigError(f"{args.mechanism} needs --alpha")
+    spec = _spec(args.mechanism, args)
     pmw = {}
     if args.pmw_rounds is not None:
         pmw["rounds"] = args.pmw_rounds
@@ -239,21 +243,17 @@ def _run(args) -> int:
 
 def _local(args) -> int:
     u = _load_universe(args.universe)
-    spec: dict = {"mechanism": args.protocol, "epsilon": args.epsilon}
-    if args.alpha is not None:
-        spec["alpha"] = args.alpha
-    if args.protocol in ("lcpm", "lcm") and args.alpha is None:
-        raise ConfigError(f"{args.protocol} needs --alpha")
+    spec = _spec(args.protocol, args)
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
-    if args.transcript:
-        from . import local as local_mod
-        sp = local_mod.make_local_projection_spec(
-            d.universe if args.protocol != "lcpm" else d.universe,
-            args.epsilon)
-        transcript, _ = local_mod.simulate_protocol(
-            [d.universe.points[i] for i in d.indices], sp, seed=args.seed)
-        local_mod.write_transcript(args.transcript, transcript)
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
+    if args.transcript:
+        # The messages of the report's trial 0, whose seed is the first
+        # child of the run seed.
+        parties, protocol = harness.MECHANISMS[args.protocol].protocol(d, spec)
+        trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
+        transcript, _ = local.simulate_protocol(parties, protocol, seed=trial0)
+        _atomic_write(args.transcript, "".join(
+            json.dumps(msg.to_json()) + "\n" for msg in transcript))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return _report_exit(report)
 
@@ -281,30 +281,17 @@ def _bench(args) -> int:
     rows = [BENCH_HEADER]
     worst = EXIT_OK
     for mech in mechs:
-        is_local = mech in harness.LOCAL_PROTOCOLS
-        spec: dict = {"mechanism": mech}
-        if is_local:
-            if args.epsilon is None:
-                raise ConfigError(f"{mech} needs --epsilon")
-            spec["epsilon"] = args.epsilon
-            priv = args.epsilon
-        else:
-            if args.rho is None:
-                raise ConfigError(f"{mech} needs --rho")
-            spec["rho"] = args.rho
-            priv = args.rho
-        if args.alpha is not None:
-            spec["alpha"] = args.alpha
-        if mech in ("coarse", "chaining", "chaining_linf", "lcpm", "lcm") \
-                and args.alpha is None:
-            raise ConfigError(f"{mech} needs --alpha")
+        spec = _spec(mech, args)
+        row = harness.MECHANISMS[mech]
+        priv = spec[row.privacy]
         for n in n_grid:
             d = _dataset_from_arg(u, args.dataset, n, args.seed)
             report = harness.measure_error(d, spec, trials=args.trials,
                                            seed=args.seed)
             worst = max(worst, _report_exit(report))
-            ub = report.bounds.get(_UB_KEYS.get(mech, ""), "")
-            lb = report.bounds.get("lb_local" if is_local else "lb_packing", "")
+            ub = report.bounds.get(row.upper_bound, "")
+            lb = report.bounds.get(
+                "lb_local" if row.privacy == "epsilon" else "lb_packing", "")
             rows.append(",".join([
                 label, mech, str(n), repr(float(priv)),
                 "" if args.alpha is None else repr(float(args.alpha)),

@@ -79,7 +79,6 @@ class Universe:
     """
 
     points: np.ndarray
-    labels: list[str] | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -92,8 +91,6 @@ class Universe:
             raise ValueError("universe needs at least one point and one dimension")
         if not np.all(np.isfinite(pts)):
             raise ValueError("universe coordinates must be finite")
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise ValueError("need exactly one label per point")
         pts.setflags(write=False)
         self.points = pts
 
@@ -525,35 +522,14 @@ def coarse_rounding(u: Universe, alpha: float) -> tuple[Universe, np.ndarray]:
     return _memo(u, ("coarse_rounding", alpha), build)
 
 
-def identity_decomposition(u: Universe, norm: Norm = Norm.L2) -> Decomposition:
-    """Trivial one-level decomposition: the level is the universe itself.
-
-    A convenience for exercising level combinators; it bypasses the
-    separation invariant (use ``verify_decomposition`` with
-    ``check_separation=False``).
-    """
-    n = u.size
-    max_norm = float(_row_norms(u.points, norm).max())
-    return Decomposition(levels=[u.points.copy()],
-                         assignments=np.arange(n, dtype=int)[:, None],
-                         generator_indices=[np.arange(n, dtype=int)],
-                         remainder_radius=0.0, norm=norm,
-                         level_radii=[max_norm],
-                         delta=max(max_norm, 1.0), alpha=1.0)
-
-
-def verify_decomposition(u: Universe, dec: Decomposition,
-                         tol: float | None = None,
-                         check_separation: bool = True) -> None:
+def verify_decomposition(u: Universe, dec: Decomposition) -> None:
     """Check all decomposition invariants, raising ValueError on failure.
 
-    Verifies the reconstruction identity within tol (default
-    1e-9 * sqrt(m) absolute), the per-level norm radii, and the strict
-    separation of each generating set at its scale.
+    Verifies the reconstruction identity within tol = 1e-9 * sqrt(m)
+    (absolute), the per-level norm radii, and the strict separation of
+    each generating set at its scale.
     """
-    m = u.dim
-    if tol is None:
-        tol = RECONSTRUCTION_TOL * math.sqrt(m)
+    tol = RECONSTRUCTION_TOL * math.sqrt(u.dim)
     res = _row_norms(dec.remainders(u), dec.norm)
     worst = float(res.max())
     if worst > dec.remainder_radius + tol:
@@ -565,8 +541,6 @@ def verify_decomposition(u: Universe, dec: Decomposition,
         if r > dec.level_radii[j] + tol:
             raise ValueError(
                 f"level {j} radius {r:.3e} exceeds {dec.level_radii[j]:.3e}")
-    if not check_separation:
-        return
     for j, g in enumerate(dec.generator_indices):
         if g.size <= 1:
             continue
@@ -595,7 +569,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# width and entropy-style bounds
+# support function and Gaussian mean width
 
 
 def support_function(u: Universe, direction: np.ndarray) -> float:
@@ -636,35 +610,6 @@ def gaussian_mean_width(u: Universe, samples: int = 10_000,
     return WidthEstimate(value=mean, std_error=se, samples=samples)
 
 
-def coarse_dudley_bound(u: Universe, alpha: float,
-                        packing_mode: str = "greedy",
-                        exact_cap: int = EXACT_PACKING_CAP) -> float:
-    """Entropy-style width estimate from the packing profile.
-
-    Evaluates sqrt(m) * log(4 * diam / alpha) * sup_t t*sqrt(log P(t))
-    over the geometric grid of scales in [alpha/4, diam], with the
-    absolute constant taken as 1.  A shape for comparisons, never a
-    certified bound.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    norm_diam = metric_diameter(u, Metric.NORMALIZED_L2)
-    ts = t_grid(alpha / 4.0, norm_diam)
-    if ts.size == 0:
-        return 0.0
-    if packing_mode == "greedy":
-        sizes = packing_profile(u, ts, Metric.NORMALIZED_L2)
-    else:
-        sizes = np.array([packing_number(u, t, Metric.NORMALIZED_L2,
-                                         mode=packing_mode,
-                                         exact_cap=exact_cap) for t in ts])
-    sup = max((t * math.sqrt(math.log(p)) for t, p in zip(ts, sizes)),
-              default=0.0)
-    if sup <= 0.0:
-        return 0.0
-    return math.sqrt(u.dim) * math.log(4.0 * norm_diam / alpha) * sup
-
-
 # ---------------------------------------------------------------------------
 # universe file format
 
@@ -700,10 +645,3 @@ def read_universe_csv(path) -> Universe:
     with open(path, "r", encoding="utf-8") as fh:
         return universe_from_csv(fh.read())
 
-
-def write_universe_csv(path, u: Universe) -> None:
-    import os
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(universe_to_csv(u))
-    os.replace(tmp, path)

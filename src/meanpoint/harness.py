@@ -9,8 +9,8 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .central import (Dataset, MechanismOutput, PMWConfig, as_seed_sequence,
                       trace_all_certified)
 from .geometry import Universe
 
-CENTRAL_MECHANISMS = ("projection", "coarse", "chaining", "pmw", "chaining_linf")
-LOCAL_PROTOCOLS = ("lpm", "lcpm", "lcm")
+# Largest universe ``gen_marginals2`` builds.
+MARGINALS2_MAX_POINTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +39,14 @@ def gen_thresholds(m: int) -> Universe:
     return Universe(points=np.triu(np.ones((m, m)), k=1))
 
 
-def gen_marginals2(d: int, max_points: int = 4096) -> Universe:
+def gen_marginals2(d: int) -> Universe:
     """Pairwise-product universe: 2^d bitstrings mapped to the d*(d-1)/2
     coordinate products b_i * b_j (i < j)."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    if 2 ** d > max_points:
-        raise ValueError(f"2^{d} points exceed the cap of {max_points}")
+    if 2 ** d > MARGINALS2_MAX_POINTS:
+        raise ValueError(
+            f"2^{d} points exceed the cap of {MARGINALS2_MAX_POINTS}")
     codes = np.arange(2 ** d)
     bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
     pairs = list(itertools.combinations(range(d), 2))
@@ -148,41 +149,79 @@ def gen_dataset(u: Universe, n: int, mode: str = "uniform",
 # mechanism specs and error measurement
 
 
+class Mechanism(NamedTuple):
+    """One row of the mechanism table.
+
+    ``privacy`` names the spec key of the privacy parameter: ``rho``
+    for the central (zCDP) mechanisms, ``epsilon`` for the local
+    (pure-DP per party) protocols.  ``upper_bound`` is the
+    ``bounds.bound_report`` key of the mechanism's sample-size estimate.
+    ``release(dataset, spec, seed)`` runs it; a local protocol's
+    ``protocol(dataset, spec)`` returns its parties and
+    ``local.LocalProtocolSpec``, whose transcript is what it publishes.
+    """
+
+    privacy: str
+    needs_alpha: bool
+    upper_bound: str | None
+    release: Callable[[Dataset, dict, object], MechanismOutput]
+    protocol: Callable | None = None
+
+
+MECHANISMS = {
+    "projection": Mechanism(
+        "rho", False, None,
+        lambda d, c, s: central.projection_mechanism(d, c["rho"], seed=s)),
+    "coarse": Mechanism(
+        "rho", True, "ub_coarse",
+        lambda d, c, s: central.coarse_projection_mechanism(
+            d, c["rho"], c["alpha"], seed=s)),
+    "chaining": Mechanism(
+        "rho", True, "ub_chain",
+        lambda d, c, s: central.chaining_mechanism(
+            d, c["rho"], c["alpha"], seed=s)),
+    "pmw": Mechanism(
+        "rho", False, None,
+        lambda d, c, s: central.pmw_mechanism(
+            d, c["rho"], config=PMWConfig(**c.get("pmw", {})), seed=s)),
+    "chaining_linf": Mechanism(
+        "rho", True, "ub_infty",
+        lambda d, c, s: central.chaining_mechanism_linf(
+            d, c["rho"], c["alpha"], seed=s)),
+    "lpm": Mechanism(
+        "epsilon", False, None,
+        lambda d, c, s: local.local_projection_protocol(
+            d, c["epsilon"], seed=s),
+        lambda d, c: local.projection_protocol(d, c["epsilon"])),
+    "lcpm": Mechanism(
+        "epsilon", True, "ub_local_coarse",
+        lambda d, c, s: local.local_coarse_projection(
+            d, c["epsilon"], c["alpha"], seed=s),
+        lambda d, c: local.coarse_protocol(d, c["epsilon"], c["alpha"])),
+    "lcm": Mechanism(
+        "epsilon", True, "ub_local_chain",
+        lambda d, c, s: local.local_chaining(
+            d, c["epsilon"], c["alpha"], seed=s),
+        lambda d, c: local.chaining_protocol(d, c["epsilon"], c["alpha"])),
+}
+CENTRAL_MECHANISMS = tuple(k for k, v in MECHANISMS.items()
+                           if v.privacy == "rho")
+LOCAL_PROTOCOLS = tuple(k for k, v in MECHANISMS.items()
+                        if v.privacy == "epsilon")
+
+
 def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     """Build a ``(dataset, seed) -> output`` runner from a config dict.
 
-    Central specs carry ``rho`` (plus ``alpha`` where applicable and an
-    optional ``pmw`` override block); local specs carry ``epsilon``.
+    The spec names a ``MECHANISMS`` row and carries its privacy
+    parameter, ``alpha`` where the row needs it, and for ``pmw`` an
+    optional ``pmw`` block of ``PMWConfig`` overrides.
     """
     name = spec.get("mechanism")
-    if name in ("projection",):
-        rho = spec["rho"]
-        return lambda d, s: central.projection_mechanism(d, rho, seed=s)
-    if name in ("coarse", "coarse_projection"):
-        rho, alpha = spec["rho"], spec["alpha"]
-        return lambda d, s: central.coarse_projection_mechanism(
-            d, rho, alpha, seed=s)
-    if name == "chaining":
-        rho, alpha = spec["rho"], spec["alpha"]
-        return lambda d, s: central.chaining_mechanism(d, rho, alpha, seed=s)
-    if name == "pmw":
-        rho = spec["rho"]
-        config = PMWConfig(**spec.get("pmw", {}))
-        return lambda d, s: central.pmw_mechanism(d, rho, config=config, seed=s)
-    if name == "chaining_linf":
-        rho, alpha = spec["rho"], spec["alpha"]
-        return lambda d, s: central.chaining_mechanism_linf(
-            d, rho, alpha, seed=s)
-    if name in ("lpm", "local_projection"):
-        eps = spec["epsilon"]
-        return lambda d, s: local.local_projection_protocol(d, eps, seed=s)
-    if name in ("lcpm", "local_coarse"):
-        eps, alpha = spec["epsilon"], spec["alpha"]
-        return lambda d, s: local.local_coarse_projection(d, eps, alpha, seed=s)
-    if name in ("lcm", "local_chaining"):
-        eps, alpha = spec["epsilon"], spec["alpha"]
-        return lambda d, s: local.local_chaining(d, eps, alpha, seed=s)
-    raise ValueError(f"unknown mechanism {name!r}")
+    if name not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {name!r}")
+    release, spec = MECHANISMS[name].release, dict(spec)
+    return lambda d, s: release(d, spec, s)
 
 
 def _spec_bounds(u: Universe, spec: dict) -> dict:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import geometry, hull, privacy
 from .central import Dataset, MechanismOutput, as_seed_sequence
-from .geometry import Norm, Universe
+from .geometry import Norm
 from .privacy import PrivacyBudget, as_fraction
 
 # The sign channel's bias is eps/3 and must stay at most 1/2.
@@ -64,7 +62,6 @@ class LocalReleaseParams:
 
     epsilon: float
     scale: float
-    allow_large_epsilon: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -72,13 +69,9 @@ class LocalReleaseParams:
         if not self.scale > 0:
             raise ValueError("scale must be positive")
         if self.epsilon > EPSILON_BIAS_LIMIT:
-            if not self.allow_large_epsilon:
-                raise ValueError(
-                    f"epsilon {self.epsilon} exceeds {EPSILON_BIAS_LIMIT}; the "
-                    "sign bias would leave [0, 1/2] (pass allow_large_epsilon "
-                    "to override)")
-            warnings.warn("epsilon beyond the bias-validity range; the "
-                          "density-ratio guarantee degrades", RuntimeWarning)
+            raise ValueError(
+                f"epsilon {self.epsilon} exceeds {EPSILON_BIAS_LIMIT}; the "
+                "sign bias would leave [0, 1/2]")
 
     @property
     def magnitude(self) -> float:
@@ -130,22 +123,6 @@ def local_release(x: np.ndarray, params: LocalReleaseParams,
     return _release_batch(x, params, 1, rng)[0]
 
 
-def local_release_many(x: np.ndarray, params: LocalReleaseParams,
-                       size: int, seed=None) -> np.ndarray:
-    """Matrix of iid point releases, for Monte-Carlo checks."""
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.default_rng(seed)
-    return _release_batch(x, params, size, rng)
-
-
-def release_density_ratio(epsilon: float) -> float:
-    """Worst-case density ratio of the sign channel across two inputs."""
-    if not 0 < epsilon <= EPSILON_BIAS_LIMIT:
-        raise ValueError("epsilon must lie in (0, 1.5]")
-    bias = epsilon / 3.0
-    return (1.0 + bias) / (1.0 - bias)
-
-
 # ---------------------------------------------------------------------------
 # protocol harness
 
@@ -155,16 +132,16 @@ class LocalProtocolSpec:
     """A non-interactive protocol: a per-party algorithm and a server.
 
     The sequential model's party-to-party channel is intentionally
-    absent; each party sees only her own input and randomness.
+    absent; each party sees only her own input and randomness.  The
+    protocols below have the server return ``(estimate, trace)``.
     """
 
-    name: str
     party: Callable[[Any, np.random.Generator], Any]
-    server: Callable[[list[Any]], np.ndarray]
+    server: Callable[[list[Any]], Any]
 
 
 def simulate_protocol(parties: Sequence[Any], protocol: LocalProtocolSpec,
-                      seed=None) -> tuple[list[LocalMessage], np.ndarray]:
+                      seed=None) -> tuple[list[LocalMessage], Any]:
     """Execute a protocol: one message per party, then the server.
 
     Party randomness comes from independent child streams of the run
@@ -184,15 +161,6 @@ def simulate_protocol(parties: Sequence[Any], protocol: LocalProtocolSpec,
         transcript.append(LocalMessage(party_id=i, payload=protocol.party(x, rng)))
     output = protocol.server([msg.payload for msg in transcript])
     return transcript, output
-
-
-def write_transcript(path, transcript: Sequence[LocalMessage]) -> None:
-    """Newline-delimited JSON, one message per line, for audit replay."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for msg in transcript:
-            fh.write(json.dumps(msg.to_json()) + "\n")
-    os.replace(tmp, path)
 
 
 def read_transcript(path) -> list[LocalMessage]:
@@ -220,71 +188,59 @@ def _release_scale(points: np.ndarray) -> float:
     return s if s > 0 else 1.0
 
 
-def make_local_projection_spec(u: Universe, epsilon: float,
-                               allow_large_epsilon: bool = False) -> LocalProtocolSpec:
-    params = LocalReleaseParams(epsilon=float(epsilon),
-                                scale=_release_scale(u.points),
-                                allow_large_epsilon=allow_large_epsilon)
+def _certificate(proj: hull.ProjectionResult) -> dict:
+    return {"projection_iterations": proj.iterations,
+            "projection_gap": proj.gap,
+            "projection_certified": proj.certified}
+
+
+def _release(setup: tuple[list, LocalProtocolSpec], epsilon,
+             seed) -> MechanismOutput:
+    parties, protocol = setup
+    _, (estimate, trace) = simulate_protocol(parties, protocol, seed=seed)
+    return MechanismOutput(estimate=estimate,
+                           budget_consumed=PrivacyBudget.pure_dp(epsilon),
+                           trace=trace, seed=seed)
+
+
+def projection_protocol(d: Dataset, epsilon) -> tuple[list, LocalProtocolSpec]:
+    """Parties and protocol of the local projection protocol on ``d``.
+
+    Every party releases her point through the signed-Gaussian channel
+    with the full epsilon; the server averages the n messages and
+    projects the average onto the hull of the (public) universe.
+    """
+    pts = d.universe.points
+    params = LocalReleaseParams(epsilon=float(as_fraction(epsilon)),
+                                scale=_release_scale(pts))
 
     def party(x, rng):
         return local_release(x, params, rng)
 
     def server(payloads):
-        return np.mean(np.asarray(payloads, dtype=float), axis=0)
+        server_mean = np.mean(np.asarray(payloads, dtype=float), axis=0)
+        proj = hull.project_onto_hull(server_mean, pts)
+        return proj.point, {"mechanism": "local_projection",
+                            "n_parties": len(payloads),
+                            "scale": params.scale,
+                            "per_party": True,
+                            "server_mean": server_mean,
+                            **_certificate(proj)}
 
-    return LocalProtocolSpec(name="lpm", party=party, server=server)
-
-
-def local_projection_protocol(d: Dataset, epsilon, seed=None,
-                              allow_large_epsilon: bool = False) -> MechanismOutput:
-    """Non-interactive local analogue of the projection mechanism.
-
-    Every party releases her point through the signed-Gaussian channel;
-    the server averages the n messages and projects the average onto the
-    hull of the (public) universe.  Each party spends pure-DP epsilon.
-    """
-    eps_fr = as_fraction(epsilon)
-    if eps_fr <= 0:
-        raise ValueError("epsilon must be positive")
-    u = d.universe
-    spec = make_local_projection_spec(u, float(eps_fr), allow_large_epsilon)
-    transcript, server_mean = simulate_protocol(
-        [u.points[i] for i in d.indices], spec, seed=seed)
-    proj = hull.project_onto_hull(server_mean, u.points)
-    trace = {
-        "mechanism": "local_projection",
-        "n_parties": len(transcript),
-        "scale": _release_scale(u.points),
-        "per_party": True,
-        "server_mean": server_mean,
-        "projection_iterations": proj.iterations,
-        "projection_gap": proj.gap,
-        "projection_certified": proj.certified,
-    }
-    return MechanismOutput(estimate=proj.point,
-                           budget_consumed=PrivacyBudget.pure_dp(eps_fr),
-                           trace=trace, seed=seed)
+    return [pts[i] for i in d.indices], LocalProtocolSpec(party, server)
 
 
-def local_coarse_projection(d: Dataset, epsilon, alpha: float,
-                            seed=None) -> MechanismOutput:
+def coarse_protocol(d: Dataset, epsilon,
+                    alpha: float) -> tuple[list, LocalProtocolSpec]:
     """Each party rounds her own point to a public coarse cover, then the
     local projection protocol runs over the cover with the full budget."""
     centers, rounding = geometry.coarse_rounding(d.universe, alpha)
-    rounded = Dataset(universe=centers, indices=rounding[d.indices])
-    out = local_projection_protocol(rounded, epsilon, seed=seed)
-    trace = dict(out.trace)
-    trace.update({
-        "mechanism": "local_coarse_projection",
-        "alpha": float(alpha),
-        "cover_size": centers.size,
-    })
-    return MechanismOutput(estimate=out.estimate,
-                           budget_consumed=out.budget_consumed,
-                           trace=trace, seed=seed)
+    return projection_protocol(
+        Dataset(universe=centers, indices=rounding[d.indices]), epsilon)
 
 
-def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOutput:
+def chaining_protocol(d: Dataset, epsilon,
+                      alpha: float) -> tuple[list, LocalProtocolSpec]:
     """Chaining in the local model: one release per level per party.
 
     The decomposition is public, so each party can split her own point
@@ -294,54 +250,54 @@ def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOut
     level's hull, then sums.  Still non-interactive: the k releases
     travel in one message.
     """
-    eps_fr = as_fraction(epsilon)
-    if eps_fr <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
     u = d.universe
-    dec = geometry.chaining_decomposition(u, alpha, Norm.L2,
-                                          delta_cap=math.sqrt(u.dim))
-    parts = privacy.split_budget(eps_fr, dec.k)
-    level_params = [
-        LocalReleaseParams(epsilon=float(parts[j]),
-                           scale=_release_scale(dec.levels[j]))
-        for j in range(dec.k)
-    ]
-    components = [
-        [dec.levels[j][dec.assignments[i, j]] for j in range(dec.k)]
-        for i in d.indices
-    ]
+    dec = geometry.chaining_decomposition(u, alpha, Norm.L2)
+    params = [LocalReleaseParams(epsilon=float(part),
+                                 scale=_release_scale(lvl))
+              for part, lvl in zip(
+                  privacy.split_budget(as_fraction(epsilon), dec.k),
+                  dec.levels)]
 
     def party(comps, rng):
-        return [local_release(comps[j], level_params[j], rng)
-                for j in range(dec.k)]
-
-    projections = []
+        return [local_release(x, p, rng) for x, p in zip(comps, params)]
 
     def server(payloads):
         total = np.zeros(u.dim)
-        for j in range(dec.k):
+        levels = []
+        for j, lvl in enumerate(dec.levels):
             level_mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
-            proj = hull.project_onto_hull(level_mean, dec.levels[j])
-            projections.append(proj)
+            proj = hull.project_onto_hull(level_mean, lvl)
+            levels.append(_certificate(proj))
             total = total + proj.point
-        return total
+        return total, {"mechanism": "local_chaining",
+                       "alpha": float(alpha),
+                       "k": dec.k,
+                       "n_parties": len(payloads),
+                       "per_party": True,
+                       "remainder_radius": dec.remainder_radius,
+                       "levels": levels}
 
-    spec = LocalProtocolSpec(name="lcm", party=party, server=server)
-    transcript, estimate = simulate_protocol(components, spec, seed=seed)
-    per_party = privacy.compose([PrivacyBudget.pure_dp(p) for p in parts])
-    trace = {
-        "mechanism": "local_chaining",
-        "alpha": float(alpha),
-        "k": dec.k,
-        "n_parties": len(transcript),
-        "per_party": True,
-        "remainder_radius": dec.remainder_radius,
-        "levels": [{"projection_iterations": p.iterations,
-                    "projection_gap": p.gap,
-                    "projection_certified": p.certified}
-                   for p in projections],
-    }
-    return MechanismOutput(estimate=estimate, budget_consumed=per_party,
-                           trace=trace, seed=seed)
+    parties = [[lvl[a] for lvl, a in zip(dec.levels, dec.assignments[i])]
+               for i in d.indices]
+    return parties, LocalProtocolSpec(party, server)
+
+
+def local_projection_protocol(d: Dataset, epsilon, seed=None) -> MechanismOutput:
+    """Run ``projection_protocol``; each party spends pure-DP epsilon."""
+    return _release(projection_protocol(d, epsilon), epsilon, seed)
+
+
+def local_coarse_projection(d: Dataset, epsilon, alpha: float,
+                            seed=None) -> MechanismOutput:
+    """Run ``coarse_protocol``; each party spends pure-DP epsilon."""
+    out = _release(coarse_protocol(d, epsilon, alpha), epsilon, seed)
+    centers, _ = geometry.coarse_rounding(d.universe, alpha)
+    out.trace.update(mechanism="local_coarse_projection",
+                     alpha=float(alpha), cover_size=centers.size)
+    return out
+
+
+def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOutput:
+    """Run ``chaining_protocol``; each party spends pure-DP epsilon in
+    total, epsilon/k per level."""
+    return _release(chaining_protocol(d, epsilon, alpha), epsilon, seed)

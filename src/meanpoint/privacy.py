@@ -4,8 +4,11 @@ Gaussian calibration for mean release.
 Budget parameters are held as exact rationals (parsed from the decimal
 form of their inputs) so that composition ledgers admit exact equality
 checks; floats are derived only where noise scales are needed.
-Privacy is guaranteed by construction -- calibrated noise plus the
-composition ledger -- and never measured.
+The guarantees are those of calibrated noise plus the composition
+ledger, with one stated caveat: noise is drawn by floating-point
+Gaussian sampling, which is not exactly differentially private
+(Mironov, CCS 2012), since the set of representable outputs can depend
+on the input.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import geometry
 from .geometry import Norm, Universe
@@ -75,10 +78,6 @@ class PrivacyBudget:
     def approx_dp(cls, epsilon, delta) -> "PrivacyBudget":
         return cls(kind=APPROX, epsilon=as_fraction(epsilon),
                    delta=as_fraction(delta))
-
-    @property
-    def is_dp(self) -> bool:
-        return self.kind in (PURE, APPROX)
 
     def to_json(self) -> dict:
         if self.kind == ZCDP:
@@ -175,16 +174,20 @@ def gaussian_noise_spec(sensitivity: float, rho) -> NoiseSpec:
 class Accountant:
     """Single-owner ledger that refuses charges beyond its limit.
 
-    Not meant to be shared across concurrent runs; each mechanism run
-    owns one.
+    Keeps one running total and composes each charge against it.  Not
+    meant to be shared across concurrent runs; each mechanism run owns
+    one.
     """
 
     def __init__(self, limit: PrivacyBudget):
         self.limit = limit
-        self.charges: list[PrivacyBudget] = []
+        # None until the first charge: starting from a zero (eps, delta)
+        # budget would make a run of pure charges compose to APPROX.
+        self._spent: PrivacyBudget | None = None
 
     def charge(self, budget: PrivacyBudget) -> None:
-        candidate = compose(self.charges + [budget])
+        candidate = compose([budget] if self._spent is None
+                            else [self._spent, budget])
         if candidate.kind == ZCDP:
             if self.limit.kind != ZCDP:
                 raise BudgetExceededError("ledger family mismatch")
@@ -198,10 +201,12 @@ class Accountant:
             if (candidate.epsilon > self.limit.epsilon
                     or candidate.delta > self.limit.delta):
                 raise BudgetExceededError("DP charge exceeds the limit")
-        self.charges.append(budget)
+        self._spent = candidate
 
     @property
     def consumed(self) -> PrivacyBudget:
-        if not self.charges:
+        """Composition of every accepted charge; before any charge, a
+        zero budget of the limit's kind."""
+        if self._spent is None:
             return PrivacyBudget(kind=self.limit.kind)
-        return compose(self.charges)
+        return self._spent

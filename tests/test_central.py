@@ -8,10 +8,9 @@ from meanpoint import harness
 from meanpoint.central import (Dataset, PMWConfig, as_seed_sequence,
                                chaining_mechanism, chaining_mechanism_linf,
                                coarse_projection_mechanism, decompose_and_run,
-                               pmw_mechanism, projection_mechanism,
-                               run_projection)
+                               pmw_mechanism, projection_mechanism)
 from meanpoint.geometry import (Norm, Universe, chaining_decomposition,
-                                greedy_separated_set, identity_decomposition)
+                                greedy_separated_set)
 from meanpoint.privacy import PrivacyBudget, as_fraction, split_budget
 
 
@@ -156,44 +155,29 @@ class TestChainingMechanism:
 
 
 class TestDecomposeAndRun:
-    def test_identity_decomposition_matches_direct_call(self, small_dataset):
-        dec = identity_decomposition(small_dataset.universe)
-        out = decompose_and_run(small_dataset, dec, [run_projection],
-                                [PrivacyBudget.zcdp(0.8)], seed=20)
-        direct = projection_mechanism(small_dataset, 0.8, seed=20)
-        assert np.array_equal(out.estimate, direct.estimate)
-
     def test_two_level_ledger(self, small_dataset):
         dec = chaining_decomposition(small_dataset.universe, 0.6)
         assert dec.k == 2
-        out = decompose_and_run(
-            small_dataset, dec, [run_projection] * 2,
-            [PrivacyBudget.zcdp(0.25), PrivacyBudget.zcdp(0.5)], seed=21)
+        out = decompose_and_run(small_dataset, dec, projection_mechanism,
+                                0.75, seed=21)
         assert out.budget_consumed == PrivacyBudget.zcdp(0.75)
-
-    def test_level_count_mismatch(self, small_dataset):
-        dec = chaining_decomposition(small_dataset.universe, 0.6)
-        with pytest.raises(ValueError):
-            decompose_and_run(small_dataset, dec, [run_projection],
-                              [PrivacyBudget.zcdp(0.1)], seed=22)
 
     def test_subadditivity_audit(self, small_universe):
         # combined error at most the sum of level errors, up to MC noise
         d = harness.gen_dataset(small_universe, 80, seed=23)
         dec = chaining_decomposition(small_universe, 0.6)
-        budgets = [PrivacyBudget.zcdp(0.05)] * 2
         from meanpoint.central import level_dataset
         trials = 80
         seeds = as_seed_sequence(24).spawn(trials)
         combined, lvl = [], [[], []]
         for s in seeds:
-            out = decompose_and_run(d, dec, [run_projection] * 2, budgets,
+            out = decompose_and_run(d, dec, projection_mechanism, 0.1,
                                     seed=s)
             combined.append(norm_err(out, d))
             kids = as_seed_sequence(s).spawn(2)
             for j in range(2):
                 dj = level_dataset(d, dec, j)
-                oj = projection_mechanism(dj, budgets[j].rho, seed=kids[j])
+                oj = projection_mechanism(dj, 0.05, seed=kids[j])
                 lvl[j].append(norm_err(oj, dj))
         rms = lambda v: math.sqrt(np.mean(np.square(v)))
         se = (np.std(combined) + np.std(lvl[0]) + np.std(lvl[1])) \

@@ -7,11 +7,10 @@ import pytest
 from meanpoint import bounds, harness
 from meanpoint.geometry import (Metric, Norm, Universe, _greedy_extend,
                                 _metric_factor, _row_norms,
-                                chaining_decomposition,
-                                coarse_dudley_bound, coarse_rounding,
+                                chaining_decomposition, coarse_rounding,
                                 covering_radius, diameter,
                                 gaussian_mean_width, greedy_separated_set,
-                                identity_decomposition, metric_diameter,
+                                metric_diameter,
                                 nearest_point_map, packing_number,
                                 packing_profile, pairwise_distance,
                                 support_function, t_grid, universe_from_csv,
@@ -65,8 +64,6 @@ class TestUniverse:
             Universe(points=np.zeros((0, 2)))
         with pytest.raises(ValueError):
             Universe(points=np.array([[np.nan, 0.0]]))
-        with pytest.raises(ValueError):
-            Universe(points=np.zeros((2, 2)), labels=["only-one"])
 
     def test_unit_box_flag(self):
         assert Universe(points=np.array([[0.0, 1.0]])).in_unit_box
@@ -261,13 +258,6 @@ class TestChainingDecomposition:
         with pytest.raises(ValueError):
             chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
 
-    def test_identity_decomposition_reconstructs(self):
-        u = Universe(points=np.random.default_rng(13).random((6, 2)))
-        dec = identity_decomposition(u)
-        verify_decomposition(u, dec, check_separation=False)
-        assert dec.k == 1
-        assert np.array_equal(dec.levels[0], u.points)
-
 
 class TestDiameterAndSupport:
     def test_singleton_diameter(self):
@@ -318,27 +308,6 @@ class TestGaussianMeanWidth:
         a = gaussian_mean_width(u, samples=2_000, seed=5)
         b = gaussian_mean_width(u, samples=2_000, seed=5)
         assert a == b
-
-
-class TestCoarseDudleyBound:
-    def test_singleton_is_zero(self):
-        assert coarse_dudley_bound(Universe(points=np.array([[0.2]])), 0.1) == 0.0
-
-    def test_two_point_hand_evaluation(self):
-        # independent re-evaluation of the grid formula for a 0.5-separated
-        # pair in m=1
-        u = Universe(points=np.array([[0.0], [0.5]]))
-        alpha = 0.1
-        got = coarse_dudley_bound(u, alpha)
-        ts = t_grid(alpha / 4.0, 0.5)
-        sup = max(t * math.sqrt(math.log(2.0)) for t in ts if t < 0.5)
-        expected = math.log(4.0 * 0.5 / alpha) * sup
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_as_alpha_decreases(self):
-        u = Universe(points=np.random.default_rng(17).random((25, 3)))
-        vals = [coarse_dudley_bound(u, a) for a in (0.4, 0.2, 0.1, 0.05)]
-        assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
 
 class TestTGrid:

@@ -1,0 +1,56 @@
+"""The sweep benchmark wraps package functions by module attribute
+(``sweepbench/spans.py``); these tests fail when one of them stops
+resolving, or when callers stop looking it up at call time."""
+
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from meanpoint import harness
+
+_SPANS = Path(__file__).resolve().parents[1] / "sweepbench" / "spans.py"
+
+
+def _wrapped_names() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("_bench_spans", _SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return (*spans.SPAN_NAMES, *spans.COUNT_NAMES,
+            "harness.make_mechanism", "hull.project_onto_hull")
+
+
+def _module_attr(dotted: str):
+    mod_name, attr = dotted.rsplit(".", 1)
+    return importlib.import_module(f"meanpoint.{mod_name}"), attr
+
+
+@pytest.mark.parametrize("name", _wrapped_names())
+def test_wrapped_name_resolves_to_a_callable(name):
+    module, attr = _module_attr(name)
+    assert callable(getattr(module, attr, None))
+
+
+def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = _wrapped_names()
+    for name in names:
+        module, attr = _module_attr(name)
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    specs = [{"mechanism": "chaining", "rho": 0.5, "alpha": 0.3},
+             {"mechanism": "chaining_linf", "rho": 0.5, "alpha": 0.3},
+             {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.3}]
+    for spec in specs:
+        # A fresh universe per run, so no cached preprocessing hides a call.
+        d = harness.gen_dataset(harness.gen_thresholds(8), 20, seed=0)
+        harness.measure_error(d, spec, trials=1, seed=0)
+    assert [name for name in names if calls[name] == 0] == []
