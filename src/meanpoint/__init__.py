@@ -9,11 +9,10 @@ from .central import (Dataset, MechanismOutput, PMWConfig,
                       chaining_mechanism, chaining_mechanism_linf,
                       coarse_projection_mechanism, decompose_and_run,
                       pmw_mechanism, projection_mechanism)
-from .geometry import (Decomposition, Metric, Norm, SeparatedSet, Universe,
+from .geometry import (Decomposition, Metric, Norm, Universe,
                        chaining_decomposition, diameter,
                        gaussian_mean_width, greedy_separated_set,
-                       nearest_point_map, packing_number, pairwise_distance,
-                       support_function)
+                       nearest_point_map, packing_number, support_function)
 from .harness import (RunReport, gen_cone, gen_dataset, gen_marginals2,
                       gen_random_sphere, gen_thresholds, measure_error)
 from .hull import ProjectionResult, project_onto_hull

@@ -105,8 +105,8 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
             packing = geometry.packing_profile(u, ts, metric)
         elif packing_mode == "exact":
             packing = np.array([
-                geometry.packing_number(u, t, metric, mode="exact",
-                                        exact_cap=exact_cap) for t in ts])
+                geometry.packing_number(u, t, metric, exact_cap=exact_cap)
+                for t in ts])
         else:
             raise ValueError(f"unknown packing mode {packing_mode!r}")
         log_packing = np.log(packing) if packing.size else np.array([])

@@ -239,13 +239,16 @@ def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOut
 # ---------------------------------------------------------------------------
 # private multiplicative weights
 
+# Most multiplicative-weights rounds the default schedule runs.
+PMW_ROUND_CAP = 200
+
 
 @dataclass
 class PMWConfig:
     """Multiplicative-weights run parameters.
 
     ``rounds`` and ``learning_rate`` override the defaults
-    T = ceil(4 * ln|X| / alpha_target^2) capped at ``round_cap`` and
+    T = ceil(4 * ln|X| / alpha_target^2) capped at ``PMW_ROUND_CAP`` and
     eta = alpha_target / (4 * delta), where delta bounds the universe's
     coordinates.  The per-round budget is split evenly between the
     noisy-max selection and the answer.
@@ -254,13 +257,12 @@ class PMWConfig:
     rounds: int | None = None
     learning_rate: float | None = None
     alpha_target: float = 0.3
-    round_cap: int = 200
 
     def resolve(self, universe_size: int, coord_bound: float) -> tuple[int, float]:
         if self.rounds is not None:
             rounds = int(self.rounds)
         else:
-            rounds = min(self.round_cap, math.ceil(
+            rounds = min(PMW_ROUND_CAP, math.ceil(
                 4.0 * math.log(max(universe_size, 2))
                 / self.alpha_target ** 2))
         if rounds < 1:

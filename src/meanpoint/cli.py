@@ -42,11 +42,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+_SHARED_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "trials": {"type": int, "default": 20},
+    "out": {"type": str, "default": None},
+}
+
+
+def _common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """``--out`` plus the named shared flags, which the handler reads."""
+    for name in (*names, "out"):
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _metric(name: str) -> Metric:
@@ -73,19 +79,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=int, default=200)
     p.add_argument("--size", type=int, default=100)
     p.add_argument("--radius", type=float, default=1.0)
-    _common(p)
+    _common(p, "seed")
 
     p = sub.add_parser("pack", help="packing profile over a scale grid")
     p.add_argument("--universe", required=True)
     p.add_argument("--metric", choices=("l2", "linf"), default="l2")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--c", type=float, default=bounds_mod.UPPER_BOUND_THRESHOLD_C)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     _common(p)
 
     p = sub.add_parser("width", help="Monte-Carlo Gaussian mean width")
     p.add_argument("--universe", required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    _common(p)
+    _common(p, "seed")
 
     p = sub.add_parser("decompose", help="export a chaining decomposition")
     p.add_argument("--universe", required=True)
@@ -104,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmw-rounds", type=int, default=None)
     p.add_argument("--pmw-eta", type=float, default=None)
     p.add_argument("--pmw-alpha-target", type=float, default=None)
-    _common(p)
+    _common(p, "seed", "trials")
 
     p = sub.add_parser("local", help="run a local protocol and report errors")
     p.add_argument("--universe", required=True)
@@ -114,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dataset", type=str, default="uniform")
     p.add_argument("--transcript", type=str, default=None)
-    _common(p)
+    _common(p, "seed", "trials")
 
     p = sub.add_parser("bounds", help="bound estimates and profile table")
     p.add_argument("--universe", required=True)
@@ -134,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--dataset", type=str, default="uniform")
-    _common(p)
+    _common(p, "seed", "trials")
 
     return top
 

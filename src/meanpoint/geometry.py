@@ -1,7 +1,7 @@
 """Finite point-set geometry for the mean-point problem.
 
-Separated subsets and the covers they induce, packing-number estimates
-(greedy and exact), nearest-point rounding maps, multi-resolution
+Separated subsets and the covers they induce, greedy packing profiles
+and exact packing numbers, nearest-point rounding maps, multi-resolution
 chaining decompositions, support functions, and Monte-Carlo Gaussian
 mean width.
 
@@ -118,27 +118,6 @@ def _memo(u: Universe, key: tuple, build: Callable):
         return u._cache.setdefault(key, build())
 
 
-@dataclass
-class SeparatedSet:
-    """Subset of universe rows with pairwise distances strictly above t.
-
-    When ``maximal`` is set the selection is inclusion-maximal, which by
-    the packing/covering duality makes it a (closed) t-cover of the
-    universe.
-    """
-
-    indices: np.ndarray
-    t: float
-    metric: Metric
-    maximal: bool
-    order: str = "index"
-    seed: int | None = None
-
-    @property
-    def size(self) -> int:
-        return int(np.asarray(self.indices).size)
-
-
 class WidthEstimate(NamedTuple):
     value: float
     std_error: float
@@ -189,30 +168,24 @@ class Decomposition:
 # distances
 
 
-def pairwise_distance(u: Universe, i: int, j: int,
-                      metric: Metric = Metric.NORMALIZED_L2) -> float:
-    """Distance between universe rows i and j under the given metric."""
-    n = u.size
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"point index out of range for universe of size {n}")
-    norm, scale = _metric_factor(metric, u.dim)
-    return float(_row_norms(u.points[i] - u.points[j], norm) / scale)
+def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
+    """Distances from the rows of ``a`` to every row of ``b``, in blocks.
+
+    Yields ``(rows, d)`` with ``d[r, j]`` the distance from ``a[rows][r]``
+    to ``b[j]``; each temporary holds about ``BLOCK_ENTRIES`` floats.
+    """
+    block = max(1, BLOCK_ENTRIES // max(1, b.shape[0] * b.shape[1]))
+    for i0 in range(0, a.shape[0], block):
+        rows = slice(i0, i0 + block)
+        yield rows, _row_norms(a[rows, None, :] - b[None, :, :], norm)
 
 
 def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
     """Largest pairwise distance under a plain norm; 0 for a singleton."""
 
     def build() -> float:
-        pts = u.points
-        n = pts.shape[0]
-        if n == 1:
-            return 0.0
-        block = max(1, BLOCK_ENTRIES // max(1, n * pts.shape[1]))
-        worst = 0.0
-        for i0 in range(0, n, block):
-            diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
-            worst = max(worst, float(_row_norms(diff, norm).max()))
-        return worst
+        return max(float(d.max())
+                   for _, d in _distance_blocks(u.points, u.points, norm))
 
     return _memo(u, ("diameter", norm), build)
 
@@ -227,83 +200,57 @@ def metric_diameter(u: Universe, metric: Metric) -> float:
 # separated sets, covers, packing numbers
 
 
-def _greedy_extend(pts: np.ndarray, selected: Sequence[int],
-                   candidates: np.ndarray, raw_t: float, norm: Norm) -> list[int]:
-    """Grow ``selected`` into an inclusion-maximal strictly-separated set.
+def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
+                  norm: Norm) -> tuple[np.ndarray, list[int]]:
+    """Greedy strictly-separated sets at the descending scales ``raw_ts``.
 
-    Candidates are scanned in the given order; a point joins when its
-    distance to everything already selected exceeds ``raw_t`` strictly.
-    Kept as a cover mask: the first uncovered candidate joins, and every
-    candidate within ``raw_t`` of it is marked covered, so the work is one
-    distance row per selected point rather than per candidate.
+    Rows are scanned in index order; at each scale a row joins when its
+    distance to everything already selected exceeds the scale strictly.
+    The selection carries over to the next, finer scale, where it stays
+    separated, so every scale gets an inclusion-maximal set.  ``near``
+    holds each live row's distance to the selection: the first row with
+    ``near`` above the scale joins, and one distance row from it updates
+    ``near``.  A row within the finest scale of the selection can never
+    join and leaves the scan, so no distance is computed twice.
+
+    Returns the final selection, in joining order, and its size after
+    each scale.
     """
-    sel = [int(i) for i in selected]
-    candidates = np.asarray(candidates, dtype=int)
-    covered = np.zeros(candidates.size, dtype=bool)
-    if sel:
-        seeds = pts[sel]
-        block = max(1, BLOCK_ENTRIES // max(1, len(sel) * pts.shape[1]))
-        for c0 in range(0, candidates.size, block):
-            diff = seeds[None, :, :] - pts[candidates[c0:c0 + block], None, :]
-            covered[c0:c0 + block] = (_row_norms(diff, norm) <= raw_t).any(axis=1)
-    while True:
-        free = np.flatnonzero(~covered)
-        if free.size == 0:
-            return sel
-        first, rest = free[0], free[1:]
-        i = int(candidates[first])
-        sel.append(i)
-        covered[first] = True
-        covered[rest] = _row_norms(pts[i] - pts[candidates[rest]], norm) <= raw_t
+    live = np.arange(pts.shape[0])
+    near = np.full(live.size, np.inf)
+    sel: list[int] = []
+    sizes: list[int] = []
+    for raw_t in raw_ts:
+        free = near > raw_t
+        while free.any():
+            i = int(live[free.argmax()])
+            sel.append(i)
+            near = np.minimum(near, _row_norms(pts[live] - pts[i], norm))
+            keep = near > raw_ts[-1]
+            live, near = live[keep], near[keep]
+            free = near > raw_t
+        sizes.append(len(sel))
+    return np.array(sel, dtype=int), sizes
 
 
 def greedy_separated_set(u: Universe, t: float,
-                         metric: Metric = Metric.NORMALIZED_L2,
-                         order: str = "index",
-                         seed: int | None = None) -> SeparatedSet:
-    """Inclusion-maximal strictly t-separated subset, grown greedily.
+                         metric: Metric = Metric.NORMALIZED_L2) -> np.ndarray:
+    """Rows of an inclusion-maximal strictly t-separated subset.
 
-    Args:
-        u: the universe.
-        t: separation scale in the metric's convention (> 0).
-        metric: distance convention.
-        order: "index" for ascending row order (the default, reproducible
-            without a seed) or "random" for a seeded shuffle.
-        seed: permutation seed when order is "random".
-
-    Returns:
-        A maximal SeparatedSet; by duality its points form a t-cover of
-        the universe.
+    Grown greedily in ascending row order, so it is reproducible without
+    a seed; ``t`` is in the metric's convention.  By the packing/covering
+    duality the selected points form a (closed) t-cover of the universe.
     """
     if not t > 0:
         raise ValueError("separation scale t must be positive")
     norm, scale = _metric_factor(metric, u.dim)
-    if order == "index":
-        candidates = np.arange(u.size)
-    elif order == "random":
-        candidates = np.random.default_rng(seed).permutation(u.size)
-    else:
-        raise ValueError(f"unknown iteration order {order!r}")
-    sel = _greedy_extend(u.points, [], candidates, t * scale, norm)
-    return SeparatedSet(indices=np.array(sel, dtype=int), t=float(t),
-                        metric=metric, maximal=True, order=order, seed=seed)
-
-
-def covering_radius(u: Universe, indices: np.ndarray, metric: Metric) -> float:
-    """Largest distance from any universe point to the selected rows."""
-    norm, scale = _metric_factor(metric, u.dim)
-    centers = u.points[np.asarray(indices, dtype=int)]
-    _, dist = _nearest(u.points, centers, norm)
-    return float(dist.max() / scale)
+    return _greedy_cover(u.points, [t * scale], norm)[0]
 
 
 def _pairwise_matrix(pts: np.ndarray, norm: Norm) -> np.ndarray:
-    n = pts.shape[0]
-    out = np.zeros((n, n))
-    block = max(1, BLOCK_ENTRIES // max(1, n * pts.shape[1]))
-    for i0 in range(0, n, block):
-        diff = pts[i0:i0 + block, None, :] - pts[None, :, :]
-        out[i0:i0 + block] = _row_norms(diff, norm)
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    for rows, d in _distance_blocks(pts, pts, norm):
+        out[rows] = d
     return out
 
 
@@ -328,19 +275,13 @@ def _mis_size(adj: list[int], n: int, lower: int = 0) -> int:
 
 def packing_number(u: Universe, t: float,
                    metric: Metric = Metric.NORMALIZED_L2,
-                   mode: str = "greedy",
                    exact_cap: int = EXACT_PACKING_CAP) -> int:
-    """Separation-number value or estimate at scale t.
+    """Exact separation number at scale t.
 
-    Greedy mode returns the size of a maximal separated set, which is
-    sandwiched between the covering and packing numbers.  Exact mode
-    solves maximum independent set on the distance-at-most-t conflict
-    graph and is capped at ``exact_cap`` points.
+    Solves maximum independent set on the distance-at-most-t conflict
+    graph, capped at ``exact_cap`` points; a greedy estimate is the size
+    of ``greedy_separated_set``.
     """
-    if mode == "greedy":
-        return greedy_separated_set(u, t, metric).size
-    if mode != "exact":
-        raise ValueError(f"unknown packing mode {mode!r}")
     n = u.size
     if n > exact_cap:
         raise ValueError(
@@ -388,13 +329,10 @@ def packing_profile(u: Universe, ts: np.ndarray,
     construction and every scale still gets an inclusion-maximal set.
     """
     ts = np.asarray(ts, dtype=float)
-    sizes = np.zeros(ts.size, dtype=int)
     norm, scale = _metric_factor(metric, u.dim)
-    candidates = np.arange(u.size)
-    sel: list[int] = []
-    for pos in np.argsort(-ts, kind="stable"):
-        sel = _greedy_extend(u.points, sel, candidates, ts[pos] * scale, norm)
-        sizes[pos] = len(sel)
+    order = np.argsort(-ts, kind="stable")
+    sizes = np.zeros(ts.size, dtype=int)
+    sizes[order] = _greedy_cover(u.points, ts[order] * scale, norm)[1]
     return sizes
 
 
@@ -404,17 +342,12 @@ def packing_profile(u: Universe, ts: np.ndarray,
 
 def _nearest(points: np.ndarray, centers: np.ndarray,
              norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-    n, m = points.shape
-    k = centers.shape[0]
-    idx = np.empty(n, dtype=int)
-    dist = np.empty(n)
-    block = max(1, BLOCK_ENTRIES // max(1, k * m))
-    for i0 in range(0, n, block):
-        diff = points[i0:i0 + block, None, :] - centers[None, :, :]
-        d = _row_norms(diff, norm)
+    idx = np.empty(points.shape[0], dtype=int)
+    dist = np.empty(points.shape[0])
+    for rows, d in _distance_blocks(points, centers, norm):
         ii = d.argmin(axis=1)  # argmin keeps the lowest index on ties
-        idx[i0:i0 + block] = ii
-        dist[i0:i0 + block] = d[np.arange(d.shape[0]), ii]
+        idx[rows] = ii
+        dist[rows] = d[np.arange(d.shape[0]), ii]
     return idx, dist
 
 
@@ -472,13 +405,11 @@ def chaining_decomposition(u: Universe, alpha: float,
                 f"stated ball of radius {delta:.6g}")
         k = max(1, math.ceil(math.log2(2.0 / alpha)))
         pts = u.points
-        candidates = np.arange(u.size)
         gen: list[np.ndarray] = []
         proj: list[np.ndarray] = []
         for j in range(k):
             raw_t = 2.0 ** (-(j + 1)) * delta
-            sel = _greedy_extend(pts, [], candidates, raw_t, norm)
-            gen.append(np.array(sel, dtype=int))
+            gen.append(_greedy_cover(pts, [raw_t], norm)[0])
             idx, _ = _nearest(pts, pts[gen[j]], norm)
             proj.append(idx)
         levels = [pts[gen[0]].copy()]
@@ -514,7 +445,7 @@ def coarse_rounding(u: Universe, alpha: float) -> tuple[Universe, np.ndarray]:
 
     def build() -> tuple[Universe, np.ndarray]:
         cover = greedy_separated_set(u, alpha / 2.0, Metric.NORMALIZED_L2)
-        centers = Universe(points=u.points[cover.indices])
+        centers = Universe(points=u.points[cover])
         rounding = nearest_point_map(u, centers.points, Norm.L2)
         rounding.setflags(write=False)
         return centers, rounding

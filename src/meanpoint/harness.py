@@ -9,7 +9,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,14 +109,12 @@ def gen_random_sphere(m: int, size: int, radius: float,
 
 
 def gen_dataset(u: Universe, n: int, mode: str = "uniform",
-                seed: int | None = None, index: int | None = None,
-                support: np.ndarray | None = None,
-                probs: np.ndarray | None = None) -> Dataset:
+                seed: int | None = None, index: int | None = None) -> Dataset:
     """Draw a dataset of n universe rows.
 
     Modes: "uniform" (iid uniform rows), "point_mass" (n copies of
-    ``index``), "mixture" (iid from a distribution over ``support``
-    rows; defaults to a seeded Dirichlet over a few random rows).
+    ``index``), "mixture" (iid from a seeded Dirichlet distribution over
+    a few random rows).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -130,16 +128,10 @@ def gen_dataset(u: Universe, n: int, mode: str = "uniform",
             raise ValueError("point index out of range")
         idx = np.full(n, index, dtype=int)
     elif mode == "mixture":
-        if support is None:
-            k = min(5, u.size)
-            support = rng.choice(u.size, size=k, replace=False)
-            probs = rng.dirichlet(np.ones(k))
-        support = np.asarray(support, dtype=int)
-        if probs is None:
-            probs = np.full(support.size, 1.0 / support.size)
-        probs = np.asarray(probs, dtype=float)
-        probs = probs / probs.sum()
-        idx = rng.choice(support, size=n, p=probs)
+        k = min(5, u.size)
+        support = rng.choice(u.size, size=k, replace=False)
+        probs = rng.dirichlet(np.ones(k))
+        idx = rng.choice(support, size=n, p=probs / probs.sum())
     else:
         raise ValueError(f"unknown dataset mode {mode!r}")
     return Dataset(universe=u, indices=idx)
@@ -263,29 +255,11 @@ class RunReport:
         return sum(1 for c in self.per_trial_certified if not c)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "n": self.n,
-            "m": self.m,
-            "universe_size": self.universe_size,
-            "trials": self.trials,
-            "seed": self.seed,
-            "per_trial_sq_err": self.per_trial_sq_err,
-            "per_trial_inf_err": self.per_trial_inf_err,
-            "per_trial_certified": self.per_trial_certified,
-            "err2_mean": self.err2_mean,
-            "err2_sd": self.err2_sd,
-            "errinf_mean": self.errinf_mean,
-            "bounds": self.bounds,
-            "wall_ms": self.wall_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunReport":
-        return cls(**{k: obj[k] for k in (
-            "config", "n", "m", "universe_size", "trials", "seed",
-            "per_trial_sq_err", "per_trial_inf_err", "per_trial_certified",
-            "err2_mean", "err2_sd", "errinf_mean", "bounds", "wall_ms")})
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
     def determinism_hash(self) -> str:
         """Digest of everything except the wall-clock field."""

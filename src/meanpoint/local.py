@@ -73,41 +73,6 @@ class LocalReleaseParams:
                 f"epsilon {self.epsilon} exceeds {EPSILON_BIAS_LIMIT}; the "
                 "sign bias would leave [0, 1/2]")
 
-    @property
-    def magnitude(self) -> float:
-        """Norm scale of one released message."""
-        return _release_coefficient(self.epsilon) * self.scale
-
-
-def _release_batch(x: np.ndarray, params: LocalReleaseParams, size: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draws of the point release (rows are iid samples)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    m = x.shape[0]
-    v = x / params.scale
-    r = float(np.linalg.norm(v))
-    if r > 1.0 + 1e-9:
-        raise ValueError(f"input norm {r * params.scale:.6g} exceeds the "
-                         f"release scale {params.scale:.6g}")
-    r = min(r, 1.0)
-    if r == 0.0:
-        # The unit direction is undefined at the origin; use a fixed
-        # axis with a fair sign, which keeps the mean at zero and
-        # leaves the sign channel untouched.
-        unit = np.zeros(m)
-        unit[0] = 1.0
-        p_plus = 0.5
-    else:
-        unit = v / r
-        p_plus = (1.0 + r) / 2.0
-    u_signs = np.where(rng.random(size) < p_plus, 1.0, -1.0)
-    z = rng.standard_normal((size, m))
-    align = np.sign(z @ unit) * u_signs
-    bias = (params.epsilon / 3.0) * align
-    s = np.where(rng.random(size) < (1.0 + bias) / 2.0, 1.0, -1.0)
-    coeff = _release_coefficient(params.epsilon) * params.scale
-    return coeff * z * s[:, None]
-
 
 def local_release(x: np.ndarray, params: LocalReleaseParams,
                   seed=None) -> np.ndarray:
@@ -120,7 +85,28 @@ def local_release(x: np.ndarray, params: LocalReleaseParams,
     """
     rng = seed if isinstance(seed, np.random.Generator) else \
         np.random.default_rng(seed)
-    return _release_batch(x, params, 1, rng)[0]
+    x = np.asarray(x, dtype=float).reshape(-1)
+    v = x / params.scale
+    r = float(np.linalg.norm(v))
+    if r > 1.0 + 1e-9:
+        raise ValueError(f"input norm {r * params.scale:.6g} exceeds the "
+                         f"release scale {params.scale:.6g}")
+    r = min(r, 1.0)
+    if r == 0.0:
+        # The unit direction is undefined at the origin; use a fixed
+        # axis with a fair sign, which keeps the mean at zero and
+        # leaves the sign channel untouched.
+        unit = np.zeros(x.shape[0])
+        unit[0] = 1.0
+        p_plus = 0.5
+    else:
+        unit = v / r
+        p_plus = (1.0 + r) / 2.0
+    u_sign = 1.0 if rng.random() < p_plus else -1.0
+    z = rng.standard_normal(x.shape[0])
+    bias = (params.epsilon / 3.0) * np.sign(z @ unit) * u_sign
+    s = 1.0 if rng.random() < (1.0 + bias) / 2.0 else -1.0
+    return _release_coefficient(params.epsilon) * params.scale * z * s
 
 
 # ---------------------------------------------------------------------------

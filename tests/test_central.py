@@ -8,9 +8,10 @@ from meanpoint import harness
 from meanpoint.central import (Dataset, PMWConfig, as_seed_sequence,
                                chaining_mechanism, chaining_mechanism_linf,
                                coarse_projection_mechanism, decompose_and_run,
-                               pmw_mechanism, projection_mechanism)
+                               level_dataset, pmw_mechanism,
+                               projection_mechanism)
 from meanpoint.geometry import (Norm, Universe, chaining_decomposition,
-                                greedy_separated_set)
+                                coarse_rounding, greedy_separated_set)
 from meanpoint.privacy import PrivacyBudget, as_fraction, split_budget
 
 
@@ -117,10 +118,10 @@ class TestChainingMechanism:
     def test_single_level_reduces_to_projection_on_cover(self, small_dataset):
         u = small_dataset.universe
         out = chaining_mechanism(small_dataset, 1.5, 1.0, seed=16)
-        sep = greedy_separated_set(u, 0.5, order="index")
+        sep = greedy_separated_set(u, 0.5)
         # same budget, same seed, rounded dataset over the half-scale cover
         from meanpoint.geometry import nearest_point_map
-        centers = u.points[sep.indices]
+        centers = u.points[sep]
         rounded = Dataset(
             universe=Universe(points=centers),
             indices=nearest_point_map(u, centers, Norm.L2)[small_dataset.indices])
@@ -152,6 +153,61 @@ class TestChainingMechanism:
         for level in out.trace["levels"]:
             assert level["projection_certified"] is True
             assert level["projection_iterations"] < 200
+
+
+AUDIT_UNIVERSES = {
+    "marginals2": lambda: harness.gen_marginals2(6),
+    "cone": lambda: harness.gen_cone(8, 0.2, density=60, seed=1),
+}
+
+
+class TestSensitivityAudit:
+    """Replacing one row of the dataset moves each mean that a release
+    noises by at most the sensitivity recorded in its trace."""
+
+    @pytest.fixture(params=sorted(AUDIT_UNIVERSES))
+    def dataset(self, request):
+        u = AUDIT_UNIVERSES[request.param]()
+        return harness.gen_dataset(u, 40, seed=3)
+
+    @staticmethod
+    def worst_move(mean_of, d, sensitivity):
+        base = mean_of(d)
+        worst = 0.0
+        for i in (0, 17, 39):
+            for row in range(d.universe.size):
+                idx = d.indices.copy()
+                idx[i] = row
+                moved = mean_of(Dataset(universe=d.universe, indices=idx))
+                worst = max(worst, float(np.linalg.norm(moved - base)))
+        assert worst <= sensitivity * (1 + 1e-9)
+        return worst
+
+    def test_projection(self, dataset):
+        out = projection_mechanism(dataset, 0.5, seed=0)
+        assert self.worst_move(Dataset.mean, dataset,
+                               out.trace["sensitivity"]) > 0
+
+    def test_coarse(self, dataset):
+        out = coarse_projection_mechanism(dataset, 0.5, 0.25, seed=0)
+        centers, rounding = coarse_rounding(dataset.universe, 0.25)
+
+        def rounded_mean(e):
+            return Dataset(universe=centers, indices=rounding[e.indices]).mean()
+
+        assert self.worst_move(rounded_mean, dataset,
+                               out.trace["sensitivity"]) > 0
+
+    def test_chaining_levels(self, dataset):
+        out = chaining_mechanism(dataset, 0.5, 0.25, seed=0)
+        dec = chaining_decomposition(dataset.universe, 0.25)
+        levels = out.trace["levels"]
+        assert len(levels) == dec.k
+        # A level with a single component has sensitivity 0 and never moves.
+        moves = [self.worst_move(lambda e: level_dataset(e, dec, j).mean(),
+                                 dataset, level["sensitivity"])
+                 for j, level in enumerate(levels)]
+        assert max(moves) > 0
 
 
 class TestDecomposeAndRun:

@@ -57,3 +57,22 @@ def test_run_exits_0_when_every_projection_certifies(universe_file, tmp_path):
                      "projection", "--rho", "0.5", "--n", "20", "--trials",
                      "2", "--out", str(tmp_path / "run.json")])
     assert code == cli.EXIT_OK
+
+
+def test_flags_a_subcommand_ignores_are_refused(universe_file, capsys):
+    code = cli.main(["run", "--universe", universe_file, "--mechanism",
+                     "projection", "--rho", "0.5", "--n", "20",
+                     "--format", "csv"])
+    assert code == cli.EXIT_CONFIG
+    assert "--format" in capsys.readouterr().err
+
+
+def test_pack_writes_the_profile_table_as_csv(universe_file, tmp_path):
+    out = tmp_path / "pack.csv"
+    code = cli.main(["pack", "--universe", universe_file, "--alpha", "0.2",
+                     "--format", "csv", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,packing,log_packing"
+    assert len(lines) > 1
+    assert all(len(row.split(",")) == 3 for row in lines[1:])

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import (Metric, Norm, Universe, _greedy_extend,
-                                _metric_factor, _row_norms,
-                                chaining_decomposition, coarse_rounding,
-                                covering_radius, diameter,
+from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
+                                _row_norms, chaining_decomposition,
+                                coarse_rounding, diameter,
                                 gaussian_mean_width, greedy_separated_set,
                                 metric_diameter,
                                 nearest_point_map, packing_number,
-                                packing_profile, pairwise_distance,
-                                support_function, t_grid, universe_from_csv,
-                                universe_to_csv, verify_decomposition)
+                                packing_profile, support_function, t_grid,
+                                universe_from_csv, universe_to_csv,
+                                verify_decomposition)
 
 
 def _metric_dist(pts, i, j, metric):
@@ -39,7 +38,7 @@ def brute_force_max_packing(pts, t, metric):
 
 
 def reference_greedy_extend(pts, selected, candidates, raw_t, norm):
-    """The candidate-by-candidate scan the cover mask replaced."""
+    """The candidate-by-candidate scan that the cover kernel must match."""
     sel = list(selected)
     for i in candidates:
         i = int(i)
@@ -81,27 +80,6 @@ class TestUniverse:
             universe_from_csv("0.1,0.2\n")
 
 
-class TestPairwiseDistance:
-    def test_normalized_l2_m1(self):
-        u = Universe(points=np.array([[0.0], [1.0]]))
-        assert pairwise_distance(u, 0, 1, Metric.NORMALIZED_L2) == 1.0
-
-    def test_identical_points(self):
-        u = Universe(points=np.array([[0.3, 0.3], [0.3, 0.3]]))
-        assert pairwise_distance(u, 0, 1, Metric.NORMALIZED_L2) == 0.0
-
-    def test_normalization_by_sqrt_m(self):
-        u = Universe(points=np.array([[0.0] * 4, [1.0] * 4]))
-        # raw L2 distance is 2, normalized by sqrt(4)
-        assert pairwise_distance(u, 0, 1, Metric.NORMALIZED_L2) == pytest.approx(1.0)
-
-    def test_symmetry_and_bounds_check(self):
-        u = Universe(points=np.array([[0.1, 0.9], [0.8, 0.2]]))
-        assert pairwise_distance(u, 0, 1) == pairwise_distance(u, 1, 0)
-        with pytest.raises(IndexError):
-            pairwise_distance(u, 0, 2)
-
-
 class TestGreedySeparatedSet:
     def test_singleton_any_scale(self):
         u = Universe(points=np.array([[0.4, 0.4]]))
@@ -121,26 +99,17 @@ class TestGreedySeparatedSet:
         u = Universe(points=pts)
         assert brute_force_max_packing(pts, 0.4, Metric.NORMALIZED_L2) == 3
         s = greedy_separated_set(u, 0.4)
-        assert list(s.indices) == [0, 1, 2]
+        assert list(s) == [0, 1, 2]
 
     def test_strict_separation_excludes_equality(self):
         # pair at distance exactly t must not count as separated
         u = Universe(points=np.array([[0.0], [0.5]]))
         assert greedy_separated_set(u, 0.5).size == 1
 
-    def test_random_order_is_seeded(self):
-        rng = np.random.default_rng(2)
-        u = Universe(points=rng.random((20, 3)))
-        a = greedy_separated_set(u, 0.2, order="random", seed=7)
-        b = greedy_separated_set(u, 0.2, order="random", seed=7)
-        assert np.array_equal(a.indices, b.indices)
-
     def test_invalid_scale_and_order(self):
         u = Universe(points=np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             greedy_separated_set(u, 0.0)
-        with pytest.raises(ValueError):
-            greedy_separated_set(u, 0.5, order="sideways")
 
     @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
     def test_cover_duality(self, metric):
@@ -148,16 +117,19 @@ class TestGreedySeparatedSet:
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = random_universe(rng)
+            norm, scale = _metric_factor(metric, u.dim)
             for t in (0.05, 0.2, 0.6):
-                s = greedy_separated_set(u, t, metric)
-                assert covering_radius(u, s.indices, metric) <= t + 1e-12
+                centers = u.points[greedy_separated_set(u, t, metric)]
+                nearest = centers[nearest_point_map(u, centers, norm)]
+                radius = _row_norms(u.points - nearest, norm).max() / scale
+                assert radius <= t + 1e-12
 
 
 class TestPackingNumber:
     def test_two_points_exact(self):
         u = Universe(points=np.array([[0.0], [0.5]]))
-        assert packing_number(u, 0.6, mode="exact") == 1
-        assert packing_number(u, 0.4, mode="exact") == 2
+        assert packing_number(u, 0.6) == 1
+        assert packing_number(u, 0.4) == 2
 
     def test_exact_matches_enumeration_oracle(self):
         rng = np.random.default_rng(4)
@@ -165,7 +137,7 @@ class TestPackingNumber:
             pts = rng.random((int(rng.integers(2, 9)), 2))
             u = Universe(points=pts)
             for t in (0.1, 0.3, 0.5):
-                assert packing_number(u, t, mode="exact") == \
+                assert packing_number(u, t) == \
                     brute_force_max_packing(pts, t, Metric.NORMALIZED_L2)
 
     def test_greedy_at_most_exact(self):
@@ -174,18 +146,18 @@ class TestPackingNumber:
             pts = np.random.default_rng(seed).random((12, 3))
             u = Universe(points=pts)
             t = float(rng.uniform(0.05, 0.6))
-            assert packing_number(u, t) <= packing_number(u, t, mode="exact")
+            assert greedy_separated_set(u, t).size <= packing_number(u, t)
 
     def test_exact_non_increasing_in_t(self):
         u = Universe(points=np.random.default_rng(6).random((10, 2)))
         ts = [0.05, 0.1, 0.2, 0.4, 0.8]
-        vals = [packing_number(u, t, mode="exact") for t in ts]
+        vals = [packing_number(u, t) for t in ts]
         assert vals == sorted(vals, reverse=True)
 
     def test_exact_cap_enforced(self):
         u = Universe(points=np.random.default_rng(7).random((30, 2)))
         with pytest.raises(ValueError):
-            packing_number(u, 0.2, mode="exact")
+            packing_number(u, 0.2)
 
     def test_profile_monotone_by_nesting(self):
         u = Universe(points=np.random.default_rng(8).random((40, 4)))
@@ -333,7 +305,7 @@ KERNEL_UNIVERSES = {
 
 
 class TestCoverMaskKernel:
-    """The cover-mask greedy selects exactly what the plain scan does."""
+    """The cover kernel selects exactly what the plain scan does."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
     @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
@@ -341,14 +313,11 @@ class TestCoverMaskKernel:
         u = KERNEL_UNIVERSES[name]()
         norm, scale = _metric_factor(metric, u.dim)
         # 0.25 puts pairs of thresholds(32) exactly at distance t.
-        for order in ("index", "random"):
-            for t in (0.05, 0.15, 0.25, 0.3):
-                got = greedy_separated_set(u, t, metric, order=order, seed=7)
-                candidates = (np.arange(u.size) if order == "index" else
-                              np.random.default_rng(7).permutation(u.size))
-                want = reference_greedy_extend(u.points, [], candidates,
-                                               t * scale, norm)
-                assert got.indices.tolist() == want, (order, t)
+        for t in (0.05, 0.15, 0.25, 0.3):
+            got = greedy_separated_set(u, t, metric)
+            want = reference_greedy_extend(u.points, [], np.arange(u.size),
+                                           t * scale, norm)
+            assert got.tolist() == want, t
 
     @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
     @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
@@ -356,23 +325,18 @@ class TestCoverMaskKernel:
         u = KERNEL_UNIVERSES[name]()
         norm, scale = _metric_factor(metric, u.dim)
         ts = t_grid(0.02, metric_diameter(u, metric))
-        sel, want = [], {}
-        for t in ts[::-1]:
-            sel = reference_greedy_extend(u.points, sel, np.arange(u.size),
-                                          t * scale, norm)
-            want[t] = len(sel)
-        got = packing_profile(u, ts, metric)
-        assert got.tolist() == [want[t] for t in ts]
-
-    def test_carried_selection_is_kept_and_respected(self):
-        u = KERNEL_UNIVERSES["sphere"]()
-        seed_sel = [5, 17, 40]
-        got = _greedy_extend(u.points, seed_sel, np.arange(u.size), 0.4,
-                             Norm.L2)
-        want = reference_greedy_extend(u.points, seed_sel, np.arange(u.size),
-                                       0.4, Norm.L2)
-        assert got == want
-        assert got[:3] == seed_sel
+        # 0.25 puts pairs of thresholds(32) exactly at distance t; the
+        # profile takes its scales in any order.
+        for grid in (ts, np.sort(np.append(ts, 0.25)),
+                     np.random.default_rng(7).permutation(ts)):
+            sel, want = [], {}
+            for t in sorted(grid, reverse=True):
+                sel = reference_greedy_extend(u.points, sel,
+                                              np.arange(u.size), t * scale,
+                                              norm)
+                want[t] = len(sel)
+            got = packing_profile(u, grid, metric)
+            assert got.tolist() == [want[t] for t in grid]
 
 
 class TestPreprocessingCache:
