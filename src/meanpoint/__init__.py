@@ -20,8 +20,7 @@ from .local import (LocalMessage, LocalProtocolSpec, LocalReleaseParams,
                     local_chaining, local_coarse_projection,
                     local_projection_protocol, local_release,
                     simulate_protocol)
-from .privacy import (Accountant, BudgetExceededError, NoiseSpec,
-                      PrivacyBudget, compose, gaussian_sigma_for_zcdp,
+from .privacy import (PrivacyBudget, compose, gaussian_sigma_for_zcdp,
                       mean_sensitivity, zcdp_to_approx_dp)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry, hull, privacy
 from .geometry import Decomposition, Norm, Universe
-from .privacy import Accountant, PrivacyBudget, as_fraction
+from .privacy import PrivacyBudget, as_fraction
 
 
 @dataclass(eq=False)
@@ -132,26 +132,22 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     over n) at the requested zCDP level; the projection step is pure
     post-processing.
     """
-    rho_fr = as_fraction(rho)
-    if rho_fr <= 0:
-        raise ValueError("rho must be positive")
     u = d.universe
-    acct = Accountant(PrivacyBudget.zcdp(rho_fr))
-    spec = privacy.gaussian_noise_spec(privacy.mean_sensitivity(u, d.n), rho_fr)
+    sensitivity = privacy.mean_sensitivity(u, d.n)
+    sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
     rng = np.random.default_rng(seed)
-    noisy = d.mean() + rng.normal(0.0, spec.sigma, size=u.dim)
-    acct.charge(spec.budget)
+    noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
     proj = hull.project_onto_hull(noisy, u.points)
     trace = {
         "mechanism": "projection",
-        "sigma": spec.sigma,
-        "sensitivity": spec.sensitivity,
+        "sigma": sigma,
+        "sensitivity": sensitivity,
         "projection_iterations": proj.iterations,
         "projection_gap": proj.gap,
         "projection_certified": proj.certified,
     }
     return MechanismOutput(estimate=proj.point,
-                           budget_consumed=acct.consumed,
+                           budget_consumed=PrivacyBudget.zcdp(rho),
                            trace=trace, seed=seed)
 
 
@@ -198,16 +194,16 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
     decomposition's k levels and add the outputs.
 
     Both error measures in use are subadditive, so the summed release
-    inherits the per-level error bounds, and the ledger composes the
-    per-level budgets.  The remainder term is handled by the (free) zero
-    mechanism, which adds nothing.
+    inherits the per-level error bounds, and ``privacy.compose`` adds
+    the per-level budgets.  The remainder term is handled by the (free)
+    zero mechanism, which adds nothing.
     """
     k = dec.k
-    parts = privacy.split_budget(as_fraction(rho), k)
+    rho_part = as_fraction(rho) / k
     estimate = np.zeros(d.universe.dim)
     outputs = []
     for j, level_seed in enumerate(_level_seeds(seed, k)):
-        out = release(level_dataset(d, dec, j), parts[j], level_seed)
+        out = release(level_dataset(d, dec, j), rho_part, level_seed)
         outputs.append(out)
         estimate = estimate + out.estimate
     trace = {
@@ -259,6 +255,8 @@ class PMWConfig:
     alpha_target: float = 0.3
 
     def resolve(self, universe_size: int, coord_bound: float) -> tuple[int, float]:
+        if not (math.isfinite(self.alpha_target) and self.alpha_target > 0):
+            raise ValueError("alpha target must be finite and positive")
         if self.rounds is not None:
             rounds = int(self.rounds)
         else:
@@ -271,8 +269,8 @@ class PMWConfig:
             eta = float(self.learning_rate)
         else:
             eta = self.alpha_target / (4.0 * max(coord_bound, 1e-12))
-        if eta <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValueError("learning rate must be finite and positive")
         return rounds, eta
 
 
@@ -286,11 +284,10 @@ def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
     noisy-max over the 2m signed errors), buys a Gaussian-noised answer
     for it, and nudges the weights multiplicatively toward that answer.
     Selection noise is calibrated conservatively, as a full Gaussian
-    release of the signed error vector.
+    release of the signed error vector.  Every round spends rho/rounds,
+    half on the selection and half on the answer, so the pair of noise
+    scales is computed once and fixed for the whole release.
     """
-    rho_fr = as_fraction(rho)
-    if rho_fr <= 0:
-        raise ValueError("rho must be positive")
     config = config or PMWConfig()
     u = d.universe
     pts = u.points
@@ -298,34 +295,27 @@ def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
     coord_bound = float(np.abs(pts).max())
     rounds, eta = config.resolve(size, coord_bound)
 
-    acct = Accountant(PrivacyBudget.zcdp(rho_fr))
-    per_round = privacy.split_budget(rho_fr, rounds)
-    target = d.mean()
+    rho_round = as_fraction(rho) / rounds
+    rho_select = rho_round / 2
+    rho_answer = rho_round - rho_select
     # Signed error vector (e, -e) doubles the L2 sensitivity quadratically:
     # sqrt(2) times the mean's sensitivity.
-    mean_sens = privacy.mean_sensitivity(u, d.n)
-    coord_ranges = pts.max(axis=0) - pts.min(axis=0)
-    answer_sens = float(coord_ranges.max()) / d.n
+    select_sigma = privacy.gaussian_sigma_for_zcdp(
+        math.sqrt(2.0) * privacy.mean_sensitivity(u, d.n), rho_select)
+    answer_sigma = privacy.gaussian_sigma_for_zcdp(
+        geometry.diameter(u, Norm.LINF) / d.n, rho_answer)
 
+    target = d.mean()
     rng = np.random.default_rng(seed)
     weights = np.full(size, 1.0 / size)
-    select_sigma = answer_sigma = 0.0
-    for rho_round in per_round:
-        rho_select = rho_round / 2
-        rho_answer = rho_round - rho_select
-        select_sigma = privacy.gaussian_sigma_for_zcdp(
-            math.sqrt(2.0) * mean_sens, rho_select)
-        answer_sigma = privacy.gaussian_sigma_for_zcdp(
-            answer_sens, rho_answer)
+    for _ in range(rounds):
         synthetic = weights @ pts
         gap = target - synthetic
         scores = np.concatenate([gap, -gap])
         scores = scores + rng.normal(0.0, select_sigma, size=2 * m)
-        acct.charge(PrivacyBudget.zcdp(rho_select))
         pick = int(scores.argmax())
         coord = pick % m
         answer = float(target[coord]) + float(rng.normal(0.0, answer_sigma))
-        acct.charge(PrivacyBudget.zcdp(rho_answer))
         shift = answer - float(synthetic[coord])
         if shift != 0.0:
             weights = weights * np.exp(eta * math.copysign(1.0, shift)
@@ -340,8 +330,10 @@ def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
         "selection_sigma": select_sigma,
         "answer_sigma": answer_sigma,
     }
-    return MechanismOutput(estimate=estimate, budget_consumed=acct.consumed,
-                           trace=trace, seed=seed)
+    return MechanismOutput(
+        estimate=estimate,
+        budget_consumed=PrivacyBudget.zcdp((rho_select + rho_answer) * rounds),
+        trace=trace, seed=seed)
 
 
 def chaining_mechanism_linf(d: Dataset, rho, alpha: float,

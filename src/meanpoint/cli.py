@@ -241,6 +241,9 @@ def _run(args) -> int:
     if args.pmw_alpha_target is not None:
         pmw["alpha_target"] = args.pmw_alpha_target
     if pmw:
+        if args.mechanism != "pmw":
+            raise ConfigError(f"--pmw-* flags apply only to --mechanism pmw, "
+                              f"not {args.mechanism}")
         spec["pmw"] = pmw
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)

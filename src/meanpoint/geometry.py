@@ -181,9 +181,16 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
 
 
 def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
-    """Largest pairwise distance under a plain norm; 0 for a singleton."""
+    """Largest pairwise distance under a plain norm; 0 for a singleton.
+
+    Under the sup norm it is the widest coordinate range: the pair of
+    extremes in that coordinate attains it, and float subtraction is
+    monotone, so the range is the same float as the pairwise maximum.
+    """
 
     def build() -> float:
+        if norm is Norm.LINF:
+            return float(np.ptp(u.points, axis=0).max())
         return max(float(d.max())
                    for _, d in _distance_blocks(u.points, u.points, norm))
 

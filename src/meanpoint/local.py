@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import geometry, hull, privacy
+from . import geometry, hull
 from .central import Dataset, MechanismOutput, as_seed_sequence
 from .geometry import Norm
 from .privacy import PrivacyBudget, as_fraction
@@ -238,11 +238,9 @@ def chaining_protocol(d: Dataset, epsilon,
     """
     u = d.universe
     dec = geometry.chaining_decomposition(u, alpha, Norm.L2)
-    params = [LocalReleaseParams(epsilon=float(part),
-                                 scale=_release_scale(lvl))
-              for part, lvl in zip(
-                  privacy.split_budget(as_fraction(epsilon), dec.k),
-                  dec.levels)]
+    part = float(as_fraction(epsilon) / dec.k)
+    params = [LocalReleaseParams(epsilon=part, scale=_release_scale(lvl))
+              for lvl in dec.levels]
 
     def party(comps, rng):
         return [local_release(x, p, rng) for x, p in zip(comps, params)]

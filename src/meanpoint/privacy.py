@@ -2,13 +2,16 @@
 Gaussian calibration for mean release.
 
 Budget parameters are held as exact rationals (parsed from the decimal
-form of their inputs) so that composition ledgers admit exact equality
-checks; floats are derived only where noise scales are needed.
-The guarantees are those of calibrated noise plus the composition
-ledger, with one stated caveat: noise is drawn by floating-point
-Gaussian sampling, which is not exactly differentially private
-(Mironov, CCS 2012), since the set of representable outputs can depend
-on the input.
+form of their inputs), so a mechanism's shares of its budget are exact
+and recompose to the request with exact equality; floats are derived
+only where noise scales are needed.  Each mechanism calibrates every
+Gaussian scale once, from the exact share it spends, and reports the
+sum of those shares as its ``budget_consumed``; ``compose`` adds the
+per-level budgets of a decomposition.  The guarantees are those of that
+calibrated noise plus zCDP (or pure-DP) composition, with one stated
+caveat: noise is drawn by floating-point Gaussian sampling, which is
+not exactly differentially private (Mironov, CCS 2012), since the set
+of representable outputs can depend on the input.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ from .geometry import Norm, Universe
 ZCDP = "zcdp"
 PURE = "pure"
 APPROX = "approx"
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a release would overrun the configured budget."""
 
 
 def as_fraction(x) -> Fraction:
@@ -116,14 +115,6 @@ def compose(budgets: Sequence[PrivacyBudget]) -> PrivacyBudget:
     return PrivacyBudget(kind=APPROX, epsilon=eps, delta=delta)
 
 
-def split_budget(total: Fraction, k: int) -> list[Fraction]:
-    """Uniform k-way split that recomposes to the total exactly."""
-    if k < 1:
-        raise ValueError("need at least one part")
-    part = as_fraction(total) / k
-    return [part] * k
-
-
 def zcdp_to_approx_dp(rho, delta: float) -> float:
     """(eps, delta) guarantee implied by rho-zCDP: rho + 2*sqrt(rho*ln(1/delta))."""
     rho = float(as_fraction(rho))
@@ -153,60 +144,3 @@ def gaussian_sigma_for_zcdp(sensitivity: float, rho) -> float:
     if sensitivity < 0:
         raise ValueError("sensitivity must be nonnegative")
     return sensitivity / math.sqrt(2.0 * rho)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Record of one Gaussian release: scale, sensitivity, and cost."""
-
-    sigma: float
-    sensitivity: float
-    budget: PrivacyBudget
-
-
-def gaussian_noise_spec(sensitivity: float, rho) -> NoiseSpec:
-    rho_fr = as_fraction(rho)
-    return NoiseSpec(sigma=gaussian_sigma_for_zcdp(sensitivity, rho_fr),
-                     sensitivity=float(sensitivity),
-                     budget=PrivacyBudget.zcdp(rho_fr))
-
-
-class Accountant:
-    """Single-owner ledger that refuses charges beyond its limit.
-
-    Keeps one running total and composes each charge against it.  Not
-    meant to be shared across concurrent runs; each mechanism run owns
-    one.
-    """
-
-    def __init__(self, limit: PrivacyBudget):
-        self.limit = limit
-        # None until the first charge: starting from a zero (eps, delta)
-        # budget would make a run of pure charges compose to APPROX.
-        self._spent: PrivacyBudget | None = None
-
-    def charge(self, budget: PrivacyBudget) -> None:
-        candidate = compose([budget] if self._spent is None
-                            else [self._spent, budget])
-        if candidate.kind == ZCDP:
-            if self.limit.kind != ZCDP:
-                raise BudgetExceededError("ledger family mismatch")
-            if candidate.rho > self.limit.rho:
-                raise BudgetExceededError(
-                    f"zCDP charge would reach {float(candidate.rho)} "
-                    f"over limit {float(self.limit.rho)}")
-        else:
-            if self.limit.kind == ZCDP:
-                raise BudgetExceededError("ledger family mismatch")
-            if (candidate.epsilon > self.limit.epsilon
-                    or candidate.delta > self.limit.delta):
-                raise BudgetExceededError("DP charge exceeds the limit")
-        self._spent = candidate
-
-    @property
-    def consumed(self) -> PrivacyBudget:
-        """Composition of every accepted charge; before any charge, a
-        zero budget of the limit's kind."""
-        if self._spent is None:
-            return PrivacyBudget(kind=self.limit.kind)
-        return self._spent

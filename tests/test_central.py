@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from meanpoint import harness
+from meanpoint import harness, privacy
 from meanpoint.central import (Dataset, PMWConfig, as_seed_sequence,
                                chaining_mechanism, chaining_mechanism_linf,
                                coarse_projection_mechanism, decompose_and_run,
@@ -12,7 +12,7 @@ from meanpoint.central import (Dataset, PMWConfig, as_seed_sequence,
                                projection_mechanism)
 from meanpoint.geometry import (Norm, Universe, chaining_decomposition,
                                 coarse_rounding, greedy_separated_set)
-from meanpoint.privacy import PrivacyBudget, as_fraction, split_budget
+from meanpoint.privacy import PrivacyBudget
 
 
 @pytest.fixture
@@ -283,6 +283,16 @@ class TestPMW:
         b = pmw_mechanism(small_dataset, 0.2, seed=32)
         assert np.array_equal(a.estimate, b.estimate)
 
+    @pytest.mark.parametrize("config", [
+        PMWConfig(learning_rate=math.nan), PMWConfig(learning_rate=math.inf),
+        PMWConfig(learning_rate=0.0), PMWConfig(alpha_target=0.0),
+        PMWConfig(alpha_target=-0.1), PMWConfig(alpha_target=math.nan),
+        PMWConfig(rounds=3, learning_rate=0.5, alpha_target=math.inf),
+    ])
+    def test_config_needs_finite_positive_rates(self, config):
+        with pytest.raises(ValueError):
+            config.resolve(20, 1.0)
+
 
 class TestChainingLinf:
     def test_single_level_at_alpha_one(self):
@@ -314,8 +324,53 @@ class TestChainingLinf:
             chaining_mechanism_linf(d, 1.0, 0.5, seed=39)
 
 
-class TestBudgetSplitting:
-    def test_uniform_split_sums_exactly(self):
-        for rho, k in ((1.0, 3), (0.7, 5), (1e9, 4)):
-            parts = split_budget(as_fraction(rho), k)
-            assert sum(parts) == as_fraction(rho)
+class TestLedger:
+    @pytest.mark.parametrize("name", sorted(harness.MECHANISMS))
+    def test_consumed_equals_the_request(self, name):
+        # 0.7 splits into non-dyadic shares over rounds and levels.
+        row = harness.MECHANISMS[name]
+        d = harness.gen_dataset(harness.gen_thresholds(16), 100, seed=40)
+        spec = {"mechanism": name, row.privacy: 0.7, "alpha": 0.3}
+        out = harness.make_mechanism(spec)(d, 41)
+        want = (PrivacyBudget.zcdp(0.7) if row.privacy == "rho"
+                else PrivacyBudget.pure_dp(0.7))
+        assert out.budget_consumed == want
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(privacy, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(privacy, name, counting)
+        return calls
+
+    def test_pmw_calibrates_once_per_release(self, small_dataset,
+                                             monkeypatch):
+        sigma_calls = self._count(monkeypatch, "gaussian_sigma_for_zcdp")
+        compose_calls = self._count(monkeypatch, "compose")
+        rho, rounds = 0.7, 200
+        out = pmw_mechanism(small_dataset, rho,
+                            config=PMWConfig(rounds=rounds), seed=42)
+        assert len(sigma_calls) == 2
+        assert compose_calls == []
+        u, n = small_dataset.universe, small_dataset.n
+        share = rho / rounds / 2
+        assert out.trace["selection_sigma"] == pytest.approx(
+            math.sqrt(2.0) * privacy.mean_sensitivity(u, n)
+            / math.sqrt(2.0 * share), rel=1e-12)
+        coord_range = float((u.points.max(0) - u.points.min(0)).max())
+        assert out.trace["answer_sigma"] == pytest.approx(
+            coord_range / n / math.sqrt(2.0 * share), rel=1e-12)
+
+    def test_levels_compose_once(self, monkeypatch):
+        sigma_calls = self._count(monkeypatch, "gaussian_sigma_for_zcdp")
+        compose_calls = self._count(monkeypatch, "compose")
+        d = harness.gen_dataset(harness.gen_thresholds(16), 100, seed=43)
+        out = chaining_mechanism_linf(d, 0.7, 0.3, seed=44)
+        assert out.trace["k"] == 3
+        assert len(sigma_calls) == 2 * 3
+        assert len(compose_calls) == 1

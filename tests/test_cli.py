@@ -76,3 +76,21 @@ def test_pack_writes_the_profile_table_as_csv(universe_file, tmp_path):
     assert lines[0] == "t,packing,log_packing"
     assert len(lines) > 1
     assert all(len(row.split(",")) == 3 for row in lines[1:])
+
+
+@pytest.mark.parametrize("flag", [["--pmw-alpha-target", "0"],
+                                  ["--pmw-eta", "nan"]])
+def test_invalid_pmw_rates_are_config_errors(universe_file, flag, capsys):
+    code = cli.main(["run", "--universe", universe_file, "--mechanism",
+                     "pmw", "--rho", "0.5", "--n", "20", "--trials", "1",
+                     *flag])
+    assert code == cli.EXIT_CONFIG
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_pmw_flags_are_refused_for_other_mechanisms(universe_file, capsys):
+    code = cli.main(["run", "--universe", universe_file, "--mechanism",
+                     "chaining_linf", "--rho", "0.5", "--alpha", "0.5",
+                     "--n", "20", "--trials", "1", "--pmw-rounds", "3"])
+    assert code == cli.EXIT_CONFIG
+    assert "--pmw-" in capsys.readouterr().err

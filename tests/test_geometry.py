@@ -6,8 +6,9 @@ import pytest
 
 from meanpoint import bounds, harness
 from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
-                                _row_norms, chaining_decomposition,
-                                coarse_rounding, diameter,
+                                _pairwise_matrix, _row_norms,
+                                chaining_decomposition, coarse_rounding,
+                                diameter,
                                 gaussian_mean_width, greedy_separated_set,
                                 metric_diameter,
                                 nearest_point_map, packing_number,
@@ -337,6 +338,24 @@ class TestCoverMaskKernel:
                 want[t] = len(sel)
             got = packing_profile(u, grid, metric)
             assert got.tolist() == [want[t] for t in grid]
+
+
+def _universe_and_level_points(name):
+    """A kernel universe's points and those of its chaining levels, whose
+    coordinates can be negative."""
+    u = KERNEL_UNIVERSES[name]()
+    yield u.points
+    # The cone leaves the unit sup-norm ball, so it has no LINF chaining.
+    norms = (Norm.L2,) if name == "cone" else (Norm.L2, Norm.LINF)
+    for norm in norms:
+        yield from chaining_decomposition(u, 0.3, norm).levels
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
+def test_sup_norm_diameter_is_the_pairwise_maximum(name):
+    for pts in _universe_and_level_points(name):
+        want = float(_pairwise_matrix(pts, Norm.LINF).max())
+        assert diameter(Universe(points=pts), Norm.LINF) == want
 
 
 class TestPreprocessingCache:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from meanpoint.geometry import Universe
-from meanpoint.privacy import (Accountant, BudgetExceededError, PrivacyBudget,
-                               as_fraction, compose, gaussian_noise_spec,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meanpoint.privacy import (PrivacyBudget, as_fraction, compose,
                                gaussian_sigma_for_zcdp, mean_sensitivity,
-                               split_budget, zcdp_to_approx_dp)
+                               zcdp_to_approx_dp)
 
 
 class TestBudgets:
@@ -63,12 +65,6 @@ class TestCompose:
         assert compose([compose([a, b]), c]) == compose([a, compose([b, c])])
         assert compose([a, b, c]) == compose([c, b, a])
 
-    def test_split_recomposes_exactly(self):
-        for total, k in ((1.0, 7), (0.1, 3), (2.5, 11)):
-            parts = split_budget(as_fraction(total), k)
-            assert sum(parts) == as_fraction(total)
-            assert len(set(parts)) == 1
-
 
 class TestCalibration:
     def test_sigma_formula(self):
@@ -90,12 +86,6 @@ class TestCalibration:
             gaussian_sigma_for_zcdp(1.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_sigma_for_zcdp(-1.0, 1.0)
-
-    def test_noise_spec_invariant(self):
-        spec = gaussian_noise_spec(0.8, 0.2)
-        assert spec.sigma == pytest.approx(
-            spec.sensitivity / math.sqrt(2 * 0.2))
-        assert spec.budget == PrivacyBudget.zcdp(0.2)
 
 
 class TestMeanSensitivity:
@@ -132,22 +122,55 @@ class TestConversion:
             zcdp_to_approx_dp(1.0, 1.0)
 
 
-class TestAccountant:
-    def test_refuses_overrun(self):
-        acct = Accountant(PrivacyBudget.zcdp(1.0))
-        acct.charge(PrivacyBudget.zcdp(0.6))
-        with pytest.raises(BudgetExceededError):
-            acct.charge(PrivacyBudget.zcdp(0.5))
-        # the failed charge must not be recorded
-        assert acct.consumed == PrivacyBudget.zcdp(0.6)
+# Exact rational budgets: composition must hold with equality, not
+# within a float tolerance.
+_shares = st.fractions(min_value=0, max_value=10, max_denominator=10**6)
+_deltas = st.fractions(min_value=0, max_value=Fraction(1, 100),
+                       max_denominator=10**9)
+_zcdp = st.builds(PrivacyBudget.zcdp, _shares)
+_dp = st.one_of(st.builds(PrivacyBudget.pure_dp, _shares),
+                st.builds(PrivacyBudget.approx_dp, _shares, _deltas))
+# Lists drawn from one family, which ``compose`` accepts.
+_family_lists = st.sampled_from([_zcdp, _dp]).flatmap(
+    lambda family: st.lists(family, min_size=1, max_size=6))
+_properties = settings(derandomize=True, database=None, deadline=None)
 
-    def test_exact_fill_is_allowed(self):
-        acct = Accountant(PrivacyBudget.zcdp(1.0))
-        for part in split_budget(as_fraction(1.0), 7):
-            acct.charge(PrivacyBudget.zcdp(part))
-        assert acct.consumed == PrivacyBudget.zcdp(1.0)
 
-    def test_family_mismatch(self):
-        acct = Accountant(PrivacyBudget.zcdp(1.0))
-        with pytest.raises(BudgetExceededError):
-            acct.charge(PrivacyBudget.pure_dp(0.1))
+class TestComposeProperties:
+    @_properties
+    @given(_family_lists)
+    def test_sums_are_exact(self, budgets):
+        got = compose(budgets)
+        assert got.rho == sum(b.rho for b in budgets)
+        assert got.epsilon == sum(b.epsilon for b in budgets)
+        assert got.delta == sum(b.delta for b in budgets)
+
+    @_properties
+    @given(_family_lists.filter(lambda bs: len(bs) >= 3))
+    def test_associative(self, budgets):
+        a, b, rest = budgets[0], budgets[1], budgets[2:]
+        assert compose([compose([a, b]), *rest]) == \
+            compose([a, compose([b, *rest])])
+
+    @_properties
+    @given(_family_lists.flatmap(
+        lambda bs: st.tuples(st.just(bs), st.permutations(bs))))
+    def test_commutative(self, pair):
+        budgets, shuffled = pair
+        assert compose(shuffled) == compose(budgets)
+
+    @_properties
+    @given(st.one_of(_zcdp, _dp))
+    def test_zero_of_the_same_kind_is_the_identity(self, budget):
+        zero = PrivacyBudget(kind=budget.kind)
+        assert compose([budget, zero]) == budget
+        assert compose([zero, budget]) == budget
+
+    @_properties
+    @given(st.lists(_zcdp, min_size=1, max_size=3),
+           st.lists(_dp, min_size=1, max_size=3), st.randoms())
+    def test_mixed_families_rejected(self, zcdp, dp, rnd):
+        budgets = zcdp + dp
+        rnd.shuffle(budgets)
+        with pytest.raises(ValueError):
+            compose(budgets)
