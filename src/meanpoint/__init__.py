@@ -16,10 +16,8 @@ from .geometry import (Decomposition, Metric, Norm, Universe,
 from .harness import (RunReport, gen_cone, gen_dataset, gen_marginals2,
                       gen_random_sphere, gen_thresholds, measure_error)
 from .hull import ProjectionResult, project_onto_hull
-from .local import (LocalMessage, LocalProtocolSpec, LocalReleaseParams,
-                    local_chaining, local_coarse_projection,
-                    local_projection_protocol, local_release,
-                    simulate_protocol)
+from .local import (LevelProtocol, LocalMessage, LocalReleaseParams,
+                    local_release, run_protocol, simulate_protocol)
 from .privacy import (PrivacyBudget, compose, gaussian_sigma_for_zcdp,
                       mean_sensitivity, zcdp_to_approx_dp)
 

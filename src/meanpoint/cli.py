@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, pack, width, decompose, run, local, bounds, bench.
-Exit codes: 0 success, 2 configuration error, 3 numerical
-non-convergence in at least one trial.
+Exit codes: 0 success, 2 configuration error (a bad option, or a file
+that cannot be read or written), 3 numerical non-convergence in at least
+one trial.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import bounds as bounds_mod
 from . import geometry, harness, local
 from .central import as_seed_sequence
-from .geometry import Metric, Norm, Universe
+from .geometry import Metric, Norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,13 +58,6 @@ def _common(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _metric(name: str) -> Metric:
     return Metric.LINF if name == "linf" else Metric.NORMALIZED_L2
-
-
-def _load_universe(path: str) -> Universe:
-    try:
-        return geometry.read_universe_csv(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read universe file: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,7 +164,7 @@ def _gen(args) -> int:
 
 
 def _pack(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     profile = bounds_mod.bound_profile(u, _metric(args.metric), args.alpha,
                                        C=args.c)
     if args.format == "csv":
@@ -184,7 +178,7 @@ def _pack(args) -> int:
 
 
 def _width(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     est = geometry.gaussian_mean_width(u, samples=args.samples, seed=args.seed)
     _emit(json.dumps({"width": est.value, "std_error": est.std_error,
                       "samples": est.samples, "seed": args.seed}) + "\n",
@@ -193,7 +187,7 @@ def _width(args) -> int:
 
 
 def _decompose(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     norm = Norm.LINF if args.norm == "linf" else Norm.L2
     dec = geometry.chaining_decomposition(u, args.alpha, norm)
     geometry.verify_decomposition(u, dec)
@@ -231,7 +225,7 @@ def _report_exit(report) -> int:
 
 
 def _run(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     spec = _spec(args.mechanism, args)
     pmw = {}
     if args.pmw_rounds is not None:
@@ -252,16 +246,16 @@ def _run(args) -> int:
 
 
 def _local(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     spec = _spec(args.protocol, args)
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
     if args.transcript:
         # The messages of the report's trial 0, whose seed is the first
         # child of the run seed.
-        parties, protocol = harness.MECHANISMS[args.protocol].protocol(d, spec)
+        protocol = harness.MECHANISMS[args.protocol].protocol(d, spec)
         trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
-        transcript, _ = local.simulate_protocol(parties, protocol, seed=trial0)
+        transcript, _ = local.simulate_protocol(protocol, seed=trial0)
         _atomic_write(args.transcript, "".join(
             json.dumps(msg.to_json()) + "\n" for msg in transcript))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
@@ -269,7 +263,7 @@ def _local(args) -> int:
 
 
 def _bounds(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     report = bounds_mod.bound_report(u, args.alpha, rho=args.rho,
                                      epsilon=args.epsilon, C=args.c)
     report["profile"] = bounds_mod.bound_profile(
@@ -279,7 +273,7 @@ def _bounds(args) -> int:
 
 
 def _bench(args) -> int:
-    u = _load_universe(args.universe)
+    u = geometry.read_universe_csv(args.universe)
     label = os.path.splitext(os.path.basename(args.universe))[0]
     mechs = [tok.strip() for tok in args.mechanisms.split(",") if tok.strip()]
     try:
@@ -328,7 +322,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

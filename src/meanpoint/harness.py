@@ -148,16 +148,17 @@ class Mechanism(NamedTuple):
     for the central (zCDP) mechanisms, ``epsilon`` for the local
     (pure-DP per party) protocols.  ``upper_bound`` is the
     ``bounds.bound_report`` key of the mechanism's sample-size estimate.
-    ``release(dataset, spec, seed)`` runs it; a local protocol's
-    ``protocol(dataset, spec)`` returns its parties and
-    ``local.LocalProtocolSpec``, whose transcript is what it publishes.
+    A central mechanism's ``release(dataset, spec, seed)`` runs it.  A
+    local protocol's row has no release; its ``protocol(dataset, spec)``
+    builds the ``local.LevelProtocol`` that ``local.run_protocol`` runs
+    and whose transcript is what it publishes.
     """
 
     privacy: str
     needs_alpha: bool
     upper_bound: str | None
-    release: Callable[[Dataset, dict, object], MechanismOutput]
-    protocol: Callable | None = None
+    release: Callable[[Dataset, dict, object], MechanismOutput] | None
+    protocol: Callable[[Dataset, dict], local.LevelProtocol] | None = None
 
 
 MECHANISMS = {
@@ -181,19 +182,13 @@ MECHANISMS = {
         lambda d, c, s: central.chaining_mechanism_linf(
             d, c["rho"], c["alpha"], seed=s)),
     "lpm": Mechanism(
-        "epsilon", False, None,
-        lambda d, c, s: local.local_projection_protocol(
-            d, c["epsilon"], seed=s),
+        "epsilon", False, None, None,
         lambda d, c: local.projection_protocol(d, c["epsilon"])),
     "lcpm": Mechanism(
-        "epsilon", True, "ub_local_coarse",
-        lambda d, c, s: local.local_coarse_projection(
-            d, c["epsilon"], c["alpha"], seed=s),
+        "epsilon", True, "ub_local_coarse", None,
         lambda d, c: local.coarse_protocol(d, c["epsilon"], c["alpha"])),
     "lcm": Mechanism(
-        "epsilon", True, "ub_local_chain",
-        lambda d, c, s: local.local_chaining(
-            d, c["epsilon"], c["alpha"], seed=s),
+        "epsilon", True, "ub_local_chain", None,
         lambda d, c: local.chaining_protocol(d, c["epsilon"], c["alpha"])),
 }
 CENTRAL_MECHANISMS = tuple(k for k, v in MECHANISMS.items()
@@ -212,8 +207,10 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     name = spec.get("mechanism")
     if name not in MECHANISMS:
         raise ValueError(f"unknown mechanism {name!r}")
-    release, spec = MECHANISMS[name].release, dict(spec)
-    return lambda d, s: release(d, spec, s)
+    row, spec = MECHANISMS[name], dict(spec)
+    if row.protocol is not None:
+        return lambda d, s: local.run_protocol(row.protocol(d, spec), s)
+    return lambda d, s: row.release(d, spec, s)
 
 
 def _spec_bounds(u: Universe, spec: dict) -> dict:

@@ -1,21 +1,28 @@
-"""Local-model protocols: the signed-Gaussian point release, the local
-projection protocol, and its coarse / chaining refinements, plus a
-simulated party/server message-passing harness.
+"""Local-model protocols: the signed-Gaussian point release and the one
+protocol over public levels, ``LevelProtocol``, that LPM, LCPM and LCM are.
 
-All three protocols are non-interactive: each party derives a single
-message from her own input (the party-to-party channel stays empty) and
-the server aggregates the transcript.  Per-party privacy holds by
-construction: the only input-dependent randomness is a pair of signs,
-and the released sign's conditional bias is eps/3, giving a density
-ratio of (1 + eps/3) / (1 - eps/3) <= e^eps between any two inputs.
+A level is a public matrix and every party holds one row of each level:
+its own point (projection, one level), the coarse-cover centre its point
+rounds to (coarse projection, one level) or its level components of a
+public chaining decomposition (chaining, k levels).  Each party releases
+its row of every level through the signed-Gaussian channel with
+epsilon/k, spending epsilon in total by pure-DP composition.  The server
+projects each level's mean release onto that level's hull and sums.
+
+The protocol is non-interactive: each party derives one message from its
+own input and the server aggregates the transcript.  Per-party privacy
+holds by construction: the only input-dependent randomness is a pair of
+signs, and the released sign's conditional bias is eps/3, giving a
+density ratio of (1 + eps/3) / (1 - eps/3) <= e^eps between any two
+inputs.  A transcript is NDJSON, one ``{"party": i, "payload": [...]}``
+line per party; every payload is one vector per level, in level order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,17 +50,14 @@ class ProtocolError(ValueError):
 
 @dataclass
 class LocalMessage:
-    """One party's single message: a vector, or one vector per level."""
+    """One party's single message: one released vector per level."""
 
     party_id: int
-    payload: Any
+    payload: list[np.ndarray]
 
     def to_json(self) -> dict:
-        if isinstance(self.payload, list):
-            body = [np.asarray(v).tolist() for v in self.payload]
-        else:
-            body = np.asarray(self.payload).tolist()
-        return {"party": self.party_id, "payload": body}
+        return {"party": self.party_id,
+                "payload": [np.asarray(v).tolist() for v in self.payload]}
 
 
 @dataclass
@@ -110,43 +114,73 @@ def local_release(x: np.ndarray, params: LocalReleaseParams,
 
 
 # ---------------------------------------------------------------------------
-# protocol harness
+# the protocol over public levels
 
 
-@dataclass
-class LocalProtocolSpec:
-    """A non-interactive protocol: a per-party algorithm and a server.
-
-    The sequential model's party-to-party channel is intentionally
-    absent; each party sees only her own input and randomness.  The
-    protocols below have the server return ``(estimate, trace)``.
-    """
-
-    party: Callable[[Any, np.random.Generator], Any]
-    server: Callable[[list[Any]], Any]
+def _release_scale(points: np.ndarray) -> float:
+    s = float(np.linalg.norm(points, axis=1).max())
+    return s if s > 0 else 1.0
 
 
-def simulate_protocol(parties: Sequence[Any], protocol: LocalProtocolSpec,
-                      seed=None) -> tuple[list[LocalMessage], Any]:
-    """Execute a protocol: one message per party, then the server.
+@dataclass(eq=False)
+class LevelProtocol:
+    """``levels[j]`` is level j's public matrix, ``rows[i, j]`` party i's
+    row in it, and ``facts`` the public facts its trace reports."""
 
-    Party randomness comes from independent child streams of the run
-    seed, so transcripts replay bit-identically and parties could run
-    concurrently.  The transcript is exactly what the privacy analysis
-    protects.
-    """
-    if not isinstance(protocol, LocalProtocolSpec):
-        raise ProtocolError("protocol must be a LocalProtocolSpec")
-    n = len(parties)
-    if n < 1:
-        raise ProtocolError("need at least one party")
-    children = as_seed_sequence(seed).spawn(n)
-    transcript = []
-    for i, x in enumerate(parties):
-        rng = np.random.default_rng(children[i])
-        transcript.append(LocalMessage(party_id=i, payload=protocol.party(x, rng)))
-    output = protocol.server([msg.payload for msg in transcript])
-    return transcript, output
+    levels: list[np.ndarray]
+    rows: np.ndarray
+    epsilon: object
+    facts: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=int)
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.levels) \
+                or len(self.rows) < 1:
+            raise ProtocolError("need one row per level for each party")
+        part = float(as_fraction(self.epsilon) / len(self.levels))
+        self.params = [LocalReleaseParams(part, _release_scale(lvl))
+                       for lvl in self.levels]
+
+    def party(self, i: int, rng: np.random.Generator) -> list[np.ndarray]:
+        """Party i's message: its row of every level, in level order."""
+        return [local_release(lvl[r], p, rng)
+                for lvl, r, p in zip(self.levels, self.rows[i], self.params)]
+
+    def server(self, payloads: list[list[np.ndarray]]) -> tuple:
+        """The sum over levels of each level mean's projection onto that
+        level's hull, and the trace with one certificate per level."""
+        estimate = np.zeros(self.levels[0].shape[1])
+        certificates = []
+        for j, lvl in enumerate(self.levels):
+            mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
+            proj = hull.project_onto_hull(mean, lvl)
+            certificates.append({"projection_iterations": proj.iterations,
+                                 "projection_gap": proj.gap,
+                                 "projection_certified": proj.certified})
+            estimate = estimate + proj.point
+        return estimate, {**self.facts, "n_parties": len(payloads),
+                          "per_party": True, "levels": certificates}
+
+
+def simulate_protocol(protocol: LevelProtocol,
+                      seed=None) -> tuple[list[LocalMessage], tuple]:
+    """One message per party, then the server.  Party i draws from child
+    i of the run seed, so transcripts replay bit-identically and parties
+    could run concurrently.  The transcript is what privacy protects."""
+    children = as_seed_sequence(seed).spawn(len(protocol.rows))
+    transcript = [
+        LocalMessage(party_id=i,
+                     payload=protocol.party(i, np.random.default_rng(child)))
+        for i, child in enumerate(children)]
+    return transcript, protocol.server([msg.payload for msg in transcript])
+
+
+def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
+    """Run ``protocol``; each party spends pure-DP epsilon in total."""
+    _, (estimate, trace) = simulate_protocol(protocol, seed)
+    budget = PrivacyBudget.pure_dp(protocol.epsilon)
+    return MechanismOutput(estimate=estimate, budget_consumed=budget,
+                           trace=trace, seed=seed)
 
 
 def read_transcript(path) -> list[LocalMessage]:
@@ -156,132 +190,34 @@ def read_transcript(path) -> list[LocalMessage]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            payload = obj["payload"]
-            if payload and isinstance(payload[0], list):
-                payload = [np.asarray(v, dtype=float) for v in payload]
-            else:
-                payload = np.asarray(payload, dtype=float)
-            out.append(LocalMessage(party_id=int(obj["party"]), payload=payload))
+            out.append(LocalMessage(
+                party_id=int(obj["party"]),
+                payload=[np.asarray(v, dtype=float) for v in obj["payload"]]))
     return out
 
 
-# ---------------------------------------------------------------------------
-# the three protocols
+def projection_protocol(d: Dataset, epsilon) -> LevelProtocol:
+    """LPM: every party releases its own point with the full epsilon and
+    the server projects the average onto the universe's hull."""
+    return LevelProtocol([d.universe.points], d.indices[:, None], epsilon,
+                         {"mechanism": "local_projection"})
 
 
-def _release_scale(points: np.ndarray) -> float:
-    s = float(np.linalg.norm(points, axis=1).max())
-    return s if s > 0 else 1.0
-
-
-def _certificate(proj: hull.ProjectionResult) -> dict:
-    return {"projection_iterations": proj.iterations,
-            "projection_gap": proj.gap,
-            "projection_certified": proj.certified}
-
-
-def _release(setup: tuple[list, LocalProtocolSpec], epsilon,
-             seed) -> MechanismOutput:
-    parties, protocol = setup
-    _, (estimate, trace) = simulate_protocol(parties, protocol, seed=seed)
-    return MechanismOutput(estimate=estimate,
-                           budget_consumed=PrivacyBudget.pure_dp(epsilon),
-                           trace=trace, seed=seed)
-
-
-def projection_protocol(d: Dataset, epsilon) -> tuple[list, LocalProtocolSpec]:
-    """Parties and protocol of the local projection protocol on ``d``.
-
-    Every party releases her point through the signed-Gaussian channel
-    with the full epsilon; the server averages the n messages and
-    projects the average onto the hull of the (public) universe.
-    """
-    pts = d.universe.points
-    params = LocalReleaseParams(epsilon=float(as_fraction(epsilon)),
-                                scale=_release_scale(pts))
-
-    def party(x, rng):
-        return local_release(x, params, rng)
-
-    def server(payloads):
-        server_mean = np.mean(np.asarray(payloads, dtype=float), axis=0)
-        proj = hull.project_onto_hull(server_mean, pts)
-        return proj.point, {"mechanism": "local_projection",
-                            "n_parties": len(payloads),
-                            "scale": params.scale,
-                            "per_party": True,
-                            "server_mean": server_mean,
-                            **_certificate(proj)}
-
-    return [pts[i] for i in d.indices], LocalProtocolSpec(party, server)
-
-
-def coarse_protocol(d: Dataset, epsilon,
-                    alpha: float) -> tuple[list, LocalProtocolSpec]:
-    """Each party rounds her own point to a public coarse cover, then the
-    local projection protocol runs over the cover with the full budget."""
+def coarse_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
+    """LCPM: each party rounds its own point to a public coarse cover,
+    then the projection protocol runs over the cover."""
     centers, rounding = geometry.coarse_rounding(d.universe, alpha)
-    return projection_protocol(
-        Dataset(universe=centers, indices=rounding[d.indices]), epsilon)
+    return LevelProtocol([centers.points], rounding[d.indices][:, None],
+                         epsilon, {"mechanism": "local_coarse_projection",
+                                   "alpha": float(alpha),
+                                   "cover_size": centers.size})
 
 
-def chaining_protocol(d: Dataset, epsilon,
-                      alpha: float) -> tuple[list, LocalProtocolSpec]:
-    """Chaining in the local model: one release per level per party.
-
-    The decomposition is public, so each party can split her own point
-    into level components and release each through the signed-Gaussian
-    channel with budget epsilon/k (pure-DP composition across levels).
-    The server solves each level by averaging and projecting onto that
-    level's hull, then sums.  Still non-interactive: the k releases
-    travel in one message.
-    """
-    u = d.universe
-    dec = geometry.chaining_decomposition(u, alpha, Norm.L2)
-    part = float(as_fraction(epsilon) / dec.k)
-    params = [LocalReleaseParams(epsilon=part, scale=_release_scale(lvl))
-              for lvl in dec.levels]
-
-    def party(comps, rng):
-        return [local_release(x, p, rng) for x, p in zip(comps, params)]
-
-    def server(payloads):
-        total = np.zeros(u.dim)
-        levels = []
-        for j, lvl in enumerate(dec.levels):
-            level_mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
-            proj = hull.project_onto_hull(level_mean, lvl)
-            levels.append(_certificate(proj))
-            total = total + proj.point
-        return total, {"mechanism": "local_chaining",
-                       "alpha": float(alpha),
-                       "k": dec.k,
-                       "n_parties": len(payloads),
-                       "per_party": True,
-                       "remainder_radius": dec.remainder_radius,
-                       "levels": levels}
-
-    parties = [[lvl[a] for lvl, a in zip(dec.levels, dec.assignments[i])]
-               for i in d.indices]
-    return parties, LocalProtocolSpec(party, server)
-
-
-def local_projection_protocol(d: Dataset, epsilon, seed=None) -> MechanismOutput:
-    """Run ``projection_protocol``; each party spends pure-DP epsilon."""
-    return _release(projection_protocol(d, epsilon), epsilon, seed)
-
-
-def local_coarse_projection(d: Dataset, epsilon, alpha: float,
-                            seed=None) -> MechanismOutput:
-    """Run ``coarse_protocol``; each party spends pure-DP epsilon."""
-    out = _release(coarse_protocol(d, epsilon, alpha), epsilon, seed)
-    centers, _ = geometry.coarse_rounding(d.universe, alpha)
-    out.trace.update(mechanism="local_coarse_projection",
-                     alpha=float(alpha), cover_size=centers.size)
-    return out
-
-
-def local_chaining(d: Dataset, epsilon, alpha: float, seed=None) -> MechanismOutput:
-    """Run ``chaining_protocol``; each party spends pure-DP epsilon in
-    total, epsilon/k per level."""
-    return _release(chaining_protocol(d, epsilon, alpha), epsilon, seed)
+def chaining_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
+    """LCM: the levels of the public chaining decomposition, each party
+    holding its own level components and spending epsilon/k on each."""
+    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.L2)
+    return LevelProtocol(dec.levels, dec.assignments[d.indices],
+                         epsilon, {"mechanism": "local_chaining",
+                                   "alpha": float(alpha), "k": dec.k,
+                                   "remainder_radius": dec.remainder_radius})

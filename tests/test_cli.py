@@ -38,6 +38,18 @@ def test_missing_alpha_is_a_config_error(universe_file, argv, capsys):
     assert "needs --alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--mechanism", "projection", "--rho", "0.5", "--out"],
+    ["local", "--protocol", "lpm", "--epsilon", "1.0", "--transcript"],
+])
+def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
+                                                  argv, capsys):
+    code = cli.main(argv + [str(tmp_path / "missing" / "file"), "--universe",
+                            universe_file, "--n", "20", "--trials", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_exits_3_on_an_uncertified_projection(universe_file, tmp_path,
                                                    monkeypatch):
     real = hull.project_onto_hull

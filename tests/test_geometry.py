@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from meanpoint import bounds, harness
 from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
@@ -230,6 +233,21 @@ class TestChainingDecomposition:
         u = Universe(points=np.array([[5.0, 0.0]]))
         with pytest.raises(ValueError):
             chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
+
+
+# Universes of up to 14 points in [0, 1]^m, m <= 5.
+_small_universes = st.tuples(st.integers(1, 14), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+
+
+class TestDecompositionProperties:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(_small_universes, st.floats(0.05, 1.0), st.sampled_from(Norm))
+    def test_reconstructs_within_radii_and_separates(self, pts, alpha, norm):
+        u = Universe(points=pts)
+        dec = chaining_decomposition(u, alpha, norm)
+        verify_decomposition(u, dec)
+        assert dec.assignments.shape == (u.size, dec.k)
 
 
 class TestDiameterAndSupport:

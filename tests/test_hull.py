@@ -16,13 +16,9 @@ def simplex_project_rows(lam):
     return np.maximum(lam - theta[:, None], 0.0)
 
 
-def pgd_oracle(y, V, steps=1_000_000):
-    """Independent oracle: minimize ||V^T lam - y||^2 over the simplex by
-    plain projected gradient descent."""
-    return pgd_oracle_batch(y[None, :], V[None, :, :], steps)[0]
-
-
 def pgd_oracle_batch(ys, Vs, steps=1_000_000):
+    """Independent oracle: for each instance, minimize ||V^T lam - y||^2
+    over the simplex by plain projected gradient descent."""
     k, n, _ = Vs.shape
     G = np.einsum("kim,kjm->kij", Vs, Vs)
     b = np.einsum("kim,km->ki", Vs, ys)
@@ -80,10 +76,10 @@ class TestProjectOntoHull:
     def test_agrees_with_pgd_oracle(self):
         # smaller step count than the acceptance run, still well converged
         rng = np.random.default_rng(1)
-        for _ in range(5):
-            y, V = random_instance(rng)
+        ys, Vs = zip(*(random_instance(rng) for _ in range(5)))
+        refs = pgd_oracle_batch(np.array(ys), np.array(Vs), steps=100_000)
+        for y, V, ref in zip(ys, Vs, refs):
             res = project_onto_hull(y, V)
-            ref = pgd_oracle(y, V, steps=100_000)
             assert np.linalg.norm(res.point - ref) <= 1e-4
 
     def test_certificate_holds_on_random_instances(self):

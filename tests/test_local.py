@@ -8,21 +8,27 @@ import pytest
 from meanpoint import cli, geometry, harness, hull, local, privacy
 from meanpoint.privacy import PrivacyBudget
 
-LCM = {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.25}
+PROTOCOLS = ["lpm", "lcpm", "lcm"]
 
 
-def test_lcm_trace_carries_each_level_certificate():
+def _spec(protocol):
+    return {"mechanism": protocol, "epsilon": 1.0, "alpha": 0.25}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_trace_carries_each_level_certificate(protocol):
     d = harness.gen_dataset(harness.gen_thresholds(8), 60, seed=0)
-    out = harness.make_mechanism(LCM)(d, 1)
+    out = harness.make_mechanism(_spec(protocol))(d, 1)
     levels = out.trace["levels"]
-    assert len(levels) == out.trace["k"]
+    assert len(levels) == out.trace.get("k", 1)
     for level in levels:
         assert level["projection_certified"] is True
         assert level["projection_iterations"] >= 0
         assert isinstance(level["projection_gap"], float)
 
 
-def test_uncertified_server_projection_is_reported(monkeypatch):
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_uncertified_server_projection_is_reported(protocol, monkeypatch):
     real = hull.project_onto_hull
 
     def uncertified(*args, **kwargs):
@@ -30,7 +36,7 @@ def test_uncertified_server_projection_is_reported(monkeypatch):
 
     monkeypatch.setattr(hull, "project_onto_hull", uncertified)
     d = harness.gen_dataset(harness.gen_thresholds(8), 60, seed=0)
-    report = harness.measure_error(d, LCM, trials=2, seed=0)
+    report = harness.measure_error(d, _spec(protocol), trials=2, seed=0)
     assert report.num_non_certified > 0
 
 
@@ -60,7 +66,7 @@ def test_lcm_splits_epsilon_evenly_and_recomposes_exactly(monkeypatch):
 
     monkeypatch.setattr(local, "local_release", recording)
     d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=0)
-    out = local.local_chaining(d, 1.0, 0.25, seed=2)
+    out = local.run_protocol(local.chaining_protocol(d, 1.0, 0.25), seed=2)
     assert out.trace["k"] == 3
     assert spent == [float(Fraction(1, 3))] * (3 * d.n)
     assert out.budget_consumed == PrivacyBudget.pure_dp(1.0)
@@ -68,7 +74,7 @@ def test_lcm_splits_epsilon_evenly_and_recomposes_exactly(monkeypatch):
         [PrivacyBudget.pure_dp(Fraction(1, 3))] * 3) == out.budget_consumed
 
 
-@pytest.mark.parametrize("protocol", ["lpm", "lcpm", "lcm"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_transcript_replays_trial_zero(protocol, tmp_path):
     u = harness.gen_thresholds(8)
     universe = tmp_path / "u.csv"
@@ -81,17 +87,14 @@ def test_transcript_replays_trial_zero(protocol, tmp_path):
     assert code == cli.EXIT_OK
     payloads = [msg.payload for msg in local.read_transcript(transcript)]
     assert len(payloads) == 40
-    # The server, rebuilt from the published messages alone.
-    if protocol == "lcm":
-        hulls = geometry.chaining_decomposition(u, 0.25).levels
-        means = [np.mean(np.asarray([p[j] for p in payloads]), axis=0)
-                 for j in range(len(hulls))]
-    else:
-        hulls = [u.points if protocol == "lpm"
-                 else geometry.coarse_rounding(u, 0.25)[0].points]
-        means = [np.mean(np.asarray(payloads, dtype=float), axis=0)]
+    # The server, rebuilt from the published messages and public levels.
+    hulls = {"lpm": [u.points],
+             "lcpm": [geometry.coarse_rounding(u, 0.25)[0].points],
+             "lcm": geometry.chaining_decomposition(u, 0.25).levels}[protocol]
+    assert all(len(p) == len(hulls) for p in payloads)
     estimate = np.zeros(u.dim)
-    for mean, vertices in zip(means, hulls):
+    for j, vertices in enumerate(hulls):
+        mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
         estimate = estimate + hull.project_onto_hull(mean, vertices).point
     err = estimate - harness.gen_dataset(u, 40, seed=5).mean()
     sq_err = json.loads(report.read_text())["per_trial_sq_err"][0]
