@@ -2,9 +2,12 @@
 
 Each theorem-shaped estimator evaluates its closed form with every
 absolute constant set to 1 ("constant=1 convention"), using greedy
-packing estimates over a geometric scale grid.  The results are
-qualitative comparison curves, never certified sample sizes.  Natural
-logs throughout.
+packing estimates over a geometric scale grid.  The upper bounds take
+their sup over t >= alpha / C with the grid threshold C fixed at 2
+(``UPPER_BOUND_THRESHOLD_C``).  The results are qualitative comparison
+curves, never certified sample sizes.  Natural logs throughout.  Where
+a power of alpha underflows to 0, an estimate returns its limit: inf,
+or 0 when its sup term is 0.
 """
 
 from __future__ import annotations
@@ -79,9 +82,7 @@ def _sup_over_grid(ts: np.ndarray, log_packing: np.ndarray,
 
 
 def bound_profile(u: Universe, metric: Metric, alpha: float,
-                  C: float = UPPER_BOUND_THRESHOLD_C,
                   packing_mode: str = "greedy",
-                  exact_cap: int = geometry.EXACT_PACKING_CAP,
                   threshold: float | None = None) -> BoundProfile:
     """Evaluate the packing profile on the grid [alpha/C, diameter].
 
@@ -92,11 +93,10 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if C < 1:
-        raise ValueError("C must be at least 1")
 
     def build() -> BoundProfile:
-        t_min = alpha / C if threshold is None else float(threshold)
+        t_min = (alpha / UPPER_BOUND_THRESHOLD_C if threshold is None
+                 else float(threshold))
         t_max = geometry.metric_diameter(u, metric)
         ts = geometry.t_grid(t_min, t_max)
         if ts.size == 0:
@@ -104,9 +104,8 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
         elif packing_mode == "greedy":
             packing = geometry.packing_profile(u, ts, metric)
         elif packing_mode == "exact":
-            packing = np.array([
-                geometry.packing_number(u, t, metric, exact_cap=exact_cap)
-                for t in ts])
+            packing = np.array([geometry.packing_number(u, t, metric)
+                                for t in ts])
         else:
             raise ValueError(f"unknown packing mode {packing_mode!r}")
         log_packing = np.log(packing) if packing.size else np.array([])
@@ -125,8 +124,7 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
                             log_packing=log_packing, sup_terms=sup_terms,
                             packing_mode=packing_mode)
 
-    key = ("bound_profile", metric, alpha, C, packing_mode, exact_cap,
-           threshold)
+    key = ("bound_profile", metric, alpha, packing_mode, threshold)
     return geometry._memo(u, key, build)
 
 
@@ -137,54 +135,65 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
 # of the privacy parameter move the estimate by an exact power of 2.
 
 
-def ub_coarse(u: Universe, alpha: float, rho: float,
-              C: float = UPPER_BOUND_THRESHOLD_C) -> float:
+def _over_alpha_power(num: float, alpha: float, power: int,
+                      factor: float) -> float:
+    """``num / alpha**power * factor``, or its limit where alpha**power
+    underflows to 0: inf, or 0 when ``num`` or ``factor`` is 0."""
+    if num == 0.0 or factor == 0.0:
+        return 0.0
+    scale = alpha ** power
+    return num / scale * factor if scale > 0.0 else math.inf
+
+
+def ub_coarse(u: Universe, alpha: float, rho: float) -> float:
     """Coarse projection: log(1/a)/a^2 * sup t*sqrt(log P) / sqrt(rho)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, C)
-    num = (math.log(1.0 / alpha) / alpha ** 2) * profile.sup(T_SQRT_LOG)
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    num = _over_alpha_power(math.log(1.0 / alpha), alpha, 2,
+                            profile.sup(T_SQRT_LOG))
     return num / math.sqrt(rho)
 
 
-def ub_chain(u: Universe, alpha: float, rho: float,
-             C: float = UPPER_BOUND_THRESHOLD_C) -> float:
+def ub_chain(u: Universe, alpha: float, rho: float) -> float:
     """Chaining: log(1/a)^(5/2)/a^2 * sup t^2*sqrt(log P) / sqrt(rho)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, C)
-    num = (math.log(1.0 / alpha) ** 2.5 / alpha ** 2) * profile.sup(T2_SQRT_LOG)
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    num = _over_alpha_power(math.log(1.0 / alpha) ** 2.5, alpha, 2,
+                            profile.sup(T2_SQRT_LOG))
     return num / math.sqrt(rho)
 
 
-def ub_infty(u: Universe, alpha: float, rho: float,
-             C: float = UPPER_BOUND_THRESHOLD_C) -> float:
+def ub_infty(u: Universe, alpha: float, rho: float) -> float:
     """Sup-norm chaining: adds a log(m) factor and uses the sup-norm
     packing profile."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.LINF, alpha, C)
-    num = (math.log(u.dim) * math.log(1.0 / alpha) ** 2.5 / alpha ** 2) \
-        * profile.sup(T2_SQRT_LOG)
+    profile = bound_profile(u, Metric.LINF, alpha)
+    num = _over_alpha_power(
+        math.log(u.dim) * math.log(1.0 / alpha) ** 2.5, alpha, 2,
+        profile.sup(T2_SQRT_LOG))
     return num / math.sqrt(rho)
 
 
-def ub_local_coarse(u: Universe, alpha: float, epsilon: float,
-                    C: float = UPPER_BOUND_THRESHOLD_C) -> float:
+def ub_local_coarse(u: Universe, alpha: float, epsilon: float) -> float:
     """Local coarse projection: log(1/a)^2/a^4 * sup t^2*log P / eps^2."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, C)
-    num = (math.log(1.0 / alpha) ** 2 / alpha ** 4) * profile.sup(T2_LOG)
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    num = _over_alpha_power(math.log(1.0 / alpha) ** 2, alpha, 4,
+                            profile.sup(T2_LOG))
     return num / epsilon ** 2
 
-def ub_local_chain(u: Universe, alpha: float, epsilon: float,
-                   C: float = UPPER_BOUND_THRESHOLD_C) -> float:
+
+def ub_local_chain(u: Universe, alpha: float, epsilon: float) -> float:
     """Local chaining: log(1/a)^6/a^4 * sup t^4*log P / eps^2."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, C)
-    num = (math.log(1.0 / alpha) ** 6 / alpha ** 4) * profile.sup(T4_LOG)
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    num = _over_alpha_power(math.log(1.0 / alpha) ** 6, alpha, 4,
+                            profile.sup(T4_LOG))
     return num / epsilon ** 2
 
 
@@ -196,35 +205,29 @@ def ub_local_chain(u: Universe, alpha: float, epsilon: float,
 # universes and the mode is reported alongside.
 
 
-def _auto_mode(u: Universe, exact_cap: int) -> str:
-    return "exact" if u.size <= exact_cap else "greedy"
+def _auto_mode(u: Universe) -> str:
+    return "exact" if u.size <= geometry.EXACT_PACKING_CAP else "greedy"
 
 
-def lb_packing(u: Universe, alpha: float, rho: float,
-               packing_mode: str | None = None,
-               exact_cap: int = geometry.EXACT_PACKING_CAP) -> float:
+def lb_packing(u: Universe, alpha: float, rho: float) -> float:
     """Packing lower bound: sup{t*sqrt(log P): t >= 4a} / (a*sqrt(rho))."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    mode = packing_mode or _auto_mode(u, exact_cap)
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, packing_mode=mode,
-                            exact_cap=exact_cap,
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha,
+                            packing_mode=_auto_mode(u),
                             threshold=LB_CENTRAL_THRESHOLD * alpha)
     num = profile.sup(T_SQRT_LOG) / alpha
     return num / math.sqrt(rho)
 
 
-def lb_local(u: Universe, alpha: float, epsilon: float,
-             packing_mode: str | None = None,
-             exact_cap: int = geometry.EXACT_PACKING_CAP) -> float:
+def lb_local(u: Universe, alpha: float, epsilon: float) -> float:
     """Local lower bound: sup{t^2*log P: t >= 6a} / (a^2 * eps^2)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    mode = packing_mode or _auto_mode(u, exact_cap)
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha, packing_mode=mode,
-                            exact_cap=exact_cap,
+    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha,
+                            packing_mode=_auto_mode(u),
                             threshold=LB_LOCAL_THRESHOLD * alpha)
-    num = profile.sup(T2_LOG) / alpha ** 2
+    num = _over_alpha_power(profile.sup(T2_LOG), alpha, 2, 1.0)
     return num / epsilon ** 2
 
 
@@ -277,25 +280,24 @@ def pmw_error_shape(u: Universe, n: int, rho: float) -> float:
 
 
 def bound_report(u: Universe, alpha: float, rho: float | None = None,
-                 epsilon: float | None = None,
-                 C: float = UPPER_BOUND_THRESHOLD_C) -> dict:
+                 epsilon: float | None = None) -> dict:
     """All applicable estimates plus convention flags, for reports."""
     out: dict = {
         "constant_convention": 1,
         "log_base": "e",
         "alpha": alpha,
-        "C": C,
+        "C": UPPER_BOUND_THRESHOLD_C,
     }
     if rho is not None:
-        out["ub_coarse"] = ub_coarse(u, alpha, rho, C)
-        out["ub_chain"] = ub_chain(u, alpha, rho, C)
-        out["ub_infty"] = ub_infty(u, alpha, rho, C)
+        out["ub_coarse"] = ub_coarse(u, alpha, rho)
+        out["ub_chain"] = ub_chain(u, alpha, rho)
+        out["ub_infty"] = ub_infty(u, alpha, rho)
         out["lb_packing"] = lb_packing(u, alpha, rho)
-        out["lb_packing_mode"] = _auto_mode(u, geometry.EXACT_PACKING_CAP)
+        out["lb_packing_mode"] = _auto_mode(u)
     if epsilon is not None:
-        out["ub_local_coarse"] = ub_local_coarse(u, alpha, epsilon, C)
-        out["ub_local_chain"] = ub_local_chain(u, alpha, epsilon, C)
+        out["ub_local_coarse"] = ub_local_coarse(u, alpha, epsilon)
+        out["ub_local_chain"] = ub_local_chain(u, alpha, epsilon)
         out["lb_local"] = lb_local(u, alpha, epsilon)
         out["lb_local_delta_cap"] = lb_local_delta_cap(u, alpha, epsilon)
-        out["lb_local_mode"] = _auto_mode(u, geometry.EXACT_PACKING_CAP)
+        out["lb_local_mode"] = _auto_mode(u)
     return out

@@ -15,6 +15,7 @@ matches the direct mechanism call).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -235,48 +236,17 @@ def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOut
 # ---------------------------------------------------------------------------
 # private multiplicative weights
 
-# Most multiplicative-weights rounds the default schedule runs.
+# Most multiplicative-weights rounds a release runs.
 PMW_ROUND_CAP = 200
 
 
-@dataclass
-class PMWConfig:
-    """Multiplicative-weights run parameters.
-
-    ``rounds`` and ``learning_rate`` override the defaults
-    T = ceil(4 * ln|X| / alpha_target^2) capped at ``PMW_ROUND_CAP`` and
-    eta = alpha_target / (4 * delta), where delta bounds the universe's
-    coordinates.  The per-round budget is split evenly between the
-    noisy-max selection and the answer.
-    """
-
-    rounds: int | None = None
-    learning_rate: float | None = None
-    alpha_target: float = 0.3
-
-    def resolve(self, universe_size: int, coord_bound: float) -> tuple[int, float]:
-        if not (math.isfinite(self.alpha_target) and self.alpha_target > 0):
-            raise ValueError("alpha target must be finite and positive")
-        if self.rounds is not None:
-            rounds = int(self.rounds)
-        else:
-            rounds = min(PMW_ROUND_CAP, math.ceil(
-                4.0 * math.log(max(universe_size, 2))
-                / self.alpha_target ** 2))
-        if rounds < 1:
-            raise ValueError("need at least one round")
-        if self.learning_rate is not None:
-            eta = float(self.learning_rate)
-        else:
-            eta = self.alpha_target / (4.0 * max(coord_bound, 1e-12))
-        if not (math.isfinite(eta) and eta > 0):
-            raise ValueError("learning rate must be finite and positive")
-        return rounds, eta
-
-
-def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
-                  seed=None) -> MechanismOutput:
+def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     """Multiplicative weights with private per-round corrections.
+
+    The error target alpha fixes the schedule: T = ceil(4 * ln|X| /
+    alpha^2) rounds, capped at ``PMW_ROUND_CAP`` (an alpha whose square
+    underflows gets the cap), at learning rate eta = alpha / (4 * delta),
+    where delta bounds the universe's coordinates.
 
     Maintains a weight vector over universe points (uniform at first).
     Each round privately selects the coordinate with the largest signed
@@ -288,12 +258,16 @@ def pmw_mechanism(d: Dataset, rho, config: PMWConfig | None = None,
     half on the selection and half on the answer, so the pair of noise
     scales is computed once and fixed for the whole release.
     """
-    config = config or PMWConfig()
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     u = d.universe
     pts = u.points
     size, m = pts.shape
     coord_bound = float(np.abs(pts).max())
-    rounds, eta = config.resolve(size, coord_bound)
+    rounds = math.ceil(min(4.0 * math.log(max(size, 2))
+                           / max(alpha ** 2, sys.float_info.min),
+                           PMW_ROUND_CAP))
+    eta = alpha / (4.0 * max(coord_bound, 1e-12))
 
     rho_round = as_fraction(rho) / rounds
     rho_select = rho_round / 2
@@ -348,10 +322,10 @@ def chaining_mechanism_linf(d: Dataset, rho, alpha: float,
     if not d.universe.in_unit_box:
         raise ValueError("sup-norm chaining requires a [0, 1]^m universe")
     dec = geometry.chaining_decomposition(d.universe, alpha, Norm.LINF)
-    config = PMWConfig(alpha_target=alpha / (2.0 * dec.k))
+    level_alpha = alpha / (2.0 * dec.k)
 
     def release(level: Dataset, rho_part, level_seed) -> MechanismOutput:
-        return pmw_mechanism(level, rho_part, config=config, seed=level_seed)
+        return pmw_mechanism(level, rho_part, level_alpha, seed=level_seed)
 
     out = decompose_and_run(d, dec, release, rho, seed=seed)
     out.trace.update(mechanism="chaining_linf", alpha=float(alpha))

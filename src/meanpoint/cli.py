@@ -43,6 +43,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse an output path whose directory is missing or read-only,
+    before any work that would be lost when the result is written."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(folder) \
+                or not os.access(folder, os.W_OK):
+            raise ConfigError(f"cannot write {path!r}")
+
+
 _SHARED_FLAGS = {
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 20},
@@ -79,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True)
     p.add_argument("--metric", choices=("l2", "linf"), default="l2")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--c", type=float, default=bounds_mod.UPPER_BOUND_THRESHOLD_C)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _common(p)
 
@@ -102,9 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dataset", type=str, default="uniform")
-    p.add_argument("--pmw-rounds", type=int, default=None)
-    p.add_argument("--pmw-eta", type=float, default=None)
-    p.add_argument("--pmw-alpha-target", type=float, default=None)
     _common(p, "seed", "trials")
 
     p = sub.add_parser("local", help="run a local protocol and report errors")
@@ -122,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--c", type=float, default=bounds_mod.UPPER_BOUND_THRESHOLD_C)
     _common(p)
 
     p = sub.add_parser("bench", help="error-vs-n sweep as CSV")
@@ -165,8 +170,7 @@ def _gen(args) -> int:
 
 def _pack(args) -> int:
     u = geometry.read_universe_csv(args.universe)
-    profile = bounds_mod.bound_profile(u, _metric(args.metric), args.alpha,
-                                       C=args.c)
+    profile = bounds_mod.bound_profile(u, _metric(args.metric), args.alpha)
     if args.format == "csv":
         lines = ["t,packing,log_packing"]
         for row in profile.to_json()["grid"]:
@@ -227,18 +231,6 @@ def _report_exit(report) -> int:
 def _run(args) -> int:
     u = geometry.read_universe_csv(args.universe)
     spec = _spec(args.mechanism, args)
-    pmw = {}
-    if args.pmw_rounds is not None:
-        pmw["rounds"] = args.pmw_rounds
-    if args.pmw_eta is not None:
-        pmw["learning_rate"] = args.pmw_eta
-    if args.pmw_alpha_target is not None:
-        pmw["alpha_target"] = args.pmw_alpha_target
-    if pmw:
-        if args.mechanism != "pmw":
-            raise ConfigError(f"--pmw-* flags apply only to --mechanism pmw, "
-                              f"not {args.mechanism}")
-        spec["pmw"] = pmw
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
@@ -265,9 +257,9 @@ def _local(args) -> int:
 def _bounds(args) -> int:
     u = geometry.read_universe_csv(args.universe)
     report = bounds_mod.bound_report(u, args.alpha, rho=args.rho,
-                                     epsilon=args.epsilon, C=args.c)
+                                     epsilon=args.epsilon)
     report["profile"] = bounds_mod.bound_profile(
-        u, Metric.NORMALIZED_L2, args.alpha, C=args.c).to_json()
+        u, Metric.NORMALIZED_L2, args.alpha).to_json()
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -321,6 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
+        _check_writable(args.out, getattr(args, "transcript", None))
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

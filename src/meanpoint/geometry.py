@@ -29,7 +29,8 @@ import numpy as np
 # reconstruction is a short chain of additions of universe coordinates.
 RECONSTRUCTION_TOL = 1e-9
 
-# Default cap for exact packing (branch and bound on the conflict graph).
+# Largest universe for exact packing (branch and bound on the conflict
+# graph).
 EXACT_PACKING_CAP = 24
 
 # Ratio of consecutive scales in sup-evaluation grids.
@@ -281,18 +282,17 @@ def _mis_size(adj: list[int], n: int, lower: int = 0) -> int:
 
 
 def packing_number(u: Universe, t: float,
-                   metric: Metric = Metric.NORMALIZED_L2,
-                   exact_cap: int = EXACT_PACKING_CAP) -> int:
+                   metric: Metric = Metric.NORMALIZED_L2) -> int:
     """Exact separation number at scale t.
 
     Solves maximum independent set on the distance-at-most-t conflict
-    graph, capped at ``exact_cap`` points; a greedy estimate is the size
-    of ``greedy_separated_set``.
+    graph, capped at ``EXACT_PACKING_CAP`` points; a greedy estimate is
+    the size of ``greedy_separated_set``.
     """
     n = u.size
-    if n > exact_cap:
-        raise ValueError(
-            f"exact packing capped at {exact_cap} points (universe has {n})")
+    if n > EXACT_PACKING_CAP:
+        raise ValueError(f"exact packing capped at {EXACT_PACKING_CAP} "
+                         f"points (universe has {n})")
     norm, scale = _metric_factor(metric, u.dim)
     dmat = _pairwise_matrix(u.points, norm)
     conflict = dmat <= t * scale
@@ -307,10 +307,10 @@ def packing_number(u: Universe, t: float,
     return _mis_size(adj, n, lower=lower)
 
 
-def t_grid(t_min: float, t_max: float, ratio: float = GRID_RATIO) -> np.ndarray:
+def t_grid(t_min: float, t_max: float) -> np.ndarray:
     """Geometric scale grid spanning [t_min, t_max], endpoints included.
 
-    Anchored at t_max and descending by ``ratio`` so that grids for
+    Anchored at t_max and descending by ``GRID_RATIO`` so that grids for
     different lower endpoints share their upper scales.  Returns an
     ascending array; empty when t_min exceeds t_max.
     """
@@ -319,8 +319,8 @@ def t_grid(t_min: float, t_max: float, ratio: float = GRID_RATIO) -> np.ndarray:
     if t_max <= 0 or t_min > t_max * (1 + 1e-12):
         return np.array([])
     ts = [float(t_max)]
-    while ts[-1] / ratio > t_min * (1 + 1e-9):
-        ts.append(ts[-1] / ratio)
+    while ts[-1] / GRID_RATIO > t_min * (1 + 1e-9):
+        ts.append(ts[-1] / GRID_RATIO)
     if ts[-1] > t_min * (1 + 1e-12):
         ts.append(float(t_min))
     return np.array(ts[::-1])

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, central, local
-from .central import (Dataset, MechanismOutput, PMWConfig, as_seed_sequence,
+from .central import (Dataset, MechanismOutput, as_seed_sequence,
                       trace_all_certified)
 from .geometry import Universe
 
@@ -146,7 +146,8 @@ class Mechanism(NamedTuple):
 
     ``privacy`` names the spec key of the privacy parameter: ``rho``
     for the central (zCDP) mechanisms, ``epsilon`` for the local
-    (pure-DP per party) protocols.  ``upper_bound`` is the
+    (pure-DP per party) protocols.  ``needs_alpha`` says whether the
+    mechanism reads the error target ``alpha``.  ``upper_bound`` is the
     ``bounds.bound_report`` key of the mechanism's sample-size estimate.
     A central mechanism's ``release(dataset, spec, seed)`` runs it.  A
     local protocol's row has no release; its ``protocol(dataset, spec)``
@@ -174,9 +175,9 @@ MECHANISMS = {
         lambda d, c, s: central.chaining_mechanism(
             d, c["rho"], c["alpha"], seed=s)),
     "pmw": Mechanism(
-        "rho", False, None,
+        "rho", True, None,
         lambda d, c, s: central.pmw_mechanism(
-            d, c["rho"], config=PMWConfig(**c.get("pmw", {})), seed=s)),
+            d, c["rho"], c["alpha"], seed=s)),
     "chaining_linf": Mechanism(
         "rho", True, "ub_infty",
         lambda d, c, s: central.chaining_mechanism_linf(
@@ -201,8 +202,8 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     """Build a ``(dataset, seed) -> output`` runner from a config dict.
 
     The spec names a ``MECHANISMS`` row and carries its privacy
-    parameter, ``alpha`` where the row needs it, and for ``pmw`` an
-    optional ``pmw`` block of ``PMWConfig`` overrides.
+    parameter and, where the row needs it, ``alpha``; every other
+    setting of the mechanism follows from those two.
     """
     name = spec.get("mechanism")
     if name not in MECHANISMS:

@@ -82,16 +82,16 @@ class ProjectionResult:
 
 
 def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
-                      tol: float = DEFAULT_TOL,
-                      max_iter: int | None = None) -> ProjectionResult:
+                      tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Closest point to ``y`` in the convex hull of ``vertices``.
+
+    Runs at most 50 * n iterations; on exhaustion the best iterate is
+    returned flagged ``certified=False``.
 
     Args:
         y: target vector of length m.
         vertices: (n, m) matrix, one hull vertex per row (nonempty).
         tol: relative certificate tolerance (> 0).
-        max_iter: iteration cap, default 50 * n.  On exhaustion the best
-            iterate is returned flagged ``certified=False``.
 
     Returns:
         ProjectionResult; ``point`` always lies in the hull (it is an
@@ -108,8 +108,6 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
         raise ValueError("target length must match the vertex dimension")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = 50 * n
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
     gap_floor = GAP_FLOOR * m * scale * scale
@@ -130,7 +128,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
         return float(g.max()), float(np.linalg.norm(r))
 
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 50 * n + 1):
         r = y - p
         scores = V @ r
         base = float(p @ r)

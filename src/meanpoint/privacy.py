@@ -1,4 +1,4 @@
-"""Privacy accounting: zCDP and (eps, delta) budgets, composition, and
+"""Privacy accounting: zCDP and pure-DP budgets, composition, and
 Gaussian calibration for mean release.
 
 Budget parameters are held as exact rationals (parsed from the decimal
@@ -26,7 +26,6 @@ from .geometry import Norm, Universe
 
 ZCDP = "zcdp"
 PURE = "pure"
-APPROX = "approx"
 
 
 def as_fraction(x) -> Fraction:
@@ -50,20 +49,17 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """A zCDP(rho), pure-DP(eps), or approximate-DP(eps, delta) budget."""
+    """A zCDP(rho) or pure-DP(eps) budget."""
 
     kind: str
     rho: Fraction = Fraction(0)
     epsilon: Fraction = Fraction(0)
-    delta: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in (ZCDP, PURE, APPROX):
+        if self.kind not in (ZCDP, PURE):
             raise ValueError(f"unknown budget kind {self.kind!r}")
-        if self.rho < 0 or self.epsilon < 0 or self.delta < 0:
+        if self.rho < 0 or self.epsilon < 0:
             raise ValueError("budget parameters must be nonnegative")
-        if self.delta >= 1:
-            raise ValueError("delta must be below 1")
 
     @classmethod
     def zcdp(cls, rho) -> "PrivacyBudget":
@@ -73,56 +69,26 @@ class PrivacyBudget:
     def pure_dp(cls, epsilon) -> "PrivacyBudget":
         return cls(kind=PURE, epsilon=as_fraction(epsilon))
 
-    @classmethod
-    def approx_dp(cls, epsilon, delta) -> "PrivacyBudget":
-        return cls(kind=APPROX, epsilon=as_fraction(epsilon),
-                   delta=as_fraction(delta))
-
     def to_json(self) -> dict:
         if self.kind == ZCDP:
             return {"kind": "zcdp", "rho": float(self.rho)}
-        return {"kind": "ldp", "epsilon": float(self.epsilon),
-                "delta": float(self.delta)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PrivacyBudget":
-        kind = obj.get("kind")
-        if kind == "zcdp":
-            return cls.zcdp(obj["rho"])
-        if kind == "ldp":
-            delta = obj.get("delta", 0)
-            if as_fraction(delta) == 0:
-                return cls.pure_dp(obj["epsilon"])
-            return cls.approx_dp(obj["epsilon"], delta)
-        raise ValueError(f"unknown budget kind {kind!r}")
+        # The local-DP wire format keeps its delta field.
+        return {"kind": "ldp", "epsilon": float(self.epsilon), "delta": 0.0}
 
 
 def compose(budgets: Sequence[PrivacyBudget]) -> PrivacyBudget:
-    """Sequential composition: rho adds within zCDP, (eps, delta) add
-    within the DP family.  Mixing the two families is an error."""
+    """Sequential composition: rho adds within zCDP, epsilon within pure
+    DP.  Mixing the two families is an error."""
     budgets = list(budgets)
     if not budgets:
         raise ValueError("cannot compose an empty budget list")
     kinds = {b.kind for b in budgets}
-    if ZCDP in kinds:
-        if kinds != {ZCDP}:
-            raise ValueError("cannot compose zCDP with (eps, delta) budgets")
+    if kinds == {ZCDP}:
         return PrivacyBudget(kind=ZCDP, rho=sum(b.rho for b in budgets))
-    eps = sum(b.epsilon for b in budgets)
-    delta = sum(b.delta for b in budgets)
-    if delta == 0 and kinds == {PURE}:
-        return PrivacyBudget(kind=PURE, epsilon=eps)
-    return PrivacyBudget(kind=APPROX, epsilon=eps, delta=delta)
-
-
-def zcdp_to_approx_dp(rho, delta: float) -> float:
-    """(eps, delta) guarantee implied by rho-zCDP: rho + 2*sqrt(rho*ln(1/delta))."""
-    rho = float(as_fraction(rho))
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    if kinds == {PURE}:
+        return PrivacyBudget(kind=PURE,
+                             epsilon=sum(b.epsilon for b in budgets))
+    raise ValueError("cannot compose zCDP with pure-DP budgets")
 
 
 def mean_sensitivity(u: Universe, n: int) -> float:

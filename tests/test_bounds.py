@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import Universe
+from meanpoint.geometry import Metric, Universe
 
 UPPER_CENTRAL = (bounds.ub_coarse, bounds.ub_chain, bounds.ub_infty)
 UPPER_LOCAL = (bounds.ub_local_coarse, bounds.ub_local_chain)
@@ -45,21 +47,45 @@ class TestGreedyLowerBounds:
     # A greedy separated set is a packing, so its lower bound can never
     # exceed the one from the exact packing number.
 
+    @staticmethod
+    def _sup(u, alpha, mode, threshold, term):
+        return bounds.bound_profile(u, Metric.NORMALIZED_L2, alpha,
+                                    packing_mode=mode,
+                                    threshold=threshold * alpha).sup(term)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.03, 0.06])
     def test_greedy_never_above_exact(self, alpha):
         for u in small_universes():
             assert u.size <= 24
-            greedy = bounds.lb_packing(u, alpha, 0.5, packing_mode="greedy")
-            exact = bounds.lb_packing(u, alpha, 0.5, packing_mode="exact")
-            assert greedy <= exact
-            greedy = bounds.lb_local(u, alpha, 1.0, packing_mode="greedy")
-            exact = bounds.lb_local(u, alpha, 1.0, packing_mode="exact")
-            assert greedy <= exact
+            for threshold, term in (
+                    (bounds.LB_CENTRAL_THRESHOLD, bounds.T_SQRT_LOG),
+                    (bounds.LB_LOCAL_THRESHOLD, bounds.T2_LOG)):
+                greedy = self._sup(u, alpha, "greedy", threshold, term)
+                exact = self._sup(u, alpha, "exact", threshold, term)
+                assert greedy <= exact
 
     def test_small_universes_default_to_exact(self):
         u = harness.gen_thresholds(16)
         report = bounds.bound_report(u, 0.05, rho=0.5, epsilon=1.0)
         assert report["lb_packing_mode"] == "exact"
         assert report["lb_local_mode"] == "exact"
-        assert report["lb_packing"] == bounds.lb_packing(
-            u, 0.05, 0.5, packing_mode="exact")
+        exact = self._sup(u, 0.05, "exact", bounds.LB_CENTRAL_THRESHOLD,
+                          bounds.T_SQRT_LOG)
+        assert report["lb_packing"] == exact / 0.05 / math.sqrt(0.5)
+
+
+UNDERFLOWING = UPPER_CENTRAL + UPPER_LOCAL + (bounds.lb_local,)
+
+
+class TestUnderflowingAlpha:
+    # 1e-200 ** 2 is 0 in floats; each estimate returns its limit.
+
+    @pytest.mark.parametrize("est", UNDERFLOWING,
+                             ids=lambda est: est.__name__)
+    def test_positive_sup_term_gives_inf(self, est):
+        assert est(harness.gen_thresholds(6), 1e-200, 1.0) == math.inf
+
+    @pytest.mark.parametrize("est", UNDERFLOWING,
+                             ids=lambda est: est.__name__)
+    def test_zero_sup_term_gives_zero(self, est):
+        assert est(Universe(points=np.ones((3, 2))), 1e-200, 1.0) == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanpoint import harness, privacy
-from meanpoint.central import (Dataset, PMWConfig, as_seed_sequence,
+from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
                                chaining_mechanism, chaining_mechanism_linf,
                                coarse_projection_mechanism, decompose_and_run,
                                level_dataset, pmw_mechanism,
@@ -245,23 +245,22 @@ class TestPMW:
     def test_fixed_point_with_zero_noise(self):
         u = harness.gen_thresholds(32)
         d = Dataset(universe=u, indices=np.arange(32))
-        out = pmw_mechanism(d, 1e9, seed=25)
+        out = pmw_mechanism(d, 1e9, 0.3, seed=25)
         assert float(np.abs(out.estimate - d.mean()).max()) <= 1e-3
 
     def test_single_round_consumes_exact_budget(self, small_dataset):
-        out = pmw_mechanism(small_dataset, 0.3,
-                            config=PMWConfig(rounds=1), seed=26)
+        out = pmw_mechanism(small_dataset, 0.3, 10.0, seed=26)
         assert out.budget_consumed == PrivacyBudget.zcdp(0.3)
         assert out.trace["rounds"] == 1
 
     def test_default_budget_ledger_exact(self, small_dataset):
-        out = pmw_mechanism(small_dataset, 0.7, seed=27)
+        out = pmw_mechanism(small_dataset, 0.7, 0.3, seed=27)
         assert out.budget_consumed == PrivacyBudget.zcdp(0.7)
 
     def test_zero_noise_converges_on_thresholds(self):
         u = harness.gen_thresholds(64)
         d = harness.gen_dataset(u, 500, mode="point_mass", index=31, seed=28)
-        out = pmw_mechanism(d, 1e9, seed=29)
+        out = pmw_mechanism(d, 1e9, 0.3, seed=29)
         assert float(np.abs(out.estimate - d.mean()).max()) <= 0.05
 
     def test_scaling_against_calibrated_shape(self):
@@ -272,26 +271,31 @@ class TestPMW:
         errs = {}
         for n in (800, 3200):
             d = harness.gen_dataset(u, n, mode="point_mass", index=31, seed=30)
-            rep = harness.measure_error(d, {"mechanism": "pmw", "rho": 1.0},
-                                        trials=25, seed=31)
+            rep = harness.measure_error(
+                d, {"mechanism": "pmw", "rho": 1.0, "alpha": 0.3},
+                trials=25, seed=31)
             errs[n] = rep.errinf_mean
         scale_const = errs[800] / pmw_error_shape(u, 800, 1.0)
         assert errs[3200] <= 1.3 * scale_const * pmw_error_shape(u, 3200, 1.0)
 
     def test_seed_determinism(self, small_dataset):
-        a = pmw_mechanism(small_dataset, 0.2, seed=32)
-        b = pmw_mechanism(small_dataset, 0.2, seed=32)
+        a = pmw_mechanism(small_dataset, 0.2, 0.3, seed=32)
+        b = pmw_mechanism(small_dataset, 0.2, 0.3, seed=32)
         assert np.array_equal(a.estimate, b.estimate)
 
     @pytest.mark.parametrize("config", [
-        PMWConfig(learning_rate=math.nan), PMWConfig(learning_rate=math.inf),
-        PMWConfig(learning_rate=0.0), PMWConfig(alpha_target=0.0),
-        PMWConfig(alpha_target=-0.1), PMWConfig(alpha_target=math.nan),
-        PMWConfig(rounds=3, learning_rate=0.5, alpha_target=math.inf),
+        {"alpha": 0.0}, {"alpha": -0.1}, {"alpha": math.nan},
+        {"alpha": math.inf}, {"rho": 0.0}, {"rho": math.nan},
+        {"rho": math.inf},
     ])
-    def test_config_needs_finite_positive_rates(self, config):
+    def test_config_needs_finite_positive_rates(self, small_dataset, config):
         with pytest.raises(ValueError):
-            config.resolve(20, 1.0)
+            pmw_mechanism(small_dataset, **{"rho": 0.5, "alpha": 0.3,
+                                            **config}, seed=33)
+
+    def test_underflowing_alpha_gets_the_round_cap(self, small_dataset):
+        out = pmw_mechanism(small_dataset, 0.5, 1e-200, seed=34)
+        assert out.trace["rounds"] == PMW_ROUND_CAP
 
 
 class TestChainingLinf:
@@ -353,8 +357,8 @@ class TestLedger:
         sigma_calls = self._count(monkeypatch, "gaussian_sigma_for_zcdp")
         compose_calls = self._count(monkeypatch, "compose")
         rho, rounds = 0.7, 200
-        out = pmw_mechanism(small_dataset, rho,
-                            config=PMWConfig(rounds=rounds), seed=42)
+        out = pmw_mechanism(small_dataset, rho, 0.1, seed=42)
+        assert out.trace["rounds"] == rounds
         assert len(sigma_calls) == 2
         assert compose_calls == []
         u, n = small_dataset.universe, small_dataset.n

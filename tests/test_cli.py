@@ -39,13 +39,21 @@ def test_missing_alpha_is_a_config_error(universe_file, argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--mechanism", "projection", "--rho", "0.5", "--out"],
-    ["local", "--protocol", "lpm", "--epsilon", "1.0", "--transcript"],
+    ["run", "--mechanism", "projection", "--rho", "0.5", "--n", "20",
+     "--out"],
+    ["local", "--protocol", "lpm", "--epsilon", "1.0", "--n", "20",
+     "--transcript"],
+    ["bench", "--mechanisms", "chaining", "--n-grid", "20", "--rho", "0.5",
+     "--alpha", "0.5", "--out"],
 ])
 def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
-                                                  argv, capsys):
+                                                  argv, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        pytest.fail("measured before the output path was checked")
+
+    monkeypatch.setattr(harness, "measure_error", no_trials)
     code = cli.main(argv + [str(tmp_path / "missing" / "file"), "--universe",
-                            universe_file, "--n", "20", "--trials", "1"])
+                            universe_file, "--trials", "1"])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -90,8 +98,7 @@ def test_pack_writes_the_profile_table_as_csv(universe_file, tmp_path):
     assert all(len(row.split(",")) == 3 for row in lines[1:])
 
 
-@pytest.mark.parametrize("flag", [["--pmw-alpha-target", "0"],
-                                  ["--pmw-eta", "nan"]])
+@pytest.mark.parametrize("flag", [["--alpha", "0"], ["--alpha", "nan"]])
 def test_invalid_pmw_rates_are_config_errors(universe_file, flag, capsys):
     code = cli.main(["run", "--universe", universe_file, "--mechanism",
                      "pmw", "--rho", "0.5", "--n", "20", "--trials", "1",
@@ -106,3 +113,18 @@ def test_pmw_flags_are_refused_for_other_mechanisms(universe_file, capsys):
                      "--n", "20", "--trials", "1", "--pmw-rounds", "3"])
     assert code == cli.EXIT_CONFIG
     assert "--pmw-" in capsys.readouterr().err
+
+
+def test_pmw_needs_alpha(universe_file, capsys):
+    code = cli.main(["run", "--universe", universe_file, "--mechanism",
+                     "pmw", "--rho", "0.5", "--n", "20", "--trials", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert "pmw needs --alpha" in capsys.readouterr().err
+
+
+def test_underflowing_alpha_still_reports(universe_file):
+    # 1e-200 ** 2 underflows to 0 in the bound estimators' closed forms.
+    code = cli.main(["run", "--universe", universe_file, "--mechanism",
+                     "projection", "--rho", "0.5", "--alpha", "1e-200",
+                     "--n", "20", "--trials", "1"])
+    assert code == cli.EXIT_OK

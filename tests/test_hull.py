@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,29 @@ def pgd_oracle_batch(ys, Vs, steps=1_000_000):
         grad = np.einsum("kij,kj->ki", G, lam) - b
         lam = simplex_project_rows(lam - step[:, None] * grad)
     return np.einsum("ki,kim->km", lam, Vs)
+
+
+def exact_projection(y, V):
+    """Independent exact oracle for small instances: the nearest point in
+    the hull lies in the relative interior of a face spanned by at most
+    m+1 affinely independent vertices, where it is the affine
+    least-squares point of those vertices.  Every support whose affine
+    least-squares weights are non-negative gives a hull point, so the
+    nearest of those is the projection."""
+    n, m = V.shape
+    best, best_dist = None, math.inf
+    for size in range(1, min(n, m + 1) + 1):
+        for support in itertools.combinations(range(n), size):
+            S = V[list(support)]
+            coef, *_ = np.linalg.lstsq((S[1:] - S[0]).T, y - S[0],
+                                       rcond=None)
+            if coef.min(initial=0.0) < -1e-12 or coef.sum() > 1 + 1e-12:
+                continue
+            point = S[0] + coef @ (S[1:] - S[0])
+            dist = float(np.linalg.norm(y - point))
+            if dist < best_dist:
+                best, best_dist = point, dist
+    return best
 
 
 def random_instance(rng, m=3, n_vertices=6):
@@ -81,6 +105,23 @@ class TestProjectOntoHull:
         for y, V, ref in zip(ys, Vs, refs):
             res = project_onto_hull(y, V)
             assert np.linalg.norm(res.point - ref) <= 1e-4
+
+    def test_agrees_with_exact_support_oracle(self):
+        # Includes 0/1 vertex sets (affinely dependent, as in marginals)
+        # and duplicated rows.
+        rng = np.random.default_rng(7)
+        for _ in range(600):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                V = rng.integers(0, 2, size=(n, m)).astype(float)
+            else:
+                V = rng.random((n, m)) * 2.0 - 0.5
+            if n > 1 and rng.random() < 0.5:
+                V[rng.integers(0, n)] = V[rng.integers(0, n)]
+            y = rng.random(m) * 3.0 - 1.0
+            res = project_onto_hull(y, V)
+            assert res.certified
+            assert np.linalg.norm(res.point - exact_projection(y, V)) <= 1e-9
 
     def test_certificate_holds_on_random_instances(self):
         rng = np.random.default_rng(2)

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanpoint.privacy import (PrivacyBudget, as_fraction, compose,
-                               gaussian_sigma_for_zcdp, mean_sensitivity,
-                               zcdp_to_approx_dp)
+                               gaussian_sigma_for_zcdp, mean_sensitivity)
 
 
 class TestBudgets:
@@ -23,12 +22,9 @@ class TestBudgets:
         with pytest.raises(ValueError):
             PrivacyBudget.zcdp(-0.1)
         with pytest.raises(ValueError):
-            PrivacyBudget.approx_dp(0.1, 1.0)
-
-    def test_json_round_trip(self):
-        for b in (PrivacyBudget.zcdp(0.25), PrivacyBudget.pure_dp(1.5),
-                  PrivacyBudget.approx_dp(0.3, 1e-6)):
-            assert PrivacyBudget.from_json(b.to_json()) == b
+            PrivacyBudget.pure_dp(-0.1)
+        with pytest.raises(ValueError):
+            PrivacyBudget(kind="approx", epsilon=Fraction(1))
 
     def test_json_kinds_match_wire_format(self):
         assert PrivacyBudget.zcdp(1.0).to_json() == {"kind": "zcdp", "rho": 1.0}
@@ -47,10 +43,9 @@ class TestCompose:
         p = PrivacyBudget.pure_dp(0.42)
         assert compose([p, PrivacyBudget.pure_dp(0)]) == p
 
-    def test_pure_with_approx(self):
-        got = compose([PrivacyBudget.pure_dp(0.1),
-                       PrivacyBudget.approx_dp(0.2, 1e-6)])
-        assert got == PrivacyBudget.approx_dp(0.3, 1e-6)
+    def test_pure_sum_is_exact(self):
+        got = compose([PrivacyBudget.pure_dp(0.1), PrivacyBudget.pure_dp(0.2)])
+        assert got == PrivacyBudget.pure_dp(0.3)
 
     def test_mixed_families_rejected(self):
         with pytest.raises(ValueError):
@@ -103,35 +98,13 @@ class TestMeanSensitivity:
             mean_sensitivity(u, 0)
 
 
-class TestConversion:
-    def test_zero_rho(self):
-        assert zcdp_to_approx_dp(0.0, 0.1) == 0.0
-
-    def test_closed_form_values(self):
-        assert zcdp_to_approx_dp(1.0, math.exp(-1.0)) == pytest.approx(3.0)
-        assert zcdp_to_approx_dp(0.5, math.exp(-2.0)) == pytest.approx(2.5)
-
-    def test_monotone_in_rho_and_delta(self):
-        assert zcdp_to_approx_dp(2.0, 1e-6) > zcdp_to_approx_dp(1.0, 1e-6)
-        assert zcdp_to_approx_dp(1.0, 1e-9) > zcdp_to_approx_dp(1.0, 1e-3)
-
-    def test_delta_range(self):
-        with pytest.raises(ValueError):
-            zcdp_to_approx_dp(1.0, 0.0)
-        with pytest.raises(ValueError):
-            zcdp_to_approx_dp(1.0, 1.0)
-
-
 # Exact rational budgets: composition must hold with equality, not
 # within a float tolerance.
 _shares = st.fractions(min_value=0, max_value=10, max_denominator=10**6)
-_deltas = st.fractions(min_value=0, max_value=Fraction(1, 100),
-                       max_denominator=10**9)
 _zcdp = st.builds(PrivacyBudget.zcdp, _shares)
-_dp = st.one_of(st.builds(PrivacyBudget.pure_dp, _shares),
-                st.builds(PrivacyBudget.approx_dp, _shares, _deltas))
+_pure = st.builds(PrivacyBudget.pure_dp, _shares)
 # Lists drawn from one family, which ``compose`` accepts.
-_family_lists = st.sampled_from([_zcdp, _dp]).flatmap(
+_family_lists = st.sampled_from([_zcdp, _pure]).flatmap(
     lambda family: st.lists(family, min_size=1, max_size=6))
 _properties = settings(derandomize=True, database=None, deadline=None)
 
@@ -143,7 +116,6 @@ class TestComposeProperties:
         got = compose(budgets)
         assert got.rho == sum(b.rho for b in budgets)
         assert got.epsilon == sum(b.epsilon for b in budgets)
-        assert got.delta == sum(b.delta for b in budgets)
 
     @_properties
     @given(_family_lists.filter(lambda bs: len(bs) >= 3))
@@ -160,7 +132,7 @@ class TestComposeProperties:
         assert compose(shuffled) == compose(budgets)
 
     @_properties
-    @given(st.one_of(_zcdp, _dp))
+    @given(st.one_of(_zcdp, _pure))
     def test_zero_of_the_same_kind_is_the_identity(self, budget):
         zero = PrivacyBudget(kind=budget.kind)
         assert compose([budget, zero]) == budget
@@ -168,9 +140,9 @@ class TestComposeProperties:
 
     @_properties
     @given(st.lists(_zcdp, min_size=1, max_size=3),
-           st.lists(_dp, min_size=1, max_size=3), st.randoms())
-    def test_mixed_families_rejected(self, zcdp, dp, rnd):
-        budgets = zcdp + dp
+           st.lists(_pure, min_size=1, max_size=3), st.randoms())
+    def test_mixed_families_rejected(self, zcdp, pure, rnd):
+        budgets = zcdp + pure
         rnd.shuffle(budgets)
         with pytest.raises(ValueError):
             compose(budgets)
