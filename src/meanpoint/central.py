@@ -35,9 +35,11 @@ class Dataset:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int).reshape(-1)
+        idx = np.asarray(self.indices).reshape(-1)
         if idx.size < 1:
             raise ValueError("dataset must contain at least one element")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("dataset indices must be integers")
         if idx.min() < 0 or idx.max() >= self.universe.size:
             raise ValueError("dataset index out of universe range")
         self.indices = idx
@@ -123,7 +125,7 @@ def trace_all_certified(trace: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# projection mechanism and its coarse variant
+# projection mechanism
 
 
 def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
@@ -149,31 +151,6 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     }
     return MechanismOutput(estimate=proj.point,
                            budget_consumed=PrivacyBudget.zcdp(rho),
-                           trace=trace, seed=seed)
-
-
-def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
-                                seed=None) -> MechanismOutput:
-    """Round to a maximal (alpha/2)-separated subset, then project there.
-
-    The rounding is public preprocessing; the projection mechanism runs
-    on the rounded dataset over the smaller universe with the full
-    budget.  The dropped remainder is covered by the zero mechanism on a
-    ball of radius (alpha/2)*sqrt(m), which costs nothing.
-    """
-    u = d.universe
-    centers, rounding = geometry.coarse_rounding(u, alpha)
-    rounded = Dataset(universe=centers, indices=rounding[d.indices])
-    out = projection_mechanism(rounded, rho, seed=seed)
-    trace = dict(out.trace)
-    trace.update({
-        "mechanism": "coarse_projection",
-        "alpha": float(alpha),
-        "cover_size": centers.size,
-        "remainder_radius": 0.5 * alpha * math.sqrt(u.dim),
-    })
-    return MechanismOutput(estimate=out.estimate,
-                           budget_consumed=out.budget_consumed,
                            trace=trace, seed=seed)
 
 
@@ -217,6 +194,23 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
         estimate=estimate,
         budget_consumed=privacy.compose([o.budget_consumed for o in outputs]),
         trace=trace, seed=seed)
+
+
+def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
+                                seed=None) -> MechanismOutput:
+    """Coarse projection: chaining with the one level of
+    ``geometry.coarse_decomposition``.
+
+    Each point rounds to its nearest member of a maximal
+    (alpha/2)-separated subset (public preprocessing), and the
+    projection mechanism runs on the rounded dataset over that subset
+    with the full budget.  The dropped remainder is covered by the zero
+    mechanism on a ball of radius (alpha/2)*sqrt(m), which costs nothing.
+    """
+    dec = geometry.coarse_decomposition(d.universe, alpha)
+    out = decompose_and_run(d, dec, projection_mechanism, rho, seed=seed)
+    out.trace.update(mechanism="coarse_projection", alpha=float(alpha))
+    return out
 
 
 def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:

@@ -274,14 +274,16 @@ def _bench(args) -> int:
         raise ConfigError("--n-grid must be comma-separated integers") from exc
     if not mechs or not n_grid:
         raise ConfigError("need at least one mechanism and one n value")
+    # Refuse any bad mechanism or n before the first cell runs.
+    specs = [_spec(mech, args) for mech in mechs]
+    datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)
+                for n in n_grid]
     rows = [BENCH_HEADER]
     worst = EXIT_OK
-    for mech in mechs:
-        spec = _spec(mech, args)
+    for mech, spec in zip(mechs, specs):
         row = harness.MECHANISMS[mech]
         priv = spec[row.privacy]
-        for n in n_grid:
-            d = _dataset_from_arg(u, args.dataset, n, args.seed)
+        for n, d in zip(n_grid, datasets):
             report = harness.measure_error(d, spec, trials=args.trials,
                                            seed=args.seed)
             worst = max(worst, _report_exit(report))

@@ -1,13 +1,13 @@
 """Finite point-set geometry for the mean-point problem.
 
 Separated subsets and the covers they induce, greedy packing profiles
-and exact packing numbers, nearest-point rounding maps, multi-resolution
-chaining decompositions, support functions, and Monte-Carlo Gaussian
-mean width.
+and exact packing numbers, decompositions (multi-resolution chaining
+and the one-level coarse rounding), support functions, and Monte-Carlo
+Gaussian mean width.
 
 Every result depends only on its inputs plus an explicit seed.  The
-public preprocessing of a universe -- its diameters, chaining
-decompositions, coarse roundings and (in ``bounds``) packing profiles --
+public preprocessing of a universe -- its diameters, chaining and
+coarse decompositions and (in ``bounds``) packing profiles --
 is computed once and cached on the ``Universe``: later calls with the
 same arguments return the same object, shared by every caller.  Cached
 values and the universe's points are read-only, so a cached value cannot
@@ -132,13 +132,15 @@ class Decomposition:
     Every universe point equals the sum of one component per level plus
     a remainder of norm at most ``remainder_radius``.  ``levels[j]`` is
     the matrix of level components, ``assignments[i, j]`` the component
-    row used by universe point ``i``, and ``generator_indices[j]`` the
-    universe rows of the separated set that generated level ``j``.
+    row used by universe point ``i``, ``generator_indices[j]`` the
+    universe rows of the separated set that generated level ``j``, and
+    ``scales[j]`` the raw separation scale of that set in ``norm``.
     """
 
     levels: list[np.ndarray]
     assignments: np.ndarray
     generator_indices: list[np.ndarray]
+    scales: list[float]
     remainder_radius: float
     norm: Norm
     level_radii: list[float]
@@ -344,35 +346,46 @@ def packing_profile(u: Universe, ts: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# rounding maps and decompositions
+# decompositions
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray,
-             norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+             norm: Norm) -> np.ndarray:
+    """Row of the nearest center for every point, ties to the lowest."""
     idx = np.empty(points.shape[0], dtype=int)
-    dist = np.empty(points.shape[0])
     for rows, d in _distance_blocks(points, centers, norm):
-        ii = d.argmin(axis=1)  # argmin keeps the lowest index on ties
-        idx[rows] = ii
-        dist[rows] = d[np.arange(d.shape[0]), ii]
-    return idx, dist
-
-
-def nearest_point_map(u: Universe, centers: np.ndarray,
-                      norm: Norm = Norm.L2) -> np.ndarray:
-    """Index of the nearest center for every universe point.
-
-    Ties break toward the lowest center index.
-    """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim == 1:
-        centers = centers[:, None]
-    if centers.shape[0] < 1:
-        raise ValueError("centers must be nonempty")
-    if centers.shape[1] != u.dim:
-        raise ValueError("centers must match the universe dimension")
-    idx, _ = _nearest(u.points, centers, norm)
+        idx[rows] = d.argmin(axis=1)
     return idx
+
+
+def _decompose(u: Universe, scales: Sequence[float], norm: Norm,
+               level_radii: list[float], delta: float,
+               alpha: float) -> Decomposition:
+    """Decomposition whose level j is generated by a greedy cover at raw
+    scale ``scales[j]``: the coarsest cover's points, then each finer
+    cover's offsets from its nearest point in the previous cover."""
+    k = len(scales)
+    pts = u.points
+    gen: list[np.ndarray] = []
+    proj: list[np.ndarray] = []
+    for raw_t in scales:
+        gen.append(_greedy_cover(pts, [raw_t], norm)[0])
+        proj.append(_nearest(pts, pts[gen[-1]], norm))
+    levels = [pts[gen[0]].copy()]
+    for j in range(1, k):
+        parents = gen[j - 1][proj[j - 1][gen[j]]]
+        levels.append(pts[gen[j]] - pts[parents])
+    assign = np.empty((u.size, k), dtype=int)
+    assign[:, k - 1] = proj[k - 1]
+    for j in range(k - 2, -1, -1):
+        assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
+    for a in (*gen, *levels, assign):
+        a.setflags(write=False)
+    return Decomposition(levels=levels, assignments=assign,
+                         generator_indices=gen, scales=list(scales),
+                         remainder_radius=0.5 * alpha * delta,
+                         norm=norm, level_radii=level_radii,
+                         delta=delta, alpha=float(alpha))
 
 
 def chaining_decomposition(u: Universe, alpha: float,
@@ -411,53 +424,32 @@ def chaining_decomposition(u: Universe, alpha: float,
                 f"universe has a point of norm {max_norm:.6g} outside the "
                 f"stated ball of radius {delta:.6g}")
         k = max(1, math.ceil(math.log2(2.0 / alpha)))
-        pts = u.points
-        gen: list[np.ndarray] = []
-        proj: list[np.ndarray] = []
-        for j in range(k):
-            raw_t = 2.0 ** (-(j + 1)) * delta
-            gen.append(_greedy_cover(pts, [raw_t], norm)[0])
-            idx, _ = _nearest(pts, pts[gen[j]], norm)
-            proj.append(idx)
-        levels = [pts[gen[0]].copy()]
-        for j in range(1, k):
-            parents = gen[j - 1][proj[j - 1][gen[j]]]
-            levels.append(pts[gen[j]] - pts[parents])
-        assign = np.empty((u.size, k), dtype=int)
-        assign[:, k - 1] = proj[k - 1]
-        for j in range(k - 2, -1, -1):
-            assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
-        for a in (*gen, *levels, assign):
-            a.setflags(write=False)
-        level_radii = [2.0 ** (-j) * delta for j in range(k)]
-        return Decomposition(levels=levels, assignments=assign,
-                             generator_indices=gen,
-                             remainder_radius=0.5 * alpha * delta,
-                             norm=norm, level_radii=level_radii,
-                             delta=delta, alpha=float(alpha))
+        return _decompose(u, [2.0 ** (-(j + 1)) * delta for j in range(k)],
+                          norm, [2.0 ** (-j) * delta for j in range(k)],
+                          delta, alpha)
 
     return _memo(u, ("chaining_decomposition", alpha, norm, delta), build)
 
 
-def coarse_rounding(u: Universe, alpha: float) -> tuple[Universe, np.ndarray]:
-    """Rounding to a maximal (alpha/2)-separated subset in normalized L2.
+def coarse_decomposition(u: Universe, alpha: float) -> Decomposition:
+    """One-level decomposition: a maximal (alpha/2)-separated subset in
+    normalized L2 and every point's nearest member of it.
 
-    The public preprocessing of the coarse projection mechanisms.
-    Returns the subset as a universe of its own (a cover: every point
-    lies within (alpha/2) * sqrt(m) of it) and, for every universe
-    point, the row of its nearest subset member.
+    The public preprocessing of the coarse projection mechanisms.  The
+    subset is a cover (every point lies within (alpha/2) * sqrt(m) of
+    it); its level radius is the universe's own largest norm, so the
+    universe need not lie in the sqrt(m) ball.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
 
-    def build() -> tuple[Universe, np.ndarray]:
-        cover = greedy_separated_set(u, alpha / 2.0, Metric.NORMALIZED_L2)
-        centers = Universe(points=u.points[cover])
-        rounding = nearest_point_map(u, centers.points, Norm.L2)
-        rounding.setflags(write=False)
-        return centers, rounding
+    def build() -> Decomposition:
+        root_m = math.sqrt(u.dim)
+        radius = float(_row_norms(u.points, Norm.L2).max())
+        return _decompose(u, [alpha / 2.0 * root_m], Norm.L2, [radius],
+                          root_m, alpha)
 
-    return _memo(u, ("coarse_rounding", alpha), build)
+    return _memo(u, ("coarse_decomposition", alpha), build)
 
 
 def verify_decomposition(u: Universe, dec: Decomposition) -> None:
@@ -485,7 +477,7 @@ def verify_decomposition(u: Universe, dec: Decomposition) -> None:
         sub = u.points[g]
         dmat = _pairwise_matrix(sub, dec.norm)
         off = dmat[~np.eye(g.size, dtype=bool)]
-        raw_t = 2.0 ** (-(j + 1)) * dec.delta
+        raw_t = dec.scales[j]
         if not bool((off > raw_t).all()):
             raise ValueError(f"generating set {j} is not strictly "
                              f"{raw_t:.3e}-separated")

@@ -2,9 +2,10 @@
 protocol over public levels, ``LevelProtocol``, that LPM, LCPM and LCM are.
 
 A level is a public matrix and every party holds one row of each level:
-its own point (projection, one level), the coarse-cover centre its point
-rounds to (coarse projection, one level) or its level components of a
-public chaining decomposition (chaining, k levels).  Each party releases
+its own point (projection, one level) or its components of a public
+decomposition -- the coarse-cover centre its point rounds to (coarse
+projection, the one-level coarse decomposition) or its halving-scale
+summands (chaining, k levels).  Each party releases
 its row of every level through the signed-Gaussian channel with
 epsilon/k, spending epsilon in total by pure-DP composition.  The server
 projects each level's mean release onto that level's hull and sums.
@@ -203,21 +204,24 @@ def projection_protocol(d: Dataset, epsilon) -> LevelProtocol:
                          {"mechanism": "local_projection"})
 
 
+def _decomposition_protocol(d: Dataset, epsilon, dec: geometry.Decomposition,
+                            mechanism: str) -> LevelProtocol:
+    return LevelProtocol(dec.levels, dec.assignments[d.indices], epsilon,
+                         {"mechanism": mechanism, "alpha": dec.alpha,
+                          "k": dec.k, "remainder_radius": dec.remainder_radius})
+
+
 def coarse_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
-    """LCPM: each party rounds its own point to a public coarse cover,
-    then the projection protocol runs over the cover."""
-    centers, rounding = geometry.coarse_rounding(d.universe, alpha)
-    return LevelProtocol([centers.points], rounding[d.indices][:, None],
-                         epsilon, {"mechanism": "local_coarse_projection",
-                                   "alpha": float(alpha),
-                                   "cover_size": centers.size})
+    """LCPM: the one level of ``geometry.coarse_decomposition``, each
+    party holding the coarse-cover centre its point rounds to."""
+    return _decomposition_protocol(
+        d, epsilon, geometry.coarse_decomposition(d.universe, alpha),
+        "local_coarse_projection")
 
 
 def chaining_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
     """LCM: the levels of the public chaining decomposition, each party
     holding its own level components and spending epsilon/k on each."""
-    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.L2)
-    return LevelProtocol(dec.levels, dec.assignments[d.indices],
-                         epsilon, {"mechanism": "local_chaining",
-                                   "alpha": float(alpha), "k": dec.k,
-                                   "remainder_radius": dec.remainder_radius})
+    return _decomposition_protocol(
+        d, epsilon, geometry.chaining_decomposition(d.universe, alpha, Norm.L2),
+        "local_chaining")

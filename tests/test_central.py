@@ -10,8 +10,8 @@ from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
                                coarse_projection_mechanism, decompose_and_run,
                                level_dataset, pmw_mechanism,
                                projection_mechanism)
-from meanpoint.geometry import (Norm, Universe, chaining_decomposition,
-                                coarse_rounding, greedy_separated_set)
+from meanpoint.geometry import (Universe, chaining_decomposition,
+                                coarse_decomposition, greedy_separated_set)
 from meanpoint.privacy import PrivacyBudget
 
 
@@ -36,6 +36,10 @@ class TestDataset:
             Dataset(universe=small_universe, indices=np.array([], dtype=int))
         with pytest.raises(ValueError):
             Dataset(universe=small_universe, indices=np.array([25]))
+        for indices in (np.array([0.7, 1.9]), np.array([0.0, 1.0]),
+                        np.array([True, False]), np.array(["1"])):
+            with pytest.raises(ValueError, match="integers"):
+                Dataset(universe=small_universe, indices=indices)
 
     def test_mean_is_average_of_rows(self, small_universe):
         d = Dataset(universe=small_universe, indices=np.array([0, 0, 3]))
@@ -101,7 +105,8 @@ class TestCoarseProjection:
         # alpha small enough that the separated set keeps every point
         plain = projection_mechanism(small_dataset, 2.0, seed=13)
         coarse = coarse_projection_mechanism(small_dataset, 2.0, 1e-6, seed=13)
-        assert coarse.trace["cover_size"] == small_dataset.universe.size
+        cover = coarse_decomposition(small_dataset.universe, 1e-6).levels[0]
+        assert cover.shape[0] == small_dataset.universe.size
         assert np.array_equal(plain.estimate, coarse.estimate)
 
     def test_zero_noise_error_within_rounding_floor(self, small_dataset):
@@ -120,11 +125,11 @@ class TestChainingMechanism:
         out = chaining_mechanism(small_dataset, 1.5, 1.0, seed=16)
         sep = greedy_separated_set(u, 0.5)
         # same budget, same seed, rounded dataset over the half-scale cover
-        from meanpoint.geometry import nearest_point_map
         centers = u.points[sep]
+        dist = np.linalg.norm(u.points[:, None, :] - centers[None], axis=2)
         rounded = Dataset(
             universe=Universe(points=centers),
-            indices=nearest_point_map(u, centers, Norm.L2)[small_dataset.indices])
+            indices=dist.argmin(axis=1)[small_dataset.indices])
         direct = projection_mechanism(rounded, 1.5, seed=16)
         assert np.array_equal(out.estimate, direct.estimate)
 
@@ -190,13 +195,9 @@ class TestSensitivityAudit:
 
     def test_coarse(self, dataset):
         out = coarse_projection_mechanism(dataset, 0.5, 0.25, seed=0)
-        centers, rounding = coarse_rounding(dataset.universe, 0.25)
-
-        def rounded_mean(e):
-            return Dataset(universe=centers, indices=rounding[e.indices]).mean()
-
-        assert self.worst_move(rounded_mean, dataset,
-                               out.trace["sensitivity"]) > 0
+        dec = coarse_decomposition(dataset.universe, 0.25)
+        assert self.worst_move(lambda e: level_dataset(e, dec, 0).mean(),
+                               dataset, out.trace["levels"][0]["sensitivity"]) > 0
 
     def test_chaining_levels(self, dataset):
         out = chaining_mechanism(dataset, 0.5, 0.25, seed=0)

@@ -58,6 +58,25 @@ def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mechanisms", "chaining,lcm", "--rho", "0.5", "--alpha", "0.3"],
+    ["--mechanisms", "projection,nope", "--rho", "0.5"],
+    ["--mechanisms", "projection,chaining", "--rho", "0.5"],
+    ["--mechanisms", "projection", "--rho", "0.5", "--n-grid", "50,-3"],
+])
+def test_bench_refuses_before_any_cell_runs(universe_file, argv, capsys,
+                                            monkeypatch):
+    def no_cells(*args, **kwargs):
+        pytest.fail("a cell ran before the configuration was refused")
+
+    monkeypatch.setattr(harness, "measure_error", no_cells)
+    grid = [] if "--n-grid" in argv else ["--n-grid", "20,40"]
+    code = cli.main(["bench", "--universe", universe_file, *argv, *grid,
+                     "--trials", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_exits_3_on_an_uncertified_projection(universe_file, tmp_path,
                                                    monkeypatch):
     real = hull.project_onto_hull

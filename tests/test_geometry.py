@@ -10,11 +10,10 @@ from hypothesis.extra.numpy import arrays
 from meanpoint import bounds, harness
 from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
                                 _pairwise_matrix, _row_norms,
-                                chaining_decomposition, coarse_rounding,
+                                chaining_decomposition, coarse_decomposition,
                                 diameter,
                                 gaussian_mean_width, greedy_separated_set,
-                                metric_diameter,
-                                nearest_point_map, packing_number,
+                                metric_diameter, packing_number,
                                 packing_profile, support_function, t_grid,
                                 universe_from_csv, universe_to_csv,
                                 verify_decomposition)
@@ -124,8 +123,8 @@ class TestGreedySeparatedSet:
             norm, scale = _metric_factor(metric, u.dim)
             for t in (0.05, 0.2, 0.6):
                 centers = u.points[greedy_separated_set(u, t, metric)]
-                nearest = centers[nearest_point_map(u, centers, norm)]
-                radius = _row_norms(u.points - nearest, norm).max() / scale
+                dist = _row_norms(u.points[:, None, :] - centers[None], norm)
+                radius = dist.min(axis=1).max() / scale
                 assert radius <= t + 1e-12
 
 
@@ -171,23 +170,28 @@ class TestPackingNumber:
 
 
 class TestNearestPointMap:
+    """The rounding inside a decomposition: every point is assigned its
+    nearest generator, ties going to the earliest selected."""
+
     def test_identity_when_centers_are_universe(self):
+        # alpha small enough that the separated set keeps every point
         u = Universe(points=np.random.default_rng(9).random((15, 3)))
-        idx = nearest_point_map(u, u.points)
-        assert np.array_equal(idx, np.arange(15))
+        dec = coarse_decomposition(u, 1e-6)
+        assert np.array_equal(dec.generator_indices[0], np.arange(15))
+        assert np.array_equal(dec.assignments[:, 0], np.arange(15))
 
     def test_midpoint_goes_left(self):
-        u = Universe(points=np.array([[0.4]]))
-        assert nearest_point_map(u, np.array([[0.0], [1.0]]))[0] == 0
+        # One level at raw scale 1/2 selects rows 0 and 1; 0.4 is nearer 0.
+        u = Universe(points=np.array([[0.0], [1.0], [0.4], [0.5]]))
+        dec = chaining_decomposition(u, 1.0)
+        assert list(dec.generator_indices[0]) == [0, 1]
+        assert dec.assignments[2, 0] == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        u = Universe(points=np.array([[0.5]]))
-        assert nearest_point_map(u, np.array([[0.0], [1.0]]))[0] == 0
-
-    def test_empty_centers_rejected(self):
-        u = Universe(points=np.array([[0.5]]))
-        with pytest.raises(ValueError):
-            nearest_point_map(u, np.zeros((0, 1)))
+        # 0.5 is equidistant from the generators 0 and 1.
+        u = Universe(points=np.array([[0.0], [1.0], [0.4], [0.5]]))
+        dec = chaining_decomposition(u, 1.0)
+        assert list(dec.assignments[:, 0]) == [0, 1, 0, 0]
 
 
 class TestChainingDecomposition:
@@ -248,6 +252,9 @@ class TestDecompositionProperties:
         dec = chaining_decomposition(u, alpha, norm)
         verify_decomposition(u, dec)
         assert dec.assignments.shape == (u.size, dec.k)
+        coarse = coarse_decomposition(u, alpha)
+        verify_decomposition(u, coarse)
+        assert coarse.k == 1
 
 
 class TestDiameterAndSupport:
@@ -400,8 +407,9 @@ class TestPreprocessingCache:
         prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
         assert bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1) is prof
         assert bounds.bound_profile(u, Metric.LINF, 0.1) is not prof
-        rounding = coarse_rounding(u, 0.3)
-        assert coarse_rounding(u, 0.3) is rounding
+        coarse = coarse_decomposition(u, 0.3)
+        assert coarse_decomposition(u, 0.3) is coarse
+        assert coarse_decomposition(u, 0.2) is not coarse
 
     def test_cached_values_match_a_fresh_universe(self):
         u = harness.gen_random_sphere(6, 80, 1.0, seed=2)
@@ -410,7 +418,7 @@ class TestPreprocessingCache:
             assert diameter(u, norm) == first
         dec = chaining_decomposition(u, 0.1)
         prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
-        rounding = coarse_rounding(u, 0.3)
+        coarse = coarse_decomposition(u, 0.3)
         fresh = Universe(points=u.points.copy())
         for norm in Norm:
             assert diameter(fresh, norm) == diameter(u, norm)
@@ -422,18 +430,17 @@ class TestPreprocessingCache:
         again_prof = bounds.bound_profile(fresh, Metric.NORMALIZED_L2, 0.1)
         assert np.array_equal(again_prof.packing, prof.packing)
         assert again_prof.sup_terms == prof.sup_terms
-        centers, rounding_map = rounding
-        again_centers, again_map = coarse_rounding(fresh, 0.3)
-        assert np.array_equal(again_map, rounding_map)
-        assert np.array_equal(again_centers.points, centers.points)
+        again_coarse = coarse_decomposition(fresh, 0.3)
+        assert np.array_equal(again_coarse.assignments, coarse.assignments)
+        assert np.array_equal(again_coarse.levels[0], coarse.levels[0])
 
     def test_cached_arrays_are_read_only(self):
         u = harness.gen_thresholds(8)
         dec = chaining_decomposition(u, 0.2)
         prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
-        centers, rounding = coarse_rounding(u, 0.3)
+        coarse = coarse_decomposition(u, 0.3)
         for a in (*dec.levels, dec.assignments, *dec.generator_indices,
-                  prof.ts, prof.packing, centers.points, rounding):
+                  prof.ts, prof.packing, *coarse.levels, coarse.assignments):
             assert not a.flags.writeable
 
     def test_failed_build_is_not_cached(self):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from meanpoint.hull import project_onto_hull
+from meanpoint.hull import DEFAULT_TOL, GAP_FLOOR, project_onto_hull
 
 
 def simplex_project_rows(lam):
@@ -187,3 +190,47 @@ class TestProjectOntoHull:
             project_onto_hull(np.array([0.0, 1.0]), np.array([[0.0]]))
         with pytest.raises(ValueError):
             project_onto_hull(np.array([0.0]), np.array([[0.0]]), tol=0.0)
+
+
+# Vertex sets of up to 12 points in [-2, 2]^m, m <= 5, with two targets
+# in [-4, 4]^m.
+_instances = st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
+    lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)),
+        arrays(np.float64, shape[1], elements=st.floats(-4.0, 4.0)),
+        arrays(np.float64, shape[1], elements=st.floats(-4.0, 4.0))))
+
+
+class TestProjectionProperties:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(_instances)
+    # A thin triangle whose target projects onto an edge: projecting that
+    # point again lands 1.6e-7 away, inside what its certificate allows.
+    @example((np.array([[0.0, -1.625], [6.103515625e-05, 0.0],
+                        [-1e-05, -1.90625]]),
+              np.array([-1.8125, -1.8125]), np.array([0.0, 0.0])))
+    def test_certified_idempotent_and_non_expansive(self, instance):
+        V, y1, y2 = instance
+        m = V.shape[1]
+
+        def floor(y):
+            scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
+            return GAP_FLOOR * m * scale * scale
+
+        res = project_onto_hull(y1, V)
+        assert res.certified
+        # The solver's own first-order inequality at the returned point.
+        r = y1 - res.point
+        gap = float(((V - res.point) @ r).max())
+        assert gap <= DEFAULT_TOL * float(np.linalg.norm(r)) * math.sqrt(m) \
+            + floor(y1)
+        # The point lies in the hull, so it is its own exact projection,
+        # and a projection with duality gap g lies within sqrt(g) of the
+        # exact one; the floor absorbs the gap's rounding.
+        again = project_onto_hull(res.point, V)
+        moved = again.point - res.point
+        assert float(moved @ moved) <= max(again.gap, 0.0) + floor(res.point)
+        p2 = project_onto_hull(y2, V).point
+        assert np.linalg.norm(res.point - p2) <= \
+            np.linalg.norm(y1 - y2) + 1e-9

@@ -89,7 +89,7 @@ def test_transcript_replays_trial_zero(protocol, tmp_path):
     assert len(payloads) == 40
     # The server, rebuilt from the published messages and public levels.
     hulls = {"lpm": [u.points],
-             "lcpm": [geometry.coarse_rounding(u, 0.25)[0].points],
+             "lcpm": geometry.coarse_decomposition(u, 0.25).levels,
              "lcm": geometry.chaining_decomposition(u, 0.25).levels}[protocol]
     assert all(len(p) == len(hulls) for p in payloads)
     estimate = np.zeros(u.dim)
