@@ -247,9 +247,10 @@ def _local(args) -> int:
         # child of the run seed.
         protocol = harness.MECHANISMS[args.protocol].protocol(d, spec)
         trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
-        transcript, _ = local.simulate_protocol(protocol, seed=trial0)
+        release, _ = local.simulate_protocol(protocol, seed=trial0)
         _atomic_write(args.transcript, "".join(
-            json.dumps(msg.to_json()) + "\n" for msg in transcript))
+            json.dumps(local.LocalMessage(i, list(payload)).to_json()) + "\n"
+            for i, payload in enumerate(release.swapaxes(0, 1))))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return _report_exit(report)
 

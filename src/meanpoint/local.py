@@ -2,21 +2,21 @@
 protocol over public levels, ``LevelProtocol``, that LPM, LCPM and LCM are.
 
 A level is a public matrix and every party holds one row of each level:
-its own point (projection, one level) or its components of a public
-decomposition -- the coarse-cover centre its point rounds to (coarse
-projection, the one-level coarse decomposition) or its halving-scale
-summands (chaining, k levels).  Each party releases
-its row of every level through the signed-Gaussian channel with
+its own point (projection), the coarse-cover centre its point rounds to
+(coarse projection) or its halving-scale chaining summands.  Each party
+releases its row of every level through the signed-Gaussian channel with
 epsilon/k, spending epsilon in total by pure-DP composition.  The server
 projects each level's mean release onto that level's hull and sums.
 
-The protocol is non-interactive: each party derives one message from its
-own input and the server aggregates the transcript.  Per-party privacy
-holds by construction: the only input-dependent randomness is a pair of
-signs, and the released sign's conditional bias is eps/3, giving a
-density ratio of (1 + eps/3) / (1 - eps/3) <= e^eps between any two
-inputs.  A transcript is NDJSON, one ``{"party": i, "payload": [...]}``
-line per party; every payload is one vector per level, in level order.
+The channel draws, then decides.  Each party only draws, from its own
+generator: per level one uniform, m normals into its row of the one
+(k, n, m) release array, and one uniform.  The rest is public given a
+party's row, so each level tables its distinct rows once and decides
+every party's signs in one pass, scaling the array in place.  Privacy
+holds per party: only a pair of signs depends on the input, and the
+released sign's bias of eps/3 gives a density ratio of at most
+(1 + eps/3) / (1 - eps/3) <= e^eps between inputs.  A transcript is
+NDJSON, one ``{"party": i, "payload": [...]}`` line per party.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ EPSILON_BIAS_LIMIT = 1.5
 _SIGNED_GAUSSIAN_MEAN = math.sqrt(2.0 / math.pi)
 
 
-def _release_coefficient(epsilon: float) -> float:
-    return 3.0 / (epsilon * _SIGNED_GAUSSIAN_MEAN)
-
-
-class ProtocolError(ValueError):
-    """Malformed protocol configuration or party inputs."""
-
-
 @dataclass
 class LocalMessage:
     """One party's single message: one released vector per level."""
@@ -69,64 +61,79 @@ class LocalReleaseParams:
     scale: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon <= EPSILON_BIAS_LIMIT:
+            raise ValueError(f"epsilon {self.epsilon} is not in (0, "
+                             f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
+                             "leave [0, 1/2]")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-        if self.epsilon > EPSILON_BIAS_LIMIT:
-            raise ValueError(
-                f"epsilon {self.epsilon} exceeds {EPSILON_BIAS_LIMIT}; the "
-                "sign bias would leave [0, 1/2]")
+
+
+def _row_table(points: np.ndarray, scale: float) -> tuple:
+    """Each row's unit direction and ``p_plus`` = P(u = +1) in the ball of
+    radius ``scale`` rescaled to the unit ball.  The origin gets the axis
+    e_0 with a fair sign, which keeps its mean at zero."""
+    units, p_plus = np.zeros(points.shape), np.full(len(points), 0.5)
+    units[:, 0] = 1.0
+    for t, x in enumerate(points):
+        v = x / scale
+        r = float(np.linalg.norm(v))
+        if r > 1.0 + 1e-9:
+            raise ValueError(f"input norm {r * scale:.6g} exceeds the "
+                             f"release scale {scale:.6g}")
+        if r > 0.0:
+            r = min(r, 1.0)
+            units[t], p_plus[t] = v / r, (1.0 + r) / 2.0
+    return units, p_plus
+
+
+def _channel(rngs, tables: list, params: list, m: int) -> np.ndarray:
+    """Every party's release of every level, as one (k, n, m) array: party
+    i draws from ``rngs[i]``, then each level j decides all signs at once,
+    party i holding row ``rows[i]`` of ``(units, p_plus, rows) = tables[j]``.
+    A dot summed in any order errs by at most gamma_m ~ m eps/2 times
+    S = sum_c |z_c u_c|, so dots within 2 m eps S of 0 use the scalar dot."""
+    k, n = len(tables), len(tables[0][2])
+    release, coins = np.empty((k, n, m)), np.empty((2, k, n))
+    for i, rng in enumerate(rngs):
+        for j, row in enumerate(release[:, i]):
+            coins[0, j, i] = rng.random()
+            rng.standard_normal(out=row)
+            coins[1, j, i] = rng.random()
+    for (units, p_plus, rows), p, first, z, last in zip(
+            tables, params, coins[0], release, coins[1]):
+        dots, band = np.zeros(n), np.zeros(n)
+        for z_col, u_col in zip(z.T, units.T):
+            prod = z_col * u_col[rows]
+            dots += prod
+            band += np.abs(prod)
+        band *= 2 * m * np.finfo(float).eps
+        for i in np.flatnonzero(np.abs(dots) <= band):
+            dots[i] = z[i] @ units[rows[i]]
+        u_sign = np.where(first < p_plus[rows], 1.0, -1.0)
+        bias = (p.epsilon / 3.0) * np.sign(dots) * u_sign
+        s = np.where(last < (1.0 + bias) / 2.0, 1.0, -1.0)
+        z *= (3.0 / (p.epsilon * _SIGNED_GAUSSIAN_MEAN) * p.scale) * s[:, None]
+    return release
 
 
 def local_release(x: np.ndarray, params: LocalReleaseParams,
                   seed=None) -> np.ndarray:
-    """One party's unbiased, eps-DP release of her point.
-
-    The input must lie in the ball of radius ``params.scale``; it is
-    rescaled to the unit ball, released as a signed Gaussian direction
-    whose sign carries an eps/3 bias toward the input, and scaled back.
-    The output has mean x and norm on the order of scale/eps.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = x / params.scale
-    r = float(np.linalg.norm(v))
-    if r > 1.0 + 1e-9:
-        raise ValueError(f"input norm {r * params.scale:.6g} exceeds the "
-                         f"release scale {params.scale:.6g}")
-    r = min(r, 1.0)
-    if r == 0.0:
-        # The unit direction is undefined at the origin; use a fixed
-        # axis with a fair sign, which keeps the mean at zero and
-        # leaves the sign channel untouched.
-        unit = np.zeros(x.shape[0])
-        unit[0] = 1.0
-        p_plus = 0.5
-    else:
-        unit = v / r
-        p_plus = (1.0 + r) / 2.0
-    u_sign = 1.0 if rng.random() < p_plus else -1.0
-    z = rng.standard_normal(x.shape[0])
-    bias = (params.epsilon / 3.0) * np.sign(z @ unit) * u_sign
-    s = 1.0 if rng.random() < (1.0 + bias) / 2.0 else -1.0
-    return _release_coefficient(params.epsilon) * params.scale * z * s
-
-
-# ---------------------------------------------------------------------------
-# the protocol over public levels
-
-
-def _release_scale(points: np.ndarray) -> float:
-    s = float(np.linalg.norm(points, axis=1).max())
-    return s if s > 0 else 1.0
+    """One party's unbiased, eps-DP release of its point in the ball of
+    radius ``params.scale``, the channel's one-party case: a signed
+    Gaussian direction whose sign carries an eps/3 bias toward the input,
+    scaled so that the output has mean x."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    table = (*_row_table(x, params.scale), [0])
+    return _channel([np.random.default_rng(seed)], [table], [params],
+                    x.shape[1])[0, 0]
 
 
 @dataclass(eq=False)
 class LevelProtocol:
     """``levels[j]`` is level j's public matrix, ``rows[i, j]`` party i's
-    row in it, and ``facts`` the public facts its trace reports."""
+    row in it, and ``facts`` the public facts its trace reports;
+    ``tables[j]`` is the channel's table of level j's distinct rows."""
 
     levels: list[np.ndarray]
     rows: np.ndarray
@@ -137,43 +144,42 @@ class LevelProtocol:
         self.rows = np.asarray(self.rows, dtype=int)
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.levels) \
                 or len(self.rows) < 1:
-            raise ProtocolError("need one row per level for each party")
+            raise ValueError("need one row per level for each party")
         part = float(as_fraction(self.epsilon) / len(self.levels))
-        self.params = [LocalReleaseParams(part, _release_scale(lvl))
-                       for lvl in self.levels]
+        self.params = [LocalReleaseParams(
+            part, float(np.linalg.norm(lvl, axis=1).max()) or 1.0)
+            for lvl in self.levels]
+        self.tables = []
+        for lvl, rows, p in zip(self.levels, self.rows.T, self.params):
+            used, index = np.unique(rows, return_inverse=True)
+            self.tables.append((*_row_table(lvl[used], p.scale), index))
 
-    def party(self, i: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """Party i's message: its row of every level, in level order."""
-        return [local_release(lvl[r], p, rng)
-                for lvl, r, p in zip(self.levels, self.rows[i], self.params)]
-
-    def server(self, payloads: list[list[np.ndarray]]) -> tuple:
+    def server(self, release: np.ndarray) -> tuple:
         """The sum over levels of each level mean's projection onto that
         level's hull, and the trace with one certificate per level."""
-        estimate = np.zeros(self.levels[0].shape[1])
-        certificates = []
-        for j, lvl in enumerate(self.levels):
-            mean = np.mean(np.asarray([p[j] for p in payloads]), axis=0)
+        estimate, certificates = np.zeros(self.levels[0].shape[1]), []
+        for lvl, level_release in zip(self.levels, release):
+            mean = np.mean(level_release, axis=0)
             proj = hull.project_onto_hull(mean, lvl)
             certificates.append({"projection_iterations": proj.iterations,
                                  "projection_gap": proj.gap,
                                  "projection_certified": proj.certified})
             estimate = estimate + proj.point
-        return estimate, {**self.facts, "n_parties": len(payloads),
+        return estimate, {**self.facts, "n_parties": release.shape[1],
                           "per_party": True, "levels": certificates}
 
 
 def simulate_protocol(protocol: LevelProtocol,
-                      seed=None) -> tuple[list[LocalMessage], tuple]:
-    """One message per party, then the server.  Party i draws from child
-    i of the run seed, so transcripts replay bit-identically and parties
-    could run concurrently.  The transcript is what privacy protects."""
+                      seed=None) -> tuple[np.ndarray, tuple]:
+    """``(release, (estimate, trace))``: the transcript, one (k, n, m) array
+    whose ``release[j, i]`` is party i's level-j message, and the server's
+    output.  Party i draws from child i of the run seed, per level one
+    uniform, m normals and one uniform, so transcripts replay
+    bit-identically and parties could run concurrently."""
     children = as_seed_sequence(seed).spawn(len(protocol.rows))
-    transcript = [
-        LocalMessage(party_id=i,
-                     payload=protocol.party(i, np.random.default_rng(child)))
-        for i, child in enumerate(children)]
-    return transcript, protocol.server([msg.payload for msg in transcript])
+    release = _channel(map(np.random.default_rng, children), protocol.tables,
+                       protocol.params, protocol.levels[0].shape[1])
+    return release, protocol.server(release)
 
 
 def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
@@ -185,16 +191,10 @@ def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
 
 
 def read_transcript(path) -> list[LocalMessage]:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out.append(LocalMessage(
-                party_id=int(obj["party"]),
-                payload=[np.asarray(v, dtype=float) for v in obj["payload"]]))
-    return out
+        return [LocalMessage(int(obj["party"]), [
+            np.asarray(v, dtype=float) for v in obj["payload"]])
+            for obj in map(json.loads, filter(str.strip, fh))]
 
 
 def projection_protocol(d: Dataset, epsilon) -> LevelProtocol:

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from meanpoint import cli, geometry, harness, hull, local, privacy
+from meanpoint import central, cli, geometry, harness, hull, local, privacy
 from meanpoint.privacy import PrivacyBudget
 
 PROTOCOLS = ["lpm", "lcpm", "lcm"]
@@ -56,22 +57,122 @@ def test_epsilon_beyond_the_bias_limit_is_refused():
                                  scale=1.0)
 
 
-def test_lcm_splits_epsilon_evenly_and_recomposes_exactly(monkeypatch):
-    spent = []
-    real = local.local_release
-
-    def recording(x, params, seed=None):
-        spent.append(params.epsilon)
-        return real(x, params, seed)
-
-    monkeypatch.setattr(local, "local_release", recording)
+def test_lcm_splits_epsilon_evenly_and_recomposes_exactly():
     d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=0)
-    out = local.run_protocol(local.chaining_protocol(d, 1.0, 0.25), seed=2)
+    protocol = local.chaining_protocol(d, 1.0, 0.25)
+    out = local.run_protocol(protocol, seed=2)
     assert out.trace["k"] == 3
-    assert spent == [float(Fraction(1, 3))] * (3 * d.n)
+    assert [p.epsilon for p in protocol.params] == [float(Fraction(1, 3))] * 3
     assert out.budget_consumed == PrivacyBudget.pure_dp(1.0)
     assert privacy.compose(
         [PrivacyBudget.pure_dp(Fraction(1, 3))] * 3) == out.budget_consumed
+
+
+def _scalar_channel(x, scale, eps, first, z, last):
+    """The documented channel for one party and level, one scalar at a
+    time: u = +1 with probability (1 + |x| / scale) / 2, the output sign
+    +1 with probability (1 + (eps/3) u sign(z . unit)) / 2."""
+    v = np.asarray(x, dtype=float) / scale
+    r = min(float(np.linalg.norm(v)), 1.0)
+    if r > 0:
+        unit, p_plus = v / r, (1.0 + r) / 2.0
+    else:
+        unit, p_plus = np.eye(v.size)[0], 0.5
+    u = 1.0 if first < p_plus else -1.0
+    bias = eps / 3.0 * np.sign(z @ unit) * u
+    s = 1.0 if last < (1.0 + bias) / 2.0 else -1.0
+    return 3.0 / (eps * math.sqrt(2.0 / math.pi)) * scale * z * s
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_transcript_follows_the_per_party_seed_contract(protocol):
+    """Party i draws from child i of the run seed, per level one uniform,
+    m normals and one uniform, and releases through the channel."""
+    d = harness.gen_dataset(harness.gen_marginals2(4), 25, seed=1)
+    p = harness.MECHANISMS[protocol].protocol(d, _spec(protocol))
+    release, _ = local.simulate_protocol(p, seed=9)
+    k, (n, m) = len(p.levels), d.points().shape
+    eps = float(Fraction(1) / k)
+    # A level of zero rows releases at scale 1.
+    scales = [float(np.sqrt((lv ** 2).sum(axis=1)).max()) or 1.0
+              for lv in p.levels]
+    oracle = np.empty((k, n, m))
+    for i, child in enumerate(np.random.SeedSequence(9).spawn(n)):
+        rng = np.random.default_rng(child)
+        for j, level in enumerate(p.levels):
+            first, z, last = rng.random(), rng.standard_normal(m), rng.random()
+            oracle[j, i] = _scalar_channel(level[p.rows[i, j]], scales[j], eps,
+                                           first, z, last)
+    assert release.tobytes() == oracle.tobytes()
+
+
+class _Scripted:
+    """Stands in for a party's generator, handing out fixed draws."""
+
+    def __init__(self, first, z, last):
+        self.uniforms, self.z = iter([first, last]), z
+
+    def random(self):
+        return next(self.uniforms)
+
+    def standard_normal(self, out):
+        out[:] = self.z
+
+
+def test_sign_step_ties_take_the_scalar_sign():
+    rng = np.random.default_rng(4)
+    points = np.vstack([np.zeros(3), [0.6, 0.8, 0.0], rng.normal(size=(6, 3))])
+    points /= max(np.linalg.norm(points, axis=1).max(), 1.0)
+    units, p_plus = local._row_table(points, 1.0)
+    # The zero row keeps the axis e_0 and a fair sign.
+    assert units[0].tolist() == [1.0, 0.0, 0.0] and p_plus[0] == 0.5
+    rows, zs, in_band = [], [], 0
+    for t, unit in enumerate(units):
+        # Exactly orthogonal: z . unit is 0 in every summation order.
+        rows.append(t)
+        zs.append(np.array([unit[1], -unit[0], 0.0]) if unit[2] == 0 else
+                  np.array([0.0, unit[2], -unit[1]]))
+        # Orthogonal up to rounding; those within 2 m eps sum|z_c u_c|
+        # of zero are the ones the scalar dot re-checks.
+        for w in rng.normal(size=(40, 3)):
+            z = w - (w @ unit) * unit
+            band = 6 * np.finfo(float).eps * np.abs(z * unit).sum()
+            if 0 < abs(z @ unit) <= band:
+                rows.append(t)
+                zs.append(z)
+                in_band += 1
+    assert in_band >= 40
+    params = local.LocalReleaseParams(epsilon=1.2, scale=1.0)
+    table = (units, p_plus, np.array(rows))
+    # With u = +1, last = 0.5 tells a positive sign from the rest, and
+    # last = (1 - eps/3) / 2 a negative sign from the rest.
+    for last in (0.5, (1.0 - 1.2 / 3.0) / 2.0):
+        got = local._channel([_Scripted(0.0, z, last) for z in zs], [table],
+                             [params], 3)[0]
+        for i, (t, z) in enumerate(zip(rows, zs)):
+            want = _scalar_channel(points[t], 1.0, 1.2, 0.0, z, last)
+            assert got[i].tobytes() == want.tobytes(), (t, z)
+
+
+@pytest.mark.parametrize("universe", [harness.gen_thresholds(8),
+                                      harness.gen_marginals2(4)])
+def test_sign_channel_ratio_is_at_most_e_eps_on_every_table_row(universe):
+    """The released sign s has probability p (1 + s b) / 2 +
+    (1 - p) (1 - s b) / 2, with p = p_plus and b = (eps/3) sign(z . unit);
+    the output's density is proportional to it."""
+    d = central.Dataset(universe, np.arange(universe.size))
+    tables = [table for protocol in PROTOCOLS for table in
+              harness.MECHANISMS[protocol].protocol(d, _spec(protocol)).tables]
+    p_plus = {Fraction(p) for _, column, _ in tables for p in column}
+    assert Fraction(1, 2) in p_plus  # the zero row
+    for eps in (0.1, 1.0, 1.5):
+        bias = Fraction(eps) / 3
+        for s in (1, -1):
+            probs = [p * (1 + s * sign * bias) / 2
+                     + (1 - p) * (1 - s * sign * bias) / 2
+                     for p in p_plus for sign in (1, 0, -1)]
+            assert all(0 < q < 1 for q in probs)
+            assert max(probs) / min(probs) <= math.exp(eps)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

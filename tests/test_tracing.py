@@ -33,6 +33,12 @@ def test_wrapped_name_resolves_to_a_callable(name):
     assert callable(getattr(module, attr, None))
 
 
+# Wrapped names that no library code calls: ``local.local_release`` is the
+# sign channel's one-party case, and the protocols run the channel for all
+# parties at once, so the benchmark's count of it reads 0.
+UNCALLED = {"local.local_release"}
+
+
 def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
     calls = Counter()
 
@@ -53,4 +59,6 @@ def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
         # A fresh universe per run, so no cached preprocessing hides a call.
         d = harness.gen_dataset(harness.gen_thresholds(8), 20, seed=0)
         harness.measure_error(d, spec, trials=1, seed=0)
-    assert [name for name in names if calls[name] == 0] == []
+    assert [name for name in names
+            if calls[name] == 0 and name not in UNCALLED] == []
+    assert [name for name in UNCALLED if calls[name]] == []
