@@ -248,37 +248,6 @@ def lb_local_delta_cap(u: Universe, alpha: float, epsilon: float) -> float:
     return alpha ** 2 * epsilon ** 3 / denom
 
 
-# ---------------------------------------------------------------------------
-# error-bound shapes at a given dataset size
-
-
-def projection_error_bound(u: Universe, n: int, rho: float,
-                           width_samples: int = 100_000,
-                           seed: int | None = None) -> float:
-    """Average-error bound for the projection mechanism at size n:
-    (delta * width / (n * sqrt(2 rho m)))^(1/2) with the width estimated
-    by Monte Carlo and delta = max ||x|| / sqrt(m)."""
-    if n < 1 or rho <= 0:
-        raise ValueError("need n >= 1 and rho > 0")
-    m = u.dim
-    delta = float(np.linalg.norm(u.points, axis=1).max()) / math.sqrt(m)
-    width = geometry.gaussian_mean_width(u, samples=width_samples, seed=seed)
-    inner = delta * max(width.value, 0.0) / (n * math.sqrt(2.0 * rho * m))
-    return math.sqrt(max(inner, 0.0))
-
-
-def pmw_error_shape(u: Universe, n: int, rho: float) -> float:
-    """Worst-case-error shape for multiplicative weights at size n:
-    delta * (log|X|)^(1/4) * (log m)^(1/2) / (rho^(1/4) * sqrt(n)),
-    constant-free (calibrate once, then compare scalings)."""
-    if n < 1 or rho <= 0:
-        raise ValueError("need n >= 1 and rho > 0")
-    delta = float(np.abs(u.points).max())
-    logm = math.log(max(u.dim, 2))
-    return (delta * math.log(max(u.size, 2)) ** 0.25 * math.sqrt(logm)
-            / (rho ** 0.25 * math.sqrt(n)))
-
-
 def bound_report(u: Universe, alpha: float, rho: float | None = None,
                  epsilon: float | None = None) -> dict:
     """All applicable estimates plus convention flags, for reports."""

@@ -57,42 +57,11 @@ class Dataset:
 
 @dataclass
 class MechanismOutput:
-    """Released estimate plus the budget ledger and diagnostics."""
+    """Released estimate plus the budget it spent and diagnostics."""
 
     estimate: np.ndarray
     budget_consumed: PrivacyBudget
     trace: dict
-    seed: object = None
-
-    def to_json(self) -> dict:
-        return {
-            "estimate": [repr(float(v)) for v in np.asarray(self.estimate)],
-            "budget": self.budget_consumed.to_json(),
-            "trace": _jsonable(self.trace),
-            "seed": _seed_repr(self.seed),
-        }
-
-
-def _seed_repr(seed) -> str | int | None:
-    if seed is None or isinstance(seed, int):
-        return seed
-    return repr(seed)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating, float)):
-        return repr(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -151,7 +120,7 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     }
     return MechanismOutput(estimate=proj.point,
                            budget_consumed=PrivacyBudget.zcdp(rho),
-                           trace=trace, seed=seed)
+                           trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +162,7 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
     return MechanismOutput(
         estimate=estimate,
         budget_consumed=privacy.compose([o.budget_consumed for o in outputs]),
-        trace=trace, seed=seed)
+        trace=trace)
 
 
 def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
@@ -301,7 +270,7 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     return MechanismOutput(
         estimate=estimate,
         budget_consumed=PrivacyBudget.zcdp((rho_select + rho_answer) * rounds),
-        trace=trace, seed=seed)
+        trace=trace)
 
 
 def chaining_mechanism_linf(d: Dataset, rho, alpha: float,

@@ -44,13 +44,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Refuse an output path whose directory is missing or read-only,
-    before any work that would be lost when the result is written."""
-    for path in filter(None, paths):
+    """Refuse an output path whose directory is missing or read-only, or
+    two outputs naming one file, before any work that would be lost when
+    the result is written."""
+    paths = [path for path in paths if path]
+    for path in paths:
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.path.isdir(folder) \
                 or not os.access(folder, os.W_OK):
             raise ConfigError(f"cannot write {path!r}")
+    if len({os.path.abspath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"outputs {paths!r} name the same file")
 
 
 _SHARED_FLAGS = {
@@ -115,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local", help="run a local protocol and report errors")
     p.add_argument("--universe", required=True)
-    p.add_argument("--protocol", required=True, choices=harness.LOCAL_PROTOCOLS)
+    p.add_argument("--protocol", dest="mechanism", required=True,
+                   choices=harness.LOCAL_PROTOCOLS)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, required=True)
@@ -229,28 +234,20 @@ def _report_exit(report) -> int:
 
 
 def _run(args) -> int:
+    """``run`` and ``local``: a mechanism or protocol's error report, and
+    for ``local --transcript`` the messages of the report's trial 0."""
     u = geometry.read_universe_csv(args.universe)
     spec = _spec(args.mechanism, args)
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
-    return _report_exit(report)
-
-
-def _local(args) -> int:
-    u = geometry.read_universe_csv(args.universe)
-    spec = _spec(args.protocol, args)
-    d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
-    report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
-    if args.transcript:
-        # The messages of the report's trial 0, whose seed is the first
-        # child of the run seed.
-        protocol = harness.MECHANISMS[args.protocol].protocol(d, spec)
+    if getattr(args, "transcript", None):
+        # Trial 0's seed is the first child of the run seed.
+        protocol = harness.MECHANISMS[args.mechanism].protocol(d, spec)
         trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
         release, _ = local.simulate_protocol(protocol, seed=trial0)
         _atomic_write(args.transcript, "".join(
-            json.dumps(local.LocalMessage(i, list(payload)).to_json()) + "\n"
-            for i, payload in enumerate(release.swapaxes(0, 1))))
+            json.dumps({"party": i, "payload": release[:, i].tolist()}) + "\n"
+            for i in range(release.shape[1])))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return _report_exit(report)
 
@@ -305,7 +302,7 @@ def _bench(args) -> int:
 
 
 _HANDLERS = {"gen": _gen, "pack": _pack, "width": _width,
-             "decompose": _decompose, "run": _run, "local": _local,
+             "decompose": _decompose, "run": _run, "local": _run,
              "bounds": _bounds, "bench": _bench}
 
 

@@ -2,8 +2,7 @@
 
 Separated subsets and the covers they induce, greedy packing profiles
 and exact packing numbers, decompositions (multi-resolution chaining
-and the one-level coarse rounding), support functions, and Monte-Carlo
-Gaussian mean width.
+and the one-level coarse rounding), and Monte-Carlo Gaussian mean width.
 
 Every result depends only on its inputs plus an explicit seed.  The
 public preprocessing of a universe -- its diameters, chaining and
@@ -499,15 +498,7 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# support function and Gaussian mean width
-
-
-def support_function(u: Universe, direction: np.ndarray) -> float:
-    """Largest inner product of a universe point with ``direction``."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (u.dim,):
-        raise ValueError("direction must have length m")
-    return float((u.points @ direction).max())
+# Gaussian mean width
 
 
 def gaussian_mean_width(u: Universe, samples: int = 10_000,

@@ -21,7 +21,6 @@ NDJSON, one ``{"party": i, "payload": [...]}`` line per party.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,18 +38,6 @@ EPSILON_BIAS_LIMIT = 1.5
 # u, so dividing the release by (eps/3) * sqrt(2/pi) makes it exactly
 # unbiased on the unit ball.
 _SIGNED_GAUSSIAN_MEAN = math.sqrt(2.0 / math.pi)
-
-
-@dataclass
-class LocalMessage:
-    """One party's single message: one released vector per level."""
-
-    party_id: int
-    payload: list[np.ndarray]
-
-    def to_json(self) -> dict:
-        return {"party": self.party_id,
-                "payload": [np.asarray(v).tolist() for v in self.payload]}
 
 
 @dataclass
@@ -187,14 +174,7 @@ def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
     _, (estimate, trace) = simulate_protocol(protocol, seed)
     budget = PrivacyBudget.pure_dp(protocol.epsilon)
     return MechanismOutput(estimate=estimate, budget_consumed=budget,
-                           trace=trace, seed=seed)
-
-
-def read_transcript(path) -> list[LocalMessage]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [LocalMessage(int(obj["party"]), [
-            np.asarray(v, dtype=float) for v in obj["payload"]])
-            for obj in map(json.loads, filter(str.strip, fh))]
+                           trace=trace)
 
 
 def projection_protocol(d: Dataset, epsilon) -> LevelProtocol:

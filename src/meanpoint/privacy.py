@@ -69,12 +69,6 @@ class PrivacyBudget:
     def pure_dp(cls, epsilon) -> "PrivacyBudget":
         return cls(kind=PURE, epsilon=as_fraction(epsilon))
 
-    def to_json(self) -> dict:
-        if self.kind == ZCDP:
-            return {"kind": "zcdp", "rho": float(self.rho)}
-        # The local-DP wire format keeps its delta field.
-        return {"kind": "ldp", "epsilon": float(self.epsilon), "delta": 0.0}
-
 
 def compose(budgets: Sequence[PrivacyBudget]) -> PrivacyBudget:
     """Sequential composition: rho adds within zCDP, epsilon within pure

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,8 @@ from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
                                level_dataset, pmw_mechanism,
                                projection_mechanism)
 from meanpoint.geometry import (Universe, chaining_decomposition,
-                                coarse_decomposition, greedy_separated_set)
+                                coarse_decomposition, gaussian_mean_width,
+                                greedy_separated_set)
 from meanpoint.privacy import PrivacyBudget
 
 
@@ -28,6 +28,27 @@ def small_dataset(small_universe):
 def norm_err(out, d):
     e = out.estimate - d.mean()
     return float(np.linalg.norm(e)) / math.sqrt(d.universe.dim)
+
+
+def projection_error_bound(u, n, rho, width_samples, seed):
+    """Average-error bound for the projection mechanism at size n:
+    (delta * width / (n * sqrt(2 rho m)))^(1/2) with the width estimated
+    by Monte Carlo and delta = max ||x|| / sqrt(m)."""
+    m = u.dim
+    delta = float(np.linalg.norm(u.points, axis=1).max()) / math.sqrt(m)
+    width = gaussian_mean_width(u, samples=width_samples, seed=seed)
+    inner = delta * max(width.value, 0.0) / (n * math.sqrt(2.0 * rho * m))
+    return math.sqrt(max(inner, 0.0))
+
+
+def pmw_error_shape(u, n, rho):
+    """Worst-case-error shape for multiplicative weights at size n:
+    delta * (log|X|)^(1/4) * (log m)^(1/2) / (rho^(1/4) * sqrt(n)),
+    constant-free (calibrate once, then compare scalings)."""
+    delta = float(np.abs(u.points).max())
+    logm = math.log(max(u.dim, 2))
+    return (delta * math.log(max(u.size, 2)) ** 0.25 * math.sqrt(logm)
+            / (rho ** 0.25 * math.sqrt(n)))
 
 
 class TestDataset:
@@ -70,8 +91,9 @@ class TestProjectionMechanism:
     def test_seed_determinism_bitwise(self, small_dataset):
         a = projection_mechanism(small_dataset, 0.5, seed=6)
         b = projection_mechanism(small_dataset, 0.5, seed=6)
-        assert np.array_equal(a.estimate, b.estimate)
-        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+        assert a.estimate.tobytes() == b.estimate.tobytes()
+        assert a.budget_consumed == b.budget_consumed
+        assert a.trace == b.trace
 
     def test_error_decreases_with_n(self, small_universe):
         # err at 4n below err at n, with slack for sampling noise
@@ -90,7 +112,6 @@ class TestProjectionMechanism:
 
     def test_error_bound_holds_at_moderate_scale(self):
         # smaller sibling of the acceptance check
-        from meanpoint.bounds import projection_error_bound
         u = harness.gen_random_sphere(16, 40, radius=1.0, seed=9)
         d = harness.gen_dataset(u, 400, seed=10)
         bound = projection_error_bound(u, 400, 0.5, width_samples=50_000,
@@ -267,7 +288,6 @@ class TestPMW:
     def test_scaling_against_calibrated_shape(self):
         # calibrate the worst-case-error shape at one size and check the
         # sqrt(n) improvement carries to 4x the data, with generous slack
-        from meanpoint.bounds import pmw_error_shape
         u = harness.gen_thresholds(64)
         errs = {}
         for n in (800, 3200):

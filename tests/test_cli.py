@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -147,3 +148,33 @@ def test_underflowing_alpha_still_reports(universe_file):
                      "projection", "--rho", "0.5", "--alpha", "1e-200",
                      "--n", "20", "--trials", "1"])
     assert code == cli.EXIT_OK
+
+
+def test_out_and_transcript_naming_one_file_is_a_config_error(
+        universe_file, tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        pytest.fail("measured before the output paths were checked")
+
+    monkeypatch.setattr(harness, "measure_error", no_trials)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["local", "--universe", universe_file, "--protocol",
+                     "lpm", "--epsilon", "1.0", "--n", "20", "--trials", "1",
+                     "--transcript", "same.json",
+                     "--out", str(tmp_path / "same.json")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "same.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"mechanism": "chaining", "rho": 0.5, "alpha": 0.3},
+    {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.3},
+    {"mechanism": "projection", "rho": 0.5},
+])
+def test_run_report_survives_a_json_round_trip(spec):
+    d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=0)
+    report = harness.measure_error(d, spec, trials=2, seed=1)
+    back = harness.RunReport.from_json(json.loads(json.dumps(report.to_json())))
+    assert back == report
+    assert back.determinism_hash() == report.determinism_hash()
+    assert (back.bounds == {}) == ("alpha" not in spec)

@@ -14,7 +14,7 @@ from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
                                 diameter,
                                 gaussian_mean_width, greedy_separated_set,
                                 metric_diameter, packing_number,
-                                packing_profile, support_function, t_grid,
+                                packing_profile, t_grid,
                                 universe_from_csv, universe_to_csv,
                                 verify_decomposition)
 
@@ -265,19 +265,6 @@ class TestDiameterAndSupport:
         u = Universe(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert diameter(u, Norm.L2) == pytest.approx(math.sqrt(2.0))
         assert diameter(u, Norm.LINF) == pytest.approx(1.0)
-
-    def test_support_zero_direction(self):
-        u = Universe(points=np.random.default_rng(14).random((5, 3)))
-        assert support_function(u, np.zeros(3)) == 0.0
-
-    def test_support_basis_direction(self):
-        u = Universe(points=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert support_function(u, np.array([1.0, 0.0])) == 1.0
-
-    def test_support_symmetric_pair(self):
-        u = Universe(points=np.array([[-1.0], [1.0]]))
-        for z in (-2.3, 0.4, 1.7):
-            assert support_function(u, np.array([z])) == pytest.approx(abs(z))
 
 
 class TestGaussianMeanWidth:

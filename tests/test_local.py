@@ -186,7 +186,8 @@ def test_transcript_replays_trial_zero(protocol, tmp_path):
                      "--n", "40", "--seed", "5", "--trials", "3",
                      "--transcript", str(transcript), "--out", str(report)])
     assert code == cli.EXIT_OK
-    payloads = [msg.payload for msg in local.read_transcript(transcript)]
+    payloads = [json.loads(line)["payload"]
+                for line in transcript.read_text().splitlines()]
     assert len(payloads) == 40
     # The server, rebuilt from the published messages and public levels.
     hulls = {"lpm": [u.points],
