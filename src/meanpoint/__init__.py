@@ -7,15 +7,14 @@ from .bounds import (bound_profile, bound_report, lb_local,
 from .central import (Dataset, MechanismOutput, chaining_mechanism,
                       chaining_mechanism_linf, coarse_projection_mechanism,
                       decompose_and_run, pmw_mechanism, projection_mechanism)
-from .geometry import (Decomposition, Metric, Norm, Universe,
-                       chaining_decomposition, diameter,
-                       gaussian_mean_width, greedy_separated_set,
+from .geometry import (Decomposition, Norm, Universe, chaining_decomposition,
+                       diameter, gaussian_mean_width, greedy_separated_set,
                        packing_number)
 from .harness import (RunReport, gen_cone, gen_dataset, gen_marginals2,
                       gen_random_sphere, gen_thresholds, measure_error)
 from .hull import ProjectionResult, project_onto_hull
-from .local import (LevelProtocol, LocalReleaseParams, local_release,
-                    run_protocol, simulate_protocol)
+from .local import (LevelProtocol, local_release, run_protocol,
+                    simulate_protocol)
 from .privacy import (PrivacyBudget, compose, gaussian_sigma_for_zcdp,
                       mean_sensitivity)
 

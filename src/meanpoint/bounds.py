@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import Metric, Universe
+from .geometry import Norm, Universe
 
 UPPER_BOUND_THRESHOLD_C = 2.0   # "t >= alpha / C" for the upper bounds
 LB_CENTRAL_THRESHOLD = 4.0      # "t >= 4 alpha"
@@ -40,7 +40,7 @@ class SupTerm:
 class BoundProfile:
     """Packing estimates on a scale grid plus the four sup terms."""
 
-    metric: Metric
+    norm: Norm
     alpha: float
     threshold: float
     ts: np.ndarray
@@ -54,7 +54,7 @@ class BoundProfile:
 
     def to_json(self) -> dict:
         return {
-            "metric": self.metric.value,
+            "metric": self.norm.value,
             "alpha": self.alpha,
             "threshold": self.threshold,
             "packing_mode": self.packing_mode,
@@ -81,10 +81,11 @@ def _sup_over_grid(ts: np.ndarray, log_packing: np.ndarray,
     return SupTerm(value=best, at_t=best_t)
 
 
-def bound_profile(u: Universe, metric: Metric, alpha: float,
+def bound_profile(u: Universe, norm: Norm, alpha: float,
                   packing_mode: str = "greedy",
                   threshold: float | None = None) -> BoundProfile:
-    """Evaluate the packing profile on the grid [alpha/C, diameter].
+    """Evaluate the packing profile on the grid [alpha/C, diameter], with
+    scales in units of ``norm.unit(m)``.
 
     ``threshold`` overrides the lower grid end (the lower-bound
     estimators pin it at 4*alpha resp. 6*alpha).  Greedy estimates come
@@ -97,14 +98,14 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
     def build() -> BoundProfile:
         t_min = (alpha / UPPER_BOUND_THRESHOLD_C if threshold is None
                  else float(threshold))
-        t_max = geometry.metric_diameter(u, metric)
+        t_max = geometry.diameter(u, norm) / norm.unit(u.dim)
         ts = geometry.t_grid(t_min, t_max)
         if ts.size == 0:
             packing = np.array([], dtype=int)
         elif packing_mode == "greedy":
-            packing = geometry.packing_profile(u, ts, metric)
+            packing = geometry.packing_profile(u, ts, norm)
         elif packing_mode == "exact":
-            packing = np.array([geometry.packing_number(u, t, metric)
+            packing = np.array([geometry.packing_number(u, t, norm)
                                 for t in ts])
         else:
             raise ValueError(f"unknown packing mode {packing_mode!r}")
@@ -119,12 +120,12 @@ def bound_profile(u: Universe, metric: Metric, alpha: float,
             T2_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t * t * lp),
             T4_LOG: _sup_over_grid(ts, log_packing, lambda t, lp: t ** 4 * lp),
         }
-        return BoundProfile(metric=metric, alpha=float(alpha),
+        return BoundProfile(norm=norm, alpha=float(alpha),
                             threshold=t_min, ts=ts, packing=packing,
                             log_packing=log_packing, sup_terms=sup_terms,
                             packing_mode=packing_mode)
 
-    key = ("bound_profile", metric, alpha, packing_mode, threshold)
+    key = ("bound_profile", norm, alpha, packing_mode, threshold)
     return geometry._memo(u, key, build)
 
 
@@ -149,7 +150,7 @@ def ub_coarse(u: Universe, alpha: float, rho: float) -> float:
     """Coarse projection: log(1/a)/a^2 * sup t*sqrt(log P) / sqrt(rho)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    profile = bound_profile(u, Norm.L2, alpha)
     num = _over_alpha_power(math.log(1.0 / alpha), alpha, 2,
                             profile.sup(T_SQRT_LOG))
     return num / math.sqrt(rho)
@@ -159,7 +160,7 @@ def ub_chain(u: Universe, alpha: float, rho: float) -> float:
     """Chaining: log(1/a)^(5/2)/a^2 * sup t^2*sqrt(log P) / sqrt(rho)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    profile = bound_profile(u, Norm.L2, alpha)
     num = _over_alpha_power(math.log(1.0 / alpha) ** 2.5, alpha, 2,
                             profile.sup(T2_SQRT_LOG))
     return num / math.sqrt(rho)
@@ -170,7 +171,7 @@ def ub_infty(u: Universe, alpha: float, rho: float) -> float:
     packing profile."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.LINF, alpha)
+    profile = bound_profile(u, Norm.LINF, alpha)
     num = _over_alpha_power(
         math.log(u.dim) * math.log(1.0 / alpha) ** 2.5, alpha, 2,
         profile.sup(T2_SQRT_LOG))
@@ -181,7 +182,7 @@ def ub_local_coarse(u: Universe, alpha: float, epsilon: float) -> float:
     """Local coarse projection: log(1/a)^2/a^4 * sup t^2*log P / eps^2."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    profile = bound_profile(u, Norm.L2, alpha)
     num = _over_alpha_power(math.log(1.0 / alpha) ** 2, alpha, 4,
                             profile.sup(T2_LOG))
     return num / epsilon ** 2
@@ -191,7 +192,7 @@ def ub_local_chain(u: Universe, alpha: float, epsilon: float) -> float:
     """Local chaining: log(1/a)^6/a^4 * sup t^4*log P / eps^2."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha)
+    profile = bound_profile(u, Norm.L2, alpha)
     num = _over_alpha_power(math.log(1.0 / alpha) ** 6, alpha, 4,
                             profile.sup(T4_LOG))
     return num / epsilon ** 2
@@ -213,7 +214,7 @@ def lb_packing(u: Universe, alpha: float, rho: float) -> float:
     """Packing lower bound: sup{t*sqrt(log P): t >= 4a} / (a*sqrt(rho))."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha,
+    profile = bound_profile(u, Norm.L2, alpha,
                             packing_mode=_auto_mode(u),
                             threshold=LB_CENTRAL_THRESHOLD * alpha)
     num = profile.sup(T_SQRT_LOG) / alpha
@@ -224,7 +225,7 @@ def lb_local(u: Universe, alpha: float, epsilon: float) -> float:
     """Local lower bound: sup{t^2*log P: t >= 6a} / (a^2 * eps^2)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    profile = bound_profile(u, Metric.NORMALIZED_L2, alpha,
+    profile = bound_profile(u, Norm.L2, alpha,
                             packing_mode=_auto_mode(u),
                             threshold=LB_LOCAL_THRESHOLD * alpha)
     num = _over_alpha_power(profile.sup(T2_LOG), alpha, 2, 1.0)

@@ -9,14 +9,17 @@ one trial.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
+import tempfile
 
 from . import bounds as bounds_mod
 from . import geometry, harness, local
 from .central import as_seed_sequence
-from .geometry import Metric, Norm
+from .geometry import Norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,10 +33,19 @@ class ConfigError(ValueError):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` to a new file beside ``path``, which no other file
+    can name, with the mode ``open`` gives, then rename it to ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,10 +80,6 @@ def _common(parser: argparse.ArgumentParser, *names: str) -> None:
     """``--out`` plus the named shared flags, which the handler reads."""
     for name in (*names, "out"):
         parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
-
-
-def _metric(name: str) -> Metric:
-    return Metric.LINF if name == "linf" else Metric.NORMALIZED_L2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,7 +183,7 @@ def _gen(args) -> int:
 
 def _pack(args) -> int:
     u = geometry.read_universe_csv(args.universe)
-    profile = bounds_mod.bound_profile(u, _metric(args.metric), args.alpha)
+    profile = bounds_mod.bound_profile(u, Norm(args.metric), args.alpha)
     if args.format == "csv":
         lines = ["t,packing,log_packing"]
         for row in profile.to_json()["grid"]:
@@ -197,8 +205,7 @@ def _width(args) -> int:
 
 def _decompose(args) -> int:
     u = geometry.read_universe_csv(args.universe)
-    norm = Norm.LINF if args.norm == "linf" else Norm.L2
-    dec = geometry.chaining_decomposition(u, args.alpha, norm)
+    dec = geometry.chaining_decomposition(u, args.alpha, Norm(args.norm))
     geometry.verify_decomposition(u, dec)
     _emit(json.dumps(geometry.decomposition_to_json(dec)) + "\n", args.out)
     return EXIT_OK
@@ -257,7 +264,7 @@ def _bounds(args) -> int:
     report = bounds_mod.bound_report(u, args.alpha, rho=args.rho,
                                      epsilon=args.epsilon)
     report["profile"] = bounds_mod.bound_profile(
-        u, Metric.NORMALIZED_L2, args.alpha).to_json()
+        u, Norm.L2, args.alpha).to_json()
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -276,28 +283,24 @@ def _bench(args) -> int:
     specs = [_spec(mech, args) for mech in mechs]
     datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)
                 for n in n_grid]
-    rows = [BENCH_HEADER]
+    # csv writes None as an empty field and a float as its repr.
+    table = io.StringIO()
+    rows = csv.writer(table, lineterminator="\n")
+    rows.writerow(BENCH_HEADER.split(","))
     worst = EXIT_OK
     for mech, spec in zip(mechs, specs):
         row = harness.MECHANISMS[mech]
-        priv = spec[row.privacy]
         for n, d in zip(n_grid, datasets):
             report = harness.measure_error(d, spec, trials=args.trials,
                                            seed=args.seed)
             worst = max(worst, _report_exit(report))
-            ub = report.bounds.get(row.upper_bound, "")
+            ub = report.bounds.get(row.upper_bound)
             lb = report.bounds.get(
-                "lb_local" if row.privacy == "epsilon" else "lb_packing", "")
-            rows.append(",".join([
-                label, mech, str(n), repr(float(priv)),
-                "" if args.alpha is None else repr(float(args.alpha)),
-                repr(report.err2_mean), repr(report.err2_sd),
-                repr(report.errinf_mean),
-                "" if ub == "" else repr(ub),
-                "" if lb == "" else repr(lb),
-                str(args.seed),
-            ]))
-    _emit("\n".join(rows) + "\n", args.out)
+                "lb_local" if row.privacy == "epsilon" else "lb_packing")
+            rows.writerow([label, mech, n, spec[row.privacy], args.alpha,
+                           report.err2_mean, report.err2_sd,
+                           report.errinf_mean, ub, lb, args.seed])
+    _emit(table.getvalue(), args.out)
     return worst
 
 

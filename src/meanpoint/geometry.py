@@ -4,6 +4,10 @@ Separated subsets and the covers they induce, greedy packing profiles
 and exact packing numbers, decompositions (multi-resolution chaining
 and the one-level coarse rounding), and Monte-Carlo Gaussian mean width.
 
+Two norms, L2 and LINF, measure distance.  A separation scale t is in
+units of ``Norm.unit(m)``, the norm of the all-ones vector (sqrt(m) for
+L2, 1 for LINF), so t = 1 is the diameter of [0, 1]^m in either norm.
+
 Every result depends only on its inputs plus an explicit seed.  The
 public preprocessing of a universe -- its diameters, chaining and
 coarse decompositions and (in ``bounds``) packing profiles --
@@ -41,18 +45,15 @@ GRID_RATIO = 2.0 ** 0.25
 BLOCK_ENTRIES = 131_072
 
 
-class Metric(Enum):
-    """Distance conventions behind the two separation-number families."""
-
-    NORMALIZED_L2 = "normalized_l2"  # d(x, y) = ||x - y||_2 / sqrt(m)
-    LINF = "linf"                    # d(x, y) = ||x - y||_inf
-
-
 class Norm(Enum):
     """Plain vector norms used by rounding maps and decompositions."""
 
     L2 = "l2"
     LINF = "linf"
+
+    def unit(self, m: int) -> float:
+        """Norm of the all-ones vector of R^m: sqrt(m) for L2, 1 for LINF."""
+        return math.sqrt(m) if self is Norm.L2 else 1.0
 
 
 def _row_norms(a: np.ndarray, norm: Norm) -> np.ndarray:
@@ -60,13 +61,6 @@ def _row_norms(a: np.ndarray, norm: Norm) -> np.ndarray:
     if norm is Norm.L2:
         return np.sqrt(np.einsum("...i,...i->...", a, a))
     return np.abs(a).max(axis=-1)
-
-
-def _metric_factor(metric: Metric, m: int) -> tuple[Norm, float]:
-    """Norm and divisor realizing a metric's distance on R^m."""
-    if metric is Metric.NORMALIZED_L2:
-        return Norm.L2, math.sqrt(m)
-    return Norm.LINF, 1.0
 
 
 @dataclass(eq=False)
@@ -199,12 +193,6 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
     return _memo(u, ("diameter", norm), build)
 
 
-def metric_diameter(u: Universe, metric: Metric) -> float:
-    """Diameter expressed in the metric's own scale convention."""
-    norm, scale = _metric_factor(metric, u.dim)
-    return diameter(u, norm) / scale
-
-
 # ---------------------------------------------------------------------------
 # separated sets, covers, packing numbers
 
@@ -243,17 +231,16 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
 
 
 def greedy_separated_set(u: Universe, t: float,
-                         metric: Metric = Metric.NORMALIZED_L2) -> np.ndarray:
+                         norm: Norm = Norm.L2) -> np.ndarray:
     """Rows of an inclusion-maximal strictly t-separated subset.
 
     Grown greedily in ascending row order, so it is reproducible without
-    a seed; ``t`` is in the metric's convention.  By the packing/covering
+    a seed; ``t`` is in units of ``norm.unit(m)``.  By the packing/covering
     duality the selected points form a (closed) t-cover of the universe.
     """
     if not t > 0:
         raise ValueError("separation scale t must be positive")
-    norm, scale = _metric_factor(metric, u.dim)
-    return _greedy_cover(u.points, [t * scale], norm)[0]
+    return _greedy_cover(u.points, [t * norm.unit(u.dim)], norm)[0]
 
 
 def _pairwise_matrix(pts: np.ndarray, norm: Norm) -> np.ndarray:
@@ -282,8 +269,7 @@ def _mis_size(adj: list[int], n: int, lower: int = 0) -> int:
     return best
 
 
-def packing_number(u: Universe, t: float,
-                   metric: Metric = Metric.NORMALIZED_L2) -> int:
+def packing_number(u: Universe, t: float, norm: Norm = Norm.L2) -> int:
     """Exact separation number at scale t.
 
     Solves maximum independent set on the distance-at-most-t conflict
@@ -294,9 +280,8 @@ def packing_number(u: Universe, t: float,
     if n > EXACT_PACKING_CAP:
         raise ValueError(f"exact packing capped at {EXACT_PACKING_CAP} "
                          f"points (universe has {n})")
-    norm, scale = _metric_factor(metric, u.dim)
     dmat = _pairwise_matrix(u.points, norm)
-    conflict = dmat <= t * scale
+    conflict = dmat <= t * norm.unit(u.dim)
     adj = []
     for i in range(n):
         mask = 0
@@ -304,7 +289,7 @@ def packing_number(u: Universe, t: float,
             if j != i and conflict[i, j]:
                 mask |= 1 << j
         adj.append(mask)
-    lower = greedy_separated_set(u, t, metric).size
+    lower = greedy_separated_set(u, t, norm).size
     return _mis_size(adj, n, lower=lower)
 
 
@@ -328,7 +313,7 @@ def t_grid(t_min: float, t_max: float) -> np.ndarray:
 
 
 def packing_profile(u: Universe, ts: np.ndarray,
-                    metric: Metric = Metric.NORMALIZED_L2) -> np.ndarray:
+                    norm: Norm = Norm.L2) -> np.ndarray:
     """Greedy packing estimates across scales, on one nested evaluation.
 
     Scales are processed from coarsest to finest while growing a single
@@ -337,10 +322,10 @@ def packing_profile(u: Universe, ts: np.ndarray,
     construction and every scale still gets an inclusion-maximal set.
     """
     ts = np.asarray(ts, dtype=float)
-    norm, scale = _metric_factor(metric, u.dim)
     order = np.argsort(-ts, kind="stable")
     sizes = np.zeros(ts.size, dtype=int)
-    sizes[order] = _greedy_cover(u.points, ts[order] * scale, norm)[1]
+    sizes[order] = _greedy_cover(u.points, ts[order] * norm.unit(u.dim),
+                                 norm)[1]
     return sizes
 
 
@@ -403,16 +388,14 @@ def chaining_decomposition(u: Universe, alpha: float,
         alpha: target remainder scale in (0, 1].
         norm: L2 or LINF.
         delta_cap: radius delta of a ball containing the universe;
-            defaults to sqrt(m) for L2 and 1 for LINF.
+            defaults to ``norm.unit(m)``.
 
     Returns:
         A Decomposition with ceil(log2(2/alpha)) levels.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    m = u.dim
-    delta = float(delta_cap) if delta_cap is not None else (
-        math.sqrt(m) if norm is Norm.L2 else 1.0)
+    delta = float(delta_cap if delta_cap is not None else norm.unit(u.dim))
     if delta <= 0:
         raise ValueError("delta_cap must be positive")
 
@@ -443,7 +426,7 @@ def coarse_decomposition(u: Universe, alpha: float) -> Decomposition:
         raise ValueError("alpha must lie in (0, 1]")
 
     def build() -> Decomposition:
-        root_m = math.sqrt(u.dim)
+        root_m = Norm.L2.unit(u.dim)
         radius = float(_row_norms(u.points, Norm.L2).max())
         return _decompose(u, [alpha / 2.0 * root_m], Norm.L2, [radius],
                           root_m, alpha)

@@ -8,7 +8,7 @@ polish (minor cycles in the min-norm-point sense): pairwise steps alone
 zigzag near low-dimensional faces and cannot reach tight tolerances
 within the iteration cap.  The iterate stays an explicit convex
 combination throughout and carries the first-order certificate
-``<y - p, v - p> <= tol * ||y - p|| * sqrt(m)`` for every vertex ``v``.
+``<y - p, v - p> <= TOL * ||y - p|| * sqrt(m)`` for every vertex ``v``.
 
 Deterministic given its inputs; inner products may be reduced in any
 order (the tolerance absorbs reduction noise).
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-7
+TOL = 1e-7
 # Absolute slack on the duality gap, per coordinate and unit of scale^2,
 # so that interior targets (residual going to zero) terminate once the
 # gap is at rounding level.  The gap is a difference of inner products
@@ -81,8 +81,7 @@ class ProjectionResult:
     certified: bool
 
 
-def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> ProjectionResult:
+def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     """Closest point to ``y`` in the convex hull of ``vertices``.
 
     Runs at most 50 * n iterations; on exhaustion the best iterate is
@@ -91,7 +90,6 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
     Args:
         y: target vector of length m.
         vertices: (n, m) matrix, one hull vertex per row (nonempty).
-        tol: relative certificate tolerance (> 0).
 
     Returns:
         ProjectionResult; ``point`` always lies in the hull (it is an
@@ -106,8 +104,6 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
         raise ValueError("need at least one vertex")
     if y.shape[0] != m:
         raise ValueError("target length must match the vertex dimension")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
     gap_floor = GAP_FLOOR * m * scale * scale
@@ -135,7 +131,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
         fw = int(scores.argmax())
         gap = float(scores[fw] - base)
         resid = float(np.linalg.norm(r))
-        if gap <= tol * resid * sqrt_m + gap_floor:
+        if gap <= TOL * resid * sqrt_m + gap_floor:
             break
         support = np.flatnonzero(w > 0)
         away = int(support[scores[support].argmin()])
@@ -158,7 +154,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray,
     w /= w.sum()
     p = w @ V
     final_gap, resid = gap_at(p)
-    certified = final_gap <= tol * resid * sqrt_m + gap_floor
+    certified = final_gap <= TOL * resid * sqrt_m + gap_floor
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0)}
     return ProjectionResult(point=p, weights=weights, iterations=iterations,
                             gap=final_gap, certified=certified)

@@ -11,12 +11,13 @@ projects each level's mean release onto that level's hull and sums.
 The channel draws, then decides.  Each party only draws, from its own
 generator: per level one uniform, m normals into its row of the one
 (k, n, m) release array, and one uniform.  The rest is public given a
-party's row, so each level tables its distinct rows once and decides
-every party's signs in one pass, scaling the array in place.  Privacy
-holds per party: only a pair of signs depends on the input, and the
-released sign's bias of eps/3 gives a density ratio of at most
-(1 + eps/3) / (1 - eps/3) <= e^eps between inputs.  A transcript is
-NDJSON, one ``{"party": i, "payload": [...]}`` line per party.
+party's row, so each level tables its distinct rows once, with its
+release scale (its largest row norm), and decides every party's signs
+in one pass, scaling the array in place.  Privacy holds per party: only
+a pair of signs depends on the input, and the released sign's bias of
+eps/3 gives a density ratio of at most (1 + eps/3) / (1 - eps/3) <=
+e^eps between inputs.  A transcript is NDJSON, one
+``{"party": i, "payload": [...]}`` line per party.
 """
 
 from __future__ import annotations
@@ -40,26 +41,12 @@ EPSILON_BIAS_LIMIT = 1.5
 _SIGNED_GAUSSIAN_MEAN = math.sqrt(2.0 / math.pi)
 
 
-@dataclass
-class LocalReleaseParams:
-    """Release configuration: per-party epsilon and the input ball radius."""
-
-    epsilon: float
-    scale: float
-
-    def __post_init__(self):
-        if not 0 < self.epsilon <= EPSILON_BIAS_LIMIT:
-            raise ValueError(f"epsilon {self.epsilon} is not in (0, "
-                             f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
-                             "leave [0, 1/2]")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-
 def _row_table(points: np.ndarray, scale: float) -> tuple:
     """Each row's unit direction and ``p_plus`` = P(u = +1) in the ball of
     radius ``scale`` rescaled to the unit ball.  The origin gets the axis
     e_0 with a fair sign, which keeps its mean at zero."""
+    if not scale > 0:
+        raise ValueError("scale must be positive")
     units, p_plus = np.zeros(points.shape), np.full(len(points), 0.5)
     units[:, 0] = 1.0
     for t, x in enumerate(points):
@@ -74,12 +61,17 @@ def _row_table(points: np.ndarray, scale: float) -> tuple:
     return units, p_plus
 
 
-def _channel(rngs, tables: list, params: list, m: int) -> np.ndarray:
-    """Every party's release of every level, as one (k, n, m) array: party
-    i draws from ``rngs[i]``, then each level j decides all signs at once,
-    party i holding row ``rows[i]`` of ``(units, p_plus, rows) = tables[j]``.
+def _channel(rngs, tables: list, epsilon: float, m: int) -> np.ndarray:
+    """Every party's release of every level with ``epsilon`` each, as one
+    (k, n, m) array: party i draws from ``rngs[i]``, then each level j
+    decides all signs at once, party i holding row ``rows[i]`` of
+    ``(units, p_plus, rows, scale) = tables[j]``.
     A dot summed in any order errs by at most gamma_m ~ m eps/2 times
     S = sum_c |z_c u_c|, so dots within 2 m eps S of 0 use the scalar dot."""
+    if not 0 < epsilon <= EPSILON_BIAS_LIMIT:
+        raise ValueError(f"epsilon {epsilon} is not in (0, "
+                         f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
+                         "leave [0, 1/2]")
     k, n = len(tables), len(tables[0][2])
     release, coins = np.empty((k, n, m)), np.empty((2, k, n))
     for i, rng in enumerate(rngs):
@@ -87,8 +79,8 @@ def _channel(rngs, tables: list, params: list, m: int) -> np.ndarray:
             coins[0, j, i] = rng.random()
             rng.standard_normal(out=row)
             coins[1, j, i] = rng.random()
-    for (units, p_plus, rows), p, first, z, last in zip(
-            tables, params, coins[0], release, coins[1]):
+    for (units, p_plus, rows, scale), first, z, last in zip(
+            tables, coins[0], release, coins[1]):
         dots, band = np.zeros(n), np.zeros(n)
         for z_col, u_col in zip(z.T, units.T):
             prod = z_col * u_col[rows]
@@ -98,21 +90,21 @@ def _channel(rngs, tables: list, params: list, m: int) -> np.ndarray:
         for i in np.flatnonzero(np.abs(dots) <= band):
             dots[i] = z[i] @ units[rows[i]]
         u_sign = np.where(first < p_plus[rows], 1.0, -1.0)
-        bias = (p.epsilon / 3.0) * np.sign(dots) * u_sign
+        bias = (epsilon / 3.0) * np.sign(dots) * u_sign
         s = np.where(last < (1.0 + bias) / 2.0, 1.0, -1.0)
-        z *= (3.0 / (p.epsilon * _SIGNED_GAUSSIAN_MEAN) * p.scale) * s[:, None]
+        z *= (3.0 / (epsilon * _SIGNED_GAUSSIAN_MEAN) * scale) * s[:, None]
     return release
 
 
-def local_release(x: np.ndarray, params: LocalReleaseParams,
+def local_release(x: np.ndarray, epsilon: float, scale: float,
                   seed=None) -> np.ndarray:
     """One party's unbiased, eps-DP release of its point in the ball of
-    radius ``params.scale``, the channel's one-party case: a signed
-    Gaussian direction whose sign carries an eps/3 bias toward the input,
-    scaled so that the output has mean x."""
+    radius ``scale``, the channel's one-party case: a signed Gaussian
+    direction whose sign carries an eps/3 bias toward the input, scaled
+    so that the output has mean x."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    table = (*_row_table(x, params.scale), [0])
-    return _channel([np.random.default_rng(seed)], [table], [params],
+    table = (*_row_table(x, scale), [0], scale)
+    return _channel([np.random.default_rng(seed)], [table], epsilon,
                     x.shape[1])[0, 0]
 
 
@@ -120,7 +112,8 @@ def local_release(x: np.ndarray, params: LocalReleaseParams,
 class LevelProtocol:
     """``levels[j]`` is level j's public matrix, ``rows[i, j]`` party i's
     row in it, and ``facts`` the public facts its trace reports;
-    ``tables[j]`` is the channel's table of level j's distinct rows."""
+    ``tables[j]`` is the channel's table of level j's distinct rows and
+    ``part`` = epsilon/k each level's share."""
 
     levels: list[np.ndarray]
     rows: np.ndarray
@@ -132,14 +125,12 @@ class LevelProtocol:
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.levels) \
                 or len(self.rows) < 1:
             raise ValueError("need one row per level for each party")
-        part = float(as_fraction(self.epsilon) / len(self.levels))
-        self.params = [LocalReleaseParams(
-            part, float(np.linalg.norm(lvl, axis=1).max()) or 1.0)
-            for lvl in self.levels]
+        self.part = float(as_fraction(self.epsilon) / len(self.levels))
         self.tables = []
-        for lvl, rows, p in zip(self.levels, self.rows.T, self.params):
+        for lvl, rows in zip(self.levels, self.rows.T):
             used, index = np.unique(rows, return_inverse=True)
-            self.tables.append((*_row_table(lvl[used], p.scale), index))
+            scale = float(np.linalg.norm(lvl, axis=1).max()) or 1.0
+            self.tables.append((*_row_table(lvl[used], scale), index, scale))
 
     def server(self, release: np.ndarray) -> tuple:
         """The sum over levels of each level mean's projection onto that
@@ -165,7 +156,7 @@ def simulate_protocol(protocol: LevelProtocol,
     bit-identically and parties could run concurrently."""
     children = as_seed_sequence(seed).spawn(len(protocol.rows))
     release = _channel(map(np.random.default_rng, children), protocol.tables,
-                       protocol.params, protocol.levels[0].shape[1])
+                       protocol.part, protocol.levels[0].shape[1])
     return release, protocol.server(release)
 
 

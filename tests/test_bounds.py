@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import Metric, Universe
+from meanpoint.geometry import Norm, Universe
 
 UPPER_CENTRAL = (bounds.ub_coarse, bounds.ub_chain, bounds.ub_infty)
 UPPER_LOCAL = (bounds.ub_local_coarse, bounds.ub_local_chain)
@@ -49,7 +49,7 @@ class TestGreedyLowerBounds:
 
     @staticmethod
     def _sup(u, alpha, mode, threshold, term):
-        return bounds.bound_profile(u, Metric.NORMALIZED_L2, alpha,
+        return bounds.bound_profile(u, Norm.L2, alpha,
                                     packing_mode=mode,
                                     threshold=threshold * alpha).sup(term)
 

@@ -1,5 +1,8 @@
+import csv
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
@@ -118,6 +121,29 @@ def test_pack_writes_the_profile_table_as_csv(universe_file, tmp_path):
     assert all(len(row.split(",")) == 3 for row in lines[1:])
 
 
+@pytest.mark.parametrize("argv, label", [([], "l2"),
+                                         (["--metric", "linf"], "linf")])
+def test_pack_labels_the_profile_with_the_metric_token(universe_file, argv,
+                                                        label, capsys):
+    code = cli.main(["pack", "--universe", universe_file, "--alpha", "0.2",
+                     *argv])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["metric"] == label
+
+
+def test_bench_quotes_a_comma_in_the_universe_label(tmp_path):
+    universe = tmp_path / "a,b.csv"
+    universe.write_text(geometry.universe_to_csv(harness.gen_thresholds(6)))
+    out = tmp_path / "bench.csv"
+    code = cli.main(["bench", "--universe", str(universe), "--mechanisms",
+                     "projection", "--n-grid", "20", "--rho", "0.5",
+                     "--trials", "1", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    header, row = csv.reader(out.read_text().splitlines())
+    assert header == cli.BENCH_HEADER.split(",")
+    assert len(row) == len(header) and row[:2] == ["a,b", "projection"]
+
+
 @pytest.mark.parametrize("flag", [["--alpha", "0"], ["--alpha", "nan"]])
 def test_invalid_pmw_rates_are_config_errors(universe_file, flag, capsys):
     code = cli.main(["run", "--universe", universe_file, "--mechanism",
@@ -178,3 +204,43 @@ def test_run_report_survives_a_json_round_trip(spec):
     assert back == report
     assert back.determinism_hash() == report.determinism_hash()
     assert (back.bounds == {}) == ("alpha" not in spec)
+
+
+def test_transcript_at_the_reports_temporary_name_survives(universe_file,
+                                                          tmp_path):
+    report, transcript = tmp_path / "r.json", tmp_path / "r.json.tmp"
+    code = cli.main(["local", "--universe", universe_file, "--protocol",
+                     "lpm", "--epsilon", "1.0", "--n", "20", "--trials", "1",
+                     "--out", str(report), "--transcript", str(transcript)])
+    assert code == cli.EXIT_OK
+    assert json.loads(report.read_text())["n"] == 20
+    assert len(transcript.read_text().splitlines()) == 20
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "r.json.tmp",
+                                            "thresholds6.csv"]
+
+
+def test_output_keeps_a_users_file_and_the_umask_mode(universe_file,
+                                                      tmp_path):
+    mine = tmp_path / "w.json.tmp"
+    mine.write_text("mine")
+    old = os.umask(0o022)
+    try:
+        code = cli.main(["width", "--universe", universe_file, "--samples",
+                         "10", "--out", str(tmp_path / "w.json")])
+    finally:
+        os.umask(old)
+    assert code == cli.EXIT_OK
+    assert mine.read_text() == "mine"
+    assert stat.S_IMODE((tmp_path / "w.json").stat().st_mode) == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["thresholds6.csv", "w.json",
+                                            "w.json.tmp"]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli._atomic_write(str(tmp_path / "out.json"), "{}")
+    assert os.listdir(tmp_path) == []

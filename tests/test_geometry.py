@@ -8,31 +8,34 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import (Metric, Norm, Universe, _metric_factor,
-                                _pairwise_matrix, _row_norms,
+from meanpoint.geometry import (Norm, Universe, _pairwise_matrix, _row_norms,
                                 chaining_decomposition, coarse_decomposition,
                                 diameter,
                                 gaussian_mean_width, greedy_separated_set,
-                                metric_diameter, packing_number,
+                                packing_number,
                                 packing_profile, t_grid,
                                 universe_from_csv, universe_to_csv,
                                 verify_decomposition)
 
+# Both norms, under the test ids the suite has always printed for them.
+BOTH_NORMS = pytest.mark.parametrize(
+    "norm", [Norm.L2, Norm.LINF], ids=["Metric.NORMALIZED_L2", "Metric.LINF"])
 
-def _metric_dist(pts, i, j, metric):
+
+def _dist(pts, i, j, norm):
     d = pts[i] - pts[j]
-    if metric is Metric.NORMALIZED_L2:
+    if norm is Norm.L2:
         return float(np.linalg.norm(d)) / math.sqrt(pts.shape[1])
     return float(np.abs(d).max())
 
 
-def brute_force_max_packing(pts, t, metric):
+def brute_force_max_packing(pts, t, norm):
     """Oracle: largest strictly t-separated subset by subset enumeration."""
     n = len(pts)
     best = 0
     for size in range(n, 0, -1):
         for combo in itertools.combinations(range(n), size):
-            if all(_metric_dist(pts, a, b, metric) > t
+            if all(_dist(pts, a, b, norm) > t
                    for a, b in itertools.combinations(combo, 2)):
                 return size
         if best:
@@ -100,7 +103,7 @@ class TestGreedySeparatedSet:
         # exhaustive oracle confirms 3 is the max strictly-0.4-separated size
         pts = np.array([[0.0], [0.5], [1.0]])
         u = Universe(points=pts)
-        assert brute_force_max_packing(pts, 0.4, Metric.NORMALIZED_L2) == 3
+        assert brute_force_max_packing(pts, 0.4, Norm.L2) == 3
         s = greedy_separated_set(u, 0.4)
         assert list(s) == [0, 1, 2]
 
@@ -114,15 +117,15 @@ class TestGreedySeparatedSet:
         with pytest.raises(ValueError):
             greedy_separated_set(u, 0.0)
 
-    @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
-    def test_cover_duality(self, metric):
+    @BOTH_NORMS
+    def test_cover_duality(self, norm):
         # maximal separated sets are t-covers
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = random_universe(rng)
-            norm, scale = _metric_factor(metric, u.dim)
+            scale = norm.unit(u.dim)
             for t in (0.05, 0.2, 0.6):
-                centers = u.points[greedy_separated_set(u, t, metric)]
+                centers = u.points[greedy_separated_set(u, t, norm)]
                 dist = _row_norms(u.points[:, None, :] - centers[None], norm)
                 radius = dist.min(axis=1).max() / scale
                 assert radius <= t + 1e-12
@@ -141,7 +144,7 @@ class TestPackingNumber:
             u = Universe(points=pts)
             for t in (0.1, 0.3, 0.5):
                 assert packing_number(u, t) == \
-                    brute_force_max_packing(pts, t, Metric.NORMALIZED_L2)
+                    brute_force_max_packing(pts, t, Norm.L2)
 
     def test_greedy_at_most_exact(self):
         rng = np.random.default_rng(5)
@@ -164,8 +167,8 @@ class TestPackingNumber:
 
     def test_profile_monotone_by_nesting(self):
         u = Universe(points=np.random.default_rng(8).random((40, 4)))
-        ts = t_grid(0.02, metric_diameter(u, Metric.NORMALIZED_L2))
-        sizes = packing_profile(u, ts, Metric.NORMALIZED_L2)
+        ts = t_grid(0.02, diameter(u, Norm.L2) / Norm.L2.unit(u.dim))
+        sizes = packing_profile(u, ts, Norm.L2)
         assert all(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1))
 
 
@@ -321,23 +324,23 @@ class TestCoverMaskKernel:
     """The cover kernel selects exactly what the plain scan does."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
-    @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
-    def test_separated_sets_match_the_scan(self, name, metric):
+    @BOTH_NORMS
+    def test_separated_sets_match_the_scan(self, name, norm):
         u = KERNEL_UNIVERSES[name]()
-        norm, scale = _metric_factor(metric, u.dim)
+        scale = norm.unit(u.dim)
         # 0.25 puts pairs of thresholds(32) exactly at distance t.
         for t in (0.05, 0.15, 0.25, 0.3):
-            got = greedy_separated_set(u, t, metric)
+            got = greedy_separated_set(u, t, norm)
             want = reference_greedy_extend(u.points, [], np.arange(u.size),
                                            t * scale, norm)
             assert got.tolist() == want, t
 
     @pytest.mark.parametrize("name", sorted(KERNEL_UNIVERSES))
-    @pytest.mark.parametrize("metric", [Metric.NORMALIZED_L2, Metric.LINF])
-    def test_packing_profiles_match_the_scan(self, name, metric):
+    @BOTH_NORMS
+    def test_packing_profiles_match_the_scan(self, name, norm):
         u = KERNEL_UNIVERSES[name]()
-        norm, scale = _metric_factor(metric, u.dim)
-        ts = t_grid(0.02, metric_diameter(u, metric))
+        scale = norm.unit(u.dim)
+        ts = t_grid(0.02, diameter(u, norm) / scale)
         # 0.25 puts pairs of thresholds(32) exactly at distance t; the
         # profile takes its scales in any order.
         for grid in (ts, np.sort(np.append(ts, 0.25)),
@@ -348,7 +351,7 @@ class TestCoverMaskKernel:
                                               np.arange(u.size), t * scale,
                                               norm)
                 want[t] = len(sel)
-            got = packing_profile(u, grid, metric)
+            got = packing_profile(u, grid, norm)
             assert got.tolist() == [want[t] for t in grid]
 
 
@@ -389,11 +392,14 @@ class TestPreprocessingCache:
         assert chaining_decomposition(u, 0.2) is dec
         assert chaining_decomposition(u, 0.2, Norm.L2,
                                       delta_cap=math.sqrt(u.dim)) is dec
-        assert chaining_decomposition(u, 0.2, Norm.LINF) is not dec
+        linf = chaining_decomposition(u, 0.2, Norm.LINF)
+        assert linf is not dec
+        assert chaining_decomposition(
+            u, 0.2, Norm.LINF, delta_cap=Norm.LINF.unit(u.dim)) is linf
         assert dec.level_universes is dec.level_universes
-        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
-        assert bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1) is prof
-        assert bounds.bound_profile(u, Metric.LINF, 0.1) is not prof
+        prof = bounds.bound_profile(u, Norm.L2, 0.1)
+        assert bounds.bound_profile(u, Norm.L2, 0.1) is prof
+        assert bounds.bound_profile(u, Norm.LINF, 0.1) is not prof
         coarse = coarse_decomposition(u, 0.3)
         assert coarse_decomposition(u, 0.3) is coarse
         assert coarse_decomposition(u, 0.2) is not coarse
@@ -404,7 +410,7 @@ class TestPreprocessingCache:
             first = diameter(u, norm)
             assert diameter(u, norm) == first
         dec = chaining_decomposition(u, 0.1)
-        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        prof = bounds.bound_profile(u, Norm.L2, 0.1)
         coarse = coarse_decomposition(u, 0.3)
         fresh = Universe(points=u.points.copy())
         for norm in Norm:
@@ -414,7 +420,7 @@ class TestPreprocessingCache:
         assert all(np.array_equal(a, b)
                    for a, b in zip(again.levels, dec.levels))
         assert np.array_equal(again.assignments, dec.assignments)
-        again_prof = bounds.bound_profile(fresh, Metric.NORMALIZED_L2, 0.1)
+        again_prof = bounds.bound_profile(fresh, Norm.L2, 0.1)
         assert np.array_equal(again_prof.packing, prof.packing)
         assert again_prof.sup_terms == prof.sup_terms
         again_coarse = coarse_decomposition(fresh, 0.3)
@@ -424,7 +430,7 @@ class TestPreprocessingCache:
     def test_cached_arrays_are_read_only(self):
         u = harness.gen_thresholds(8)
         dec = chaining_decomposition(u, 0.2)
-        prof = bounds.bound_profile(u, Metric.NORMALIZED_L2, 0.1)
+        prof = bounds.bound_profile(u, Norm.L2, 0.1)
         coarse = coarse_decomposition(u, 0.3)
         for a in (*dec.levels, dec.assignments, *dec.generator_indices,
                   prof.ts, prof.packing, *coarse.levels, coarse.assignments):

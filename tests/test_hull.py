@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meanpoint.hull import DEFAULT_TOL, GAP_FLOOR, project_onto_hull
+from meanpoint.hull import GAP_FLOOR, TOL, project_onto_hull
 
 
 def simplex_project_rows(lam):
@@ -128,47 +128,43 @@ class TestProjectOntoHull:
 
     def test_certificate_holds_on_random_instances(self):
         rng = np.random.default_rng(2)
-        tol = 1e-7
         for _ in range(50):
             y, V = random_instance(rng, m=int(rng.integers(1, 6)),
                                    n_vertices=int(rng.integers(1, 12)))
-            res = project_onto_hull(y, V, tol=tol)
+            res = project_onto_hull(y, V)
             assert res.certified
             resid = np.linalg.norm(y - res.point)
             gaps = (V - res.point) @ (y - res.point)
-            assert gaps.max() <= tol * resid * math.sqrt(V.shape[1]) + 1e-10
+            assert gaps.max() <= TOL * resid * math.sqrt(V.shape[1]) + 1e-10
 
     def test_non_expansive(self):
         rng = np.random.default_rng(3)
-        tol = 1e-7
         for _ in range(20):
             _, V = random_instance(rng)
             y1 = rng.random(3) * 4 - 2
             y2 = rng.random(3) * 4 - 2
-            p1 = project_onto_hull(y1, V, tol=tol).point
-            p2 = project_onto_hull(y2, V, tol=tol).point
+            p1 = project_onto_hull(y1, V).point
+            p2 = project_onto_hull(y2, V).point
             m = V.shape[1]
             assert np.linalg.norm(p1 - p2) <= \
-                np.linalg.norm(y1 - y2) + 2 * tol * math.sqrt(m)
+                np.linalg.norm(y1 - y2) + 2 * TOL * math.sqrt(m)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
-        tol = 1e-7
         for _ in range(20):
             y, V = random_instance(rng)
-            p1 = project_onto_hull(y, V, tol=tol).point
-            p2 = project_onto_hull(p1, V, tol=tol).point
-            assert np.linalg.norm(p2 - p1) <= 2 * tol * math.sqrt(V.shape[1])
+            p1 = project_onto_hull(y, V).point
+            p2 = project_onto_hull(p1, V).point
+            assert np.linalg.norm(p2 - p1) <= 2 * TOL * math.sqrt(V.shape[1])
 
     def test_no_farther_than_any_vertex(self):
         rng = np.random.default_rng(5)
-        tol = 1e-7
         for _ in range(20):
             y, V = random_instance(rng)
-            p = project_onto_hull(y, V, tol=tol).point
+            p = project_onto_hull(y, V).point
             best_vertex = np.linalg.norm(V - y, axis=1).min()
             assert np.linalg.norm(p - y) <= \
-                best_vertex + tol * math.sqrt(V.shape[1])
+                best_vertex + TOL * math.sqrt(V.shape[1])
 
     def test_projection_error_inequality_monte_carlo(self):
         # E||p - x||^2 <= E sup_w <w, W - x> for W = x + noise, x in hull;
@@ -188,8 +184,6 @@ class TestProjectOntoHull:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             project_onto_hull(np.array([0.0, 1.0]), np.array([[0.0]]))
-        with pytest.raises(ValueError):
-            project_onto_hull(np.array([0.0]), np.array([[0.0]]), tol=0.0)
 
 
 # Vertex sets of up to 12 points in [-2, 2]^m, m <= 5, with two targets
@@ -223,7 +217,7 @@ class TestProjectionProperties:
         # The solver's own first-order inequality at the returned point.
         r = y1 - res.point
         gap = float(((V - res.point) @ r).max())
-        assert gap <= DEFAULT_TOL * float(np.linalg.norm(r)) * math.sqrt(m) \
+        assert gap <= TOL * float(np.linalg.norm(r)) * math.sqrt(m) \
             + floor(y1)
         # The point lies in the hull, so it is its own exact projection,
         # and a projection with duality gap g lies within sqrt(g) of the

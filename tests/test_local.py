@@ -42,10 +42,9 @@ def test_uncertified_server_projection_is_reported(protocol, monkeypatch):
 
 
 def test_release_is_unbiased_on_the_ball():
-    params = local.LocalReleaseParams(epsilon=1.0, scale=2.0)
     x = np.array([1.2, -1.6, 0.0])  # norm 2: on the ball's boundary
     rng = np.random.default_rng(0)
-    draws = np.array([local.local_release(x, params, rng)
+    draws = np.array([local.local_release(x, 1.0, 2.0, rng)
                       for _ in range(20_000)])
     se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - x) <= 4 * se)
@@ -53,8 +52,7 @@ def test_release_is_unbiased_on_the_ball():
 
 def test_epsilon_beyond_the_bias_limit_is_refused():
     with pytest.raises(ValueError):
-        local.LocalReleaseParams(epsilon=local.EPSILON_BIAS_LIMIT * 1.01,
-                                 scale=1.0)
+        local.local_release(np.zeros(2), local.EPSILON_BIAS_LIMIT * 1.01, 1.0)
 
 
 def test_lcm_splits_epsilon_evenly_and_recomposes_exactly():
@@ -62,7 +60,7 @@ def test_lcm_splits_epsilon_evenly_and_recomposes_exactly():
     protocol = local.chaining_protocol(d, 1.0, 0.25)
     out = local.run_protocol(protocol, seed=2)
     assert out.trace["k"] == 3
-    assert [p.epsilon for p in protocol.params] == [float(Fraction(1, 3))] * 3
+    assert protocol.part == float(Fraction(1, 3))
     assert out.budget_consumed == PrivacyBudget.pure_dp(1.0)
     assert privacy.compose(
         [PrivacyBudget.pure_dp(Fraction(1, 3))] * 3) == out.budget_consumed
@@ -142,13 +140,12 @@ def test_sign_step_ties_take_the_scalar_sign():
                 zs.append(z)
                 in_band += 1
     assert in_band >= 40
-    params = local.LocalReleaseParams(epsilon=1.2, scale=1.0)
-    table = (units, p_plus, np.array(rows))
+    table = (units, p_plus, np.array(rows), 1.0)
     # With u = +1, last = 0.5 tells a positive sign from the rest, and
     # last = (1 - eps/3) / 2 a negative sign from the rest.
     for last in (0.5, (1.0 - 1.2 / 3.0) / 2.0):
         got = local._channel([_Scripted(0.0, z, last) for z in zs], [table],
-                             [params], 3)[0]
+                             1.2, 3)[0]
         for i, (t, z) in enumerate(zip(rows, zs)):
             want = _scalar_channel(points[t], 1.0, 1.2, 0.0, z, last)
             assert got[i].tobytes() == want.tobytes(), (t, z)
@@ -163,7 +160,7 @@ def test_sign_channel_ratio_is_at_most_e_eps_on_every_table_row(universe):
     d = central.Dataset(universe, np.arange(universe.size))
     tables = [table for protocol in PROTOCOLS for table in
               harness.MECHANISMS[protocol].protocol(d, _spec(protocol)).tables]
-    p_plus = {Fraction(p) for _, column, _ in tables for p in column}
+    p_plus = {Fraction(p) for _, column, _, _ in tables for p in column}
     assert Fraction(1, 2) in p_plus  # the zero row
     for eps in (0.1, 1.0, 1.5):
         bias = Fraction(eps) / 3
