@@ -1,9 +1,7 @@
 """Instance-adaptive differentially private mean estimation over finite
 point sets, with the geometric machinery to drive and validate it."""
 
-from .bounds import (bound_profile, bound_report, lb_local,
-                     lb_local_delta_cap, lb_packing, ub_chain, ub_coarse,
-                     ub_infty, ub_local_chain, ub_local_coarse)
+from .bounds import bound_profile, bound_report, estimate
 from .central import (Dataset, MechanismOutput, chaining_mechanism,
                       chaining_mechanism_linf, coarse_projection_mechanism,
                       decompose_and_run, pmw_mechanism, projection_mechanism)

@@ -144,15 +144,12 @@ class Decomposition:
     def k(self) -> int:
         return len(self.levels)
 
-    def component_sums(self, points: np.ndarray) -> np.ndarray:
-        """Sum of assigned components for each row of ``points``."""
-        total = np.zeros_like(np.asarray(points, dtype=float))
+    def remainders(self, u: "Universe") -> np.ndarray:
+        """Each universe point minus the sum of its assigned components."""
+        total = np.zeros(u.points.shape)
         for j, lvl in enumerate(self.levels):
             total += lvl[self.assignments[:, j]]
-        return total
-
-    def remainders(self, u: "Universe") -> np.ndarray:
-        return u.points - self.component_sums(u.points)
+        return u.points - total
 
     @cached_property
     def level_universes(self) -> list[Universe]:

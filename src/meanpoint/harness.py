@@ -267,16 +267,6 @@ class RunReport:
         return hashlib.sha256(blob).hexdigest()
 
 
-def aggregate_errors(sq_errors: list[float],
-                     inf_errors: list[float]) -> tuple[float, float, float]:
-    """(err2_mean, err2_sd, errinf_mean) from per-trial errors."""
-    err2_mean = math.sqrt(sum(sq_errors) / len(sq_errors))
-    roots = [math.sqrt(v) for v in sq_errors]
-    err2_sd = statistics.stdev(roots) if len(roots) > 1 else 0.0
-    errinf_mean = sum(inf_errors) / len(inf_errors)
-    return err2_mean, err2_sd, errinf_mean
-
-
 def measure_error(d: Dataset, spec: dict, trials: int,
                   seed: int | None = None) -> RunReport:
     """Run a mechanism ``trials`` times with derived seeds and report.
@@ -300,10 +290,12 @@ def measure_error(d: Dataset, spec: dict, trials: int,
         inf.append(float(np.abs(err).max()))
         certified.append(trace_all_certified(out.trace))
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    err2_mean, err2_sd, errinf_mean = aggregate_errors(sq, inf)
+    roots = [math.sqrt(v) for v in sq]
     return RunReport(config=dict(spec), n=d.n, m=m,
                      universe_size=d.universe.size, trials=trials, seed=seed,
                      per_trial_sq_err=sq, per_trial_inf_err=inf,
-                     per_trial_certified=certified, err2_mean=err2_mean,
-                     err2_sd=err2_sd, errinf_mean=errinf_mean,
+                     per_trial_certified=certified,
+                     err2_mean=math.sqrt(sum(sq) / len(sq)),
+                     err2_sd=statistics.stdev(roots) if trials > 1 else 0.0,
+                     errinf_mean=sum(inf) / len(inf),
                      bounds=_spec_bounds(d.universe, spec), wall_ms=wall_ms)

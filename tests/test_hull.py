@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from meanpoint import harness
 from meanpoint.hull import GAP_FLOOR, TOL, project_onto_hull
 
 
@@ -108,6 +109,25 @@ class TestProjectOntoHull:
         for y, V, ref in zip(ys, Vs, refs):
             res = project_onto_hull(y, V)
             assert np.linalg.norm(res.point - ref) <= 1e-4
+
+    def test_rank_deficient_marginal_vertices(self):
+        # The 16 vertices of gen_marginals2(4) span an affine space of
+        # rank 7 in R^6, so every KKT system over more than 7 of them is
+        # singular.  Two of the interior targets reach supports of 8.
+        V = harness.gen_marginals2(4).points
+        rng = np.random.default_rng(3)
+        inside = [rng.dirichlet(np.ones(len(V))) @ V for _ in range(4)]
+        face_out = V[V[:, 0] == 0].mean(axis=0)
+        face_out[0] = -0.5
+        outside = [face_out] + [rng.random(6) * 2 - 0.5 for _ in range(2)]
+        ys = np.array(inside + outside)
+        refs = pgd_oracle_batch(ys, np.array([V] * len(ys)), steps=5_000)
+        for i, (y, ref) in enumerate(zip(ys, refs)):
+            res = project_onto_hull(y, V)
+            assert res.certified
+            assert np.linalg.norm(res.point - ref) <= 1e-9
+            if i < len(inside):
+                assert np.linalg.norm(res.point - y) <= 1e-12
 
     def test_agrees_with_exact_support_oracle(self):
         # Includes 0/1 vertex sets (affinely dependent, as in marginals)
