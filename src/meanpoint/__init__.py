@@ -2,9 +2,8 @@
 point sets, with the geometric machinery to drive and validate it."""
 
 from .bounds import bound_profile, bound_report, estimate
-from .central import (Dataset, MechanismOutput, chaining_mechanism,
-                      chaining_mechanism_linf, coarse_projection_mechanism,
-                      decompose_and_run, pmw_mechanism, projection_mechanism)
+from .central import (Dataset, MechanismOutput, decompose_and_run,
+                      pmw_mechanism, projection_mechanism)
 from .geometry import (Decomposition, Norm, Universe, chaining_decomposition,
                        diameter, gaussian_mean_width, greedy_separated_set,
                        packing_number)

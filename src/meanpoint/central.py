@@ -1,9 +1,12 @@
-"""Central-model mechanisms under zero-concentrated differential privacy.
+"""Central-model level releases under zero-concentrated differential privacy.
 
-Projection, coarse projection, chaining (average error), multiplicative
-weights (worst-case error), chaining over multiplicative weights, and
-the level combinator that runs one level mechanism on every summand of
-a decomposition with an equal share of rho and adds the results.
+The projection mechanism (average error), private multiplicative
+weights (worst-case error), and the level combinator that runs one
+level release on every summand of a decomposition with an equal share
+of rho and adds the results.  ``harness.MECHANISMS`` pairs each with
+its public split: coarse projection and chaining are the combinator
+over projection, sup-norm chaining the combinator over multiplicative
+weights.
 
 Every mechanism owns one RNG stream derived from its seed; identical
 seeds and inputs give bit-identical outputs.  Level mechanisms get
@@ -85,14 +88,6 @@ def _level_seeds(seed, k: int) -> list:
     return list(as_seed_sequence(seed).spawn(k))
 
 
-def trace_all_certified(trace: dict) -> bool:
-    """Whether every projection recorded in a (nested) trace certified."""
-    ok = trace.get("projection_certified", True)
-    for sub in trace.get("levels", []):
-        ok = ok and trace_all_certified(sub)
-    return bool(ok)
-
-
 # ---------------------------------------------------------------------------
 # projection mechanism
 
@@ -153,47 +148,10 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
         out = release(level_dataset(d, dec, j), rho_part, level_seed)
         outputs.append(out)
         estimate = estimate + out.estimate
-    trace = {
-        "mechanism": "decompose_and_run",
-        "k": k,
-        "remainder_radius": dec.remainder_radius,
-        "levels": [o.trace for o in outputs],
-    }
     return MechanismOutput(
         estimate=estimate,
         budget_consumed=privacy.compose([o.budget_consumed for o in outputs]),
-        trace=trace)
-
-
-def coarse_projection_mechanism(d: Dataset, rho, alpha: float,
-                                seed=None) -> MechanismOutput:
-    """Coarse projection: chaining with the one level of
-    ``geometry.coarse_decomposition``.
-
-    Each point rounds to its nearest member of a maximal
-    (alpha/2)-separated subset (public preprocessing), and the
-    projection mechanism runs on the rounded dataset over that subset
-    with the full budget.  The dropped remainder is covered by the zero
-    mechanism on a ball of radius (alpha/2)*sqrt(m), which costs nothing.
-    """
-    dec = geometry.coarse_decomposition(d.universe, alpha)
-    out = decompose_and_run(d, dec, projection_mechanism, rho, seed=seed)
-    out.trace.update(mechanism="coarse_projection", alpha=float(alpha))
-    return out
-
-
-def chaining_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
-    """Chaining: solve one projection subproblem per decomposition level.
-
-    The universe is split into halving-scale summands; each level runs
-    the projection mechanism with budget rho/k and the outputs are
-    summed.  The remainder ball contributes at most alpha/2 error for
-    free.
-    """
-    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.L2)
-    out = decompose_and_run(d, dec, projection_mechanism, rho, seed=seed)
-    out.trace.update(mechanism="chaining", alpha=float(alpha))
-    return out
+        trace={"levels": [o.trace for o in outputs]})
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +229,3 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
         estimate=estimate,
         budget_consumed=PrivacyBudget.zcdp((rho_select + rho_answer) * rounds),
         trace=trace)
-
-
-def chaining_mechanism_linf(d: Dataset, rho, alpha: float,
-                            seed=None) -> MechanismOutput:
-    """Worst-case-error chaining: multiplicative weights per level.
-
-    Decomposes the universe under the sup norm (ball radius 1, so the
-    universe must sit inside the unit box), runs multiplicative weights
-    with budget rho/k on every level, and sums.  The remainder ball
-    contributes at most alpha/2 in sup norm.
-    """
-    if not d.universe.in_unit_box:
-        raise ValueError("sup-norm chaining requires a [0, 1]^m universe")
-    dec = geometry.chaining_decomposition(d.universe, alpha, Norm.LINF)
-    level_alpha = alpha / (2.0 * dec.k)
-
-    def release(level: Dataset, rho_part, level_seed) -> MechanismOutput:
-        return pmw_mechanism(level, rho_part, level_alpha, seed=level_seed)
-
-    out = decompose_and_run(d, dec, release, rho, seed=seed)
-    out.trace.update(mechanism="chaining_linf", alpha=float(alpha))
-    return out

@@ -249,7 +249,7 @@ def _run(args) -> int:
     report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
     if getattr(args, "transcript", None):
         # Trial 0's seed is the first child of the run seed.
-        protocol = harness.MECHANISMS[args.mechanism].protocol(d, spec)
+        protocol = harness.level_protocol(d, spec)
         trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
         release, _ = local.simulate_protocol(protocol, seed=trial0)
         _atomic_write(args.transcript, "".join(

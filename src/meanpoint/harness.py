@@ -14,10 +14,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds, central, local
-from .central import (Dataset, MechanismOutput, as_seed_sequence,
-                      trace_all_certified)
-from .geometry import Universe
+from . import bounds, central, geometry, local
+from .central import Dataset, MechanismOutput, as_seed_sequence
+from .geometry import Decomposition, Norm, Universe
 
 # Largest universe ``gen_marginals2`` builds.
 MARGINALS2_MAX_POINTS = 4096
@@ -142,55 +141,61 @@ def gen_dataset(u: Universe, n: int, mode: str = "uniform",
 
 
 class Mechanism(NamedTuple):
-    """One row of the mechanism table.
+    """One row of the mechanism table: a public split of the universe
+    and a private release on each of its levels.
 
     ``privacy`` names the spec key of the privacy parameter: ``rho``
     for the central (zCDP) mechanisms, ``epsilon`` for the local
     (pure-DP per party) protocols.  ``needs_alpha`` says whether the
     mechanism reads the error target ``alpha``.  ``upper_bound`` is the
     ``bounds.bound_report`` key of the mechanism's sample-size estimate.
-    A central mechanism's ``release(dataset, spec, seed)`` runs it.  A
-    local protocol's row has no release; its ``protocol(dataset, spec)``
-    builds the ``local.LevelProtocol`` that ``local.run_protocol`` runs
-    and whose transcript is what it publishes.
+    ``split(u, alpha)`` is the row's public ``geometry.Decomposition``;
+    a row without one releases on the universe itself, its one level.
+    ``level(d, rho, alpha, seed)`` is the central release on one level,
+    given alpha / (2k) on each of a split's k levels.  A local row has
+    no level release: its parties run ``local.LevelProtocol`` over the
+    levels with epsilon / k each.
     """
 
     privacy: str
     needs_alpha: bool
     upper_bound: str | None
-    release: Callable[[Dataset, dict, object], MechanismOutput] | None
-    protocol: Callable[[Dataset, dict], local.LevelProtocol] | None = None
+    split: Callable[[Universe, float], Decomposition] | None
+    level: Callable[[Dataset, object, float, object], MechanismOutput] | None
+
+
+def _projection(d: Dataset, rho, alpha, seed) -> MechanismOutput:
+    return central.projection_mechanism(d, rho, seed=seed)
+
+
+def _pmw(d: Dataset, rho, alpha, seed) -> MechanismOutput:
+    return central.pmw_mechanism(d, rho, alpha, seed=seed)
+
+
+def _coarse(u: Universe, alpha: float) -> Decomposition:
+    return geometry.coarse_decomposition(u, alpha)
+
+
+def _chaining(u: Universe, alpha: float) -> Decomposition:
+    return geometry.chaining_decomposition(u, alpha, Norm.L2)
+
+
+def _chaining_linf(u: Universe, alpha: float) -> Decomposition:
+    # The sup-norm split uses balls of radius 1.
+    if not u.in_unit_box:
+        raise ValueError("sup-norm chaining requires a [0, 1]^m universe")
+    return geometry.chaining_decomposition(u, alpha, Norm.LINF)
 
 
 MECHANISMS = {
-    "projection": Mechanism(
-        "rho", False, None,
-        lambda d, c, s: central.projection_mechanism(d, c["rho"], seed=s)),
-    "coarse": Mechanism(
-        "rho", True, "ub_coarse",
-        lambda d, c, s: central.coarse_projection_mechanism(
-            d, c["rho"], c["alpha"], seed=s)),
-    "chaining": Mechanism(
-        "rho", True, "ub_chain",
-        lambda d, c, s: central.chaining_mechanism(
-            d, c["rho"], c["alpha"], seed=s)),
-    "pmw": Mechanism(
-        "rho", True, None,
-        lambda d, c, s: central.pmw_mechanism(
-            d, c["rho"], c["alpha"], seed=s)),
-    "chaining_linf": Mechanism(
-        "rho", True, "ub_infty",
-        lambda d, c, s: central.chaining_mechanism_linf(
-            d, c["rho"], c["alpha"], seed=s)),
-    "lpm": Mechanism(
-        "epsilon", False, None, None,
-        lambda d, c: local.projection_protocol(d, c["epsilon"])),
-    "lcpm": Mechanism(
-        "epsilon", True, "ub_local_coarse", None,
-        lambda d, c: local.coarse_protocol(d, c["epsilon"], c["alpha"])),
-    "lcm": Mechanism(
-        "epsilon", True, "ub_local_chain", None,
-        lambda d, c: local.chaining_protocol(d, c["epsilon"], c["alpha"])),
+    "projection": Mechanism("rho", False, None, None, _projection),
+    "coarse": Mechanism("rho", True, "ub_coarse", _coarse, _projection),
+    "chaining": Mechanism("rho", True, "ub_chain", _chaining, _projection),
+    "pmw": Mechanism("rho", True, None, None, _pmw),
+    "chaining_linf": Mechanism("rho", True, "ub_infty", _chaining_linf, _pmw),
+    "lpm": Mechanism("epsilon", False, None, None, None),
+    "lcpm": Mechanism("epsilon", True, "ub_local_coarse", _coarse, None),
+    "lcm": Mechanism("epsilon", True, "ub_local_chain", _chaining, None),
 }
 CENTRAL_MECHANISMS = tuple(k for k, v in MECHANISMS.items()
                            if v.privacy == "rho")
@@ -198,20 +203,67 @@ LOCAL_PROTOCOLS = tuple(k for k, v in MECHANISMS.items()
                         if v.privacy == "epsilon")
 
 
+def _row(spec: dict) -> Mechanism:
+    """The spec's table row, once the spec holds every key it reads."""
+    name = spec.get("mechanism")
+    if name not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {name!r}")
+    row = MECHANISMS[name]
+    for key in (row.privacy, "alpha")[:1 + row.needs_alpha]:
+        if spec.get(key) is None:
+            raise ValueError(f"{name} needs {key}")
+    return row
+
+
+def _protocol(d: Dataset, dec: Decomposition | None,
+              epsilon) -> local.LevelProtocol:
+    levels, rows = (([d.universe.points], d.indices[:, None]) if dec is None
+                    else (dec.levels, dec.assignments[d.indices]))
+    return local.LevelProtocol(levels, rows, epsilon)
+
+
+def level_protocol(d: Dataset, spec: dict) -> local.LevelProtocol:
+    """The ``local.LevelProtocol`` a local row's spec runs on ``d``."""
+    row = _row(spec)
+    if row.level is not None:
+        raise ValueError(f"{spec['mechanism']} is not a local protocol")
+    dec = None if row.split is None else row.split(d.universe, spec["alpha"])
+    return _protocol(d, dec, spec["epsilon"])
+
+
 def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     """Build a ``(dataset, seed) -> output`` runner from a config dict.
 
     The spec names a ``MECHANISMS`` row and carries its privacy
     parameter and, where the row needs it, ``alpha``; every other
-    setting of the mechanism follows from those two.
+    setting of the mechanism follows from those two.  Every row's trace
+    is ``{"mechanism": name, "k": k, "levels": [one trace per level]}``,
+    plus ``alpha`` and ``remainder_radius`` where the row splits.
     """
-    name = spec.get("mechanism")
-    if name not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {name!r}")
-    row, spec = MECHANISMS[name], dict(spec)
-    if row.protocol is not None:
-        return lambda d, s: local.run_protocol(row.protocol(d, spec), s)
-    return lambda d, s: row.release(d, spec, s)
+    row = _row(spec)
+    name, alpha = spec["mechanism"], spec.get("alpha")
+    budget = spec[row.privacy]
+
+    def run(d: Dataset, seed) -> MechanismOutput:
+        dec = None if row.split is None else row.split(d.universe, alpha)
+        if row.level is None:
+            out = local.run_protocol(_protocol(d, dec, budget), seed)
+        elif dec is None:
+            out = row.level(d, budget, alpha, seed)
+            out.trace = {"levels": [out.trace]}
+        else:
+            level_alpha = alpha / (2.0 * dec.k)
+            out = central.decompose_and_run(
+                d, dec, lambda e, rho, s: row.level(e, rho, level_alpha, s),
+                budget, seed=seed)
+        levels = out.trace["levels"]
+        out.trace = {"mechanism": name, "k": len(levels), "levels": levels}
+        if dec is not None:
+            out.trace.update(alpha=float(alpha),
+                             remainder_radius=dec.remainder_radius)
+        return out
+
+    return run
 
 
 def _spec_bounds(u: Universe, spec: dict) -> dict:
@@ -288,7 +340,8 @@ def measure_error(d: Dataset, spec: dict, trials: int,
         err = np.asarray(out.estimate) - target
         sq.append(float(err @ err) / m)
         inf.append(float(np.abs(err).max()))
-        certified.append(trace_all_certified(out.trace))
+        certified.append(all(level.get("projection_certified", True)
+                             for level in out.trace["levels"]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     roots = [math.sqrt(v) for v in sq]
     return RunReport(config=dict(spec), n=d.n, m=m,

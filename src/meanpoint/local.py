@@ -3,8 +3,9 @@ protocol over public levels, ``LevelProtocol``, that LPM, LCPM and LCM are.
 
 A level is a public matrix and every party holds one row of each level:
 its own point (projection), the coarse-cover centre its point rounds to
-(coarse projection) or its halving-scale chaining summands.  Each party
-releases its row of every level through the signed-Gaussian channel with
+(coarse projection) or its halving-scale chaining summands: the public
+split of the protocol's ``harness.MECHANISMS`` row.  Each party releases
+its row of every level through the signed-Gaussian channel with
 epsilon/k, spending epsilon in total by pure-DP composition.  The server
 projects each level's mean release onto that level's hull and sums.
 
@@ -23,13 +24,12 @@ e^eps between inputs.  A transcript is NDJSON, one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, hull
-from .central import Dataset, MechanismOutput, as_seed_sequence
-from .geometry import Norm
+from . import hull
+from .central import MechanismOutput, as_seed_sequence
 from .privacy import PrivacyBudget, as_fraction
 
 # The sign channel's bias is eps/3 and must stay at most 1/2.
@@ -110,15 +110,13 @@ def local_release(x: np.ndarray, epsilon: float, scale: float,
 
 @dataclass(eq=False)
 class LevelProtocol:
-    """``levels[j]`` is level j's public matrix, ``rows[i, j]`` party i's
-    row in it, and ``facts`` the public facts its trace reports;
-    ``tables[j]`` is the channel's table of level j's distinct rows and
-    ``part`` = epsilon/k each level's share."""
+    """``levels[j]`` is level j's public matrix and ``rows[i, j]`` party
+    i's row in it; ``tables[j]`` is the channel's table of level j's
+    distinct rows and ``part`` = epsilon/k each level's share."""
 
     levels: list[np.ndarray]
     rows: np.ndarray
     epsilon: object
-    facts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=int)
@@ -134,7 +132,7 @@ class LevelProtocol:
 
     def server(self, release: np.ndarray) -> tuple:
         """The sum over levels of each level mean's projection onto that
-        level's hull, and the trace with one certificate per level."""
+        level's hull, and each level's certificate."""
         estimate, certificates = np.zeros(self.levels[0].shape[1]), []
         for lvl, level_release in zip(self.levels, release):
             mean = np.mean(level_release, axis=0)
@@ -143,17 +141,16 @@ class LevelProtocol:
                                  "projection_gap": proj.gap,
                                  "projection_certified": proj.certified})
             estimate = estimate + proj.point
-        return estimate, {**self.facts, "n_parties": release.shape[1],
-                          "per_party": True, "levels": certificates}
+        return estimate, certificates
 
 
 def simulate_protocol(protocol: LevelProtocol,
                       seed=None) -> tuple[np.ndarray, tuple]:
-    """``(release, (estimate, trace))``: the transcript, one (k, n, m) array
-    whose ``release[j, i]`` is party i's level-j message, and the server's
-    output.  Party i draws from child i of the run seed, per level one
-    uniform, m normals and one uniform, so transcripts replay
-    bit-identically and parties could run concurrently."""
+    """``(release, (estimate, certificates))``: the transcript, one
+    (k, n, m) array whose ``release[j, i]`` is party i's level-j message,
+    and the server's output.  Party i draws from child i of the run seed,
+    per level one uniform, m normals and one uniform, so transcripts
+    replay bit-identically and parties could run concurrently."""
     children = as_seed_sequence(seed).spawn(len(protocol.rows))
     release = _channel(map(np.random.default_rng, children), protocol.tables,
                        protocol.part, protocol.levels[0].shape[1])
@@ -162,37 +159,7 @@ def simulate_protocol(protocol: LevelProtocol,
 
 def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
     """Run ``protocol``; each party spends pure-DP epsilon in total."""
-    _, (estimate, trace) = simulate_protocol(protocol, seed)
+    _, (estimate, certificates) = simulate_protocol(protocol, seed)
     budget = PrivacyBudget.pure_dp(protocol.epsilon)
     return MechanismOutput(estimate=estimate, budget_consumed=budget,
-                           trace=trace)
-
-
-def projection_protocol(d: Dataset, epsilon) -> LevelProtocol:
-    """LPM: every party releases its own point with the full epsilon and
-    the server projects the average onto the universe's hull."""
-    return LevelProtocol([d.universe.points], d.indices[:, None], epsilon,
-                         {"mechanism": "local_projection"})
-
-
-def _decomposition_protocol(d: Dataset, epsilon, dec: geometry.Decomposition,
-                            mechanism: str) -> LevelProtocol:
-    return LevelProtocol(dec.levels, dec.assignments[d.indices], epsilon,
-                         {"mechanism": mechanism, "alpha": dec.alpha,
-                          "k": dec.k, "remainder_radius": dec.remainder_radius})
-
-
-def coarse_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
-    """LCPM: the one level of ``geometry.coarse_decomposition``, each
-    party holding the coarse-cover centre its point rounds to."""
-    return _decomposition_protocol(
-        d, epsilon, geometry.coarse_decomposition(d.universe, alpha),
-        "local_coarse_projection")
-
-
-def chaining_protocol(d: Dataset, epsilon, alpha: float) -> LevelProtocol:
-    """LCM: the levels of the public chaining decomposition, each party
-    holding its own level components and spending epsilon/k on each."""
-    return _decomposition_protocol(
-        d, epsilon, geometry.chaining_decomposition(d.universe, alpha, Norm.L2),
-        "local_chaining")
+                           trace={"levels": certificates})

@@ -5,10 +5,8 @@ import pytest
 
 from meanpoint import harness, privacy
 from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
-                               chaining_mechanism, chaining_mechanism_linf,
-                               coarse_projection_mechanism, decompose_and_run,
-                               level_dataset, pmw_mechanism,
-                               projection_mechanism)
+                               decompose_and_run, level_dataset,
+                               pmw_mechanism, projection_mechanism)
 from meanpoint.geometry import (Universe, chaining_decomposition,
                                 coarse_decomposition, gaussian_mean_width,
                                 greedy_separated_set)
@@ -23,6 +21,12 @@ def small_universe():
 @pytest.fixture
 def small_dataset(small_universe):
     return harness.gen_dataset(small_universe, 60, seed=1)
+
+
+def release(name, d, rho, alpha, seed):
+    """One release of the ``harness.MECHANISMS`` row ``name``."""
+    spec = {"mechanism": name, "rho": rho, "alpha": alpha}
+    return harness.make_mechanism(spec)(d, seed)
 
 
 def norm_err(out, d):
@@ -125,25 +129,25 @@ class TestCoarseProjection:
     def test_identity_cover_matches_projection_bitwise(self, small_dataset):
         # alpha small enough that the separated set keeps every point
         plain = projection_mechanism(small_dataset, 2.0, seed=13)
-        coarse = coarse_projection_mechanism(small_dataset, 2.0, 1e-6, seed=13)
+        coarse = release("coarse", small_dataset, 2.0, 1e-6, 13)
         cover = coarse_decomposition(small_dataset.universe, 1e-6).levels[0]
         assert cover.shape[0] == small_dataset.universe.size
         assert np.array_equal(plain.estimate, coarse.estimate)
 
     def test_zero_noise_error_within_rounding_floor(self, small_dataset):
         alpha = 0.4
-        out = coarse_projection_mechanism(small_dataset, 1e9, alpha, seed=14)
+        out = release("coarse", small_dataset, 1e9, alpha, 14)
         assert norm_err(out, small_dataset) <= alpha / 2 + 1e-3
 
     def test_budget_ledger(self, small_dataset):
-        out = coarse_projection_mechanism(small_dataset, 0.7, 0.3, seed=15)
+        out = release("coarse", small_dataset, 0.7, 0.3, 15)
         assert out.budget_consumed == PrivacyBudget.zcdp(0.7)
 
 
 class TestChainingMechanism:
     def test_single_level_reduces_to_projection_on_cover(self, small_dataset):
         u = small_dataset.universe
-        out = chaining_mechanism(small_dataset, 1.5, 1.0, seed=16)
+        out = release("chaining", small_dataset, 1.5, 1.0, 16)
         sep = greedy_separated_set(u, 0.5)
         # same budget, same seed, rounded dataset over the half-scale cover
         centers = u.points[sep]
@@ -156,18 +160,18 @@ class TestChainingMechanism:
 
     def test_zero_noise_error_within_remainder(self, small_dataset):
         alpha = 0.5
-        out = chaining_mechanism(small_dataset, 1e9, alpha, seed=17)
+        out = release("chaining", small_dataset, 1e9, alpha, 17)
         k = out.trace["k"]
         assert norm_err(out, small_dataset) <= alpha / 2 + k * 1e-3
 
     def test_budget_ledger_exact(self, small_dataset):
-        out = chaining_mechanism(small_dataset, 0.9, 0.2, seed=18)
+        out = release("chaining", small_dataset, 0.9, 0.2, 18)
         assert out.budget_consumed == PrivacyBudget.zcdp(0.9)
         assert out.trace["k"] == math.ceil(math.log2(2 / 0.2))
 
     def test_seed_determinism(self, small_dataset):
-        a = chaining_mechanism(small_dataset, 0.4, 0.3, seed=19)
-        b = chaining_mechanism(small_dataset, 0.4, 0.3, seed=19)
+        a = release("chaining", small_dataset, 0.4, 0.3, 19)
+        b = release("chaining", small_dataset, 0.4, 0.3, 19)
         assert np.array_equal(a.estimate, b.estimate)
 
     def test_interior_targets_certify_quickly(self):
@@ -175,7 +179,7 @@ class TestChainingMechanism:
         # bottoms out at its own rounding; the solver must stop there
         # rather than run to its iteration cap.
         d = harness.gen_dataset(harness.gen_marginals2(8), 1000, seed=1)
-        out = chaining_mechanism(d, 0.5, 0.1, seed=0)
+        out = release("chaining", d, 0.5, 0.1, 0)
         for level in out.trace["levels"]:
             assert level["projection_certified"] is True
             assert level["projection_iterations"] < 200
@@ -215,13 +219,13 @@ class TestSensitivityAudit:
                                out.trace["sensitivity"]) > 0
 
     def test_coarse(self, dataset):
-        out = coarse_projection_mechanism(dataset, 0.5, 0.25, seed=0)
+        out = release("coarse", dataset, 0.5, 0.25, 0)
         dec = coarse_decomposition(dataset.universe, 0.25)
         assert self.worst_move(lambda e: level_dataset(e, dec, 0).mean(),
                                dataset, out.trace["levels"][0]["sensitivity"]) > 0
 
     def test_chaining_levels(self, dataset):
-        out = chaining_mechanism(dataset, 0.5, 0.25, seed=0)
+        out = release("chaining", dataset, 0.5, 0.25, 0)
         dec = chaining_decomposition(dataset.universe, 0.25)
         levels = out.trace["levels"]
         assert len(levels) == dec.k
@@ -323,14 +327,14 @@ class TestChainingLinf:
     def test_single_level_at_alpha_one(self):
         u = harness.gen_thresholds(16)
         d = harness.gen_dataset(u, 100, seed=33)
-        out = chaining_mechanism_linf(d, 0.8, 1.0, seed=34)
+        out = release("chaining_linf", d, 0.8, 1.0, 34)
         assert out.trace["k"] == 1
         assert out.budget_consumed == PrivacyBudget.zcdp(0.8)
 
     def test_budget_ledger_exact_across_levels(self):
         u = harness.gen_thresholds(16)
         d = harness.gen_dataset(u, 100, seed=35)
-        out = chaining_mechanism_linf(d, 1.1, 0.3, seed=36)
+        out = release("chaining_linf", d, 1.1, 0.3, 36)
         assert out.trace["k"] == 3
         assert out.budget_consumed == PrivacyBudget.zcdp(1.1)
 
@@ -338,7 +342,7 @@ class TestChainingLinf:
         u = harness.gen_thresholds(64)
         d = harness.gen_dataset(u, 400, mode="point_mass", index=20, seed=37)
         alpha = 0.5
-        out = chaining_mechanism_linf(d, 1e9, alpha, seed=38)
+        out = release("chaining_linf", d, 1e9, alpha, 38)
         err = float(np.abs(out.estimate - d.mean()).max())
         assert err <= alpha
 
@@ -346,7 +350,39 @@ class TestChainingLinf:
         u = Universe(points=np.array([[0.0, 1.4], [1.0, 0.2]]))
         d = Dataset(universe=u, indices=np.array([0, 1]))
         with pytest.raises(ValueError):
-            chaining_mechanism_linf(d, 1.0, 0.5, seed=39)
+            release("chaining_linf", d, 1.0, 0.5, 39)
+
+
+# Rows with a public split; the others release on the universe itself.
+SPLIT_ROWS = {"coarse", "chaining", "chaining_linf", "lcpm", "lcm"}
+
+
+class TestMechanismTable:
+    @pytest.mark.parametrize("name", sorted(harness.MECHANISMS))
+    def test_every_row_writes_one_trace_shape(self, name):
+        row = harness.MECHANISMS[name]
+        d = harness.gen_dataset(harness.gen_thresholds(16), 50, seed=45)
+        spec = {"mechanism": name, row.privacy: 0.7, "alpha": 0.3}
+        trace = harness.make_mechanism(spec)(d, 46).trace
+        assert trace["mechanism"] == name
+        assert trace["k"] == len(trace["levels"])
+        split = {"alpha", "remainder_radius"} if name in SPLIT_ROWS else set()
+        assert set(trace) == {"mechanism", "k", "levels"} | split
+
+    @pytest.mark.parametrize("name", sorted(harness.MECHANISMS))
+    def test_incomplete_spec_is_refused_when_the_runner_is_built(
+            self, name, small_dataset):
+        row = harness.MECHANISMS[name]
+        other = "epsilon" if row.privacy == "rho" else "rho"
+        full = {"mechanism": name, row.privacy: 0.7, other: 0.7,
+                "alpha": 0.3}
+        for key in (row.privacy, "alpha") if row.needs_alpha \
+                else (row.privacy,):
+            spec = {k: v for k, v in full.items() if k != key}
+            with pytest.raises(ValueError, match=f"^{name} needs {key}$"):
+                harness.make_mechanism(spec)
+            with pytest.raises(ValueError, match=f"^{name} needs {key}$"):
+                harness.measure_error(small_dataset, spec, trials=2)
 
 
 class TestLedger:
@@ -395,7 +431,7 @@ class TestLedger:
         sigma_calls = self._count(monkeypatch, "gaussian_sigma_for_zcdp")
         compose_calls = self._count(monkeypatch, "compose")
         d = harness.gen_dataset(harness.gen_thresholds(16), 100, seed=43)
-        out = chaining_mechanism_linf(d, 0.7, 0.3, seed=44)
+        out = release("chaining_linf", d, 0.7, 0.3, 44)
         assert out.trace["k"] == 3
         assert len(sigma_calls) == 2 * 3
         assert len(compose_calls) == 1

@@ -57,8 +57,8 @@ def test_epsilon_beyond_the_bias_limit_is_refused():
 
 def test_lcm_splits_epsilon_evenly_and_recomposes_exactly():
     d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=0)
-    protocol = local.chaining_protocol(d, 1.0, 0.25)
-    out = local.run_protocol(protocol, seed=2)
+    out = harness.make_mechanism(_spec("lcm"))(d, 2)
+    protocol = harness.level_protocol(d, _spec("lcm"))
     assert out.trace["k"] == 3
     assert protocol.part == float(Fraction(1, 3))
     assert out.budget_consumed == PrivacyBudget.pure_dp(1.0)
@@ -87,7 +87,7 @@ def test_transcript_follows_the_per_party_seed_contract(protocol):
     """Party i draws from child i of the run seed, per level one uniform,
     m normals and one uniform, and releases through the channel."""
     d = harness.gen_dataset(harness.gen_marginals2(4), 25, seed=1)
-    p = harness.MECHANISMS[protocol].protocol(d, _spec(protocol))
+    p = harness.level_protocol(d, _spec(protocol))
     release, _ = local.simulate_protocol(p, seed=9)
     k, (n, m) = len(p.levels), d.points().shape
     eps = float(Fraction(1) / k)
@@ -159,7 +159,7 @@ def test_sign_channel_ratio_is_at_most_e_eps_on_every_table_row(universe):
     the output's density is proportional to it."""
     d = central.Dataset(universe, np.arange(universe.size))
     tables = [table for protocol in PROTOCOLS for table in
-              harness.MECHANISMS[protocol].protocol(d, _spec(protocol)).tables]
+              harness.level_protocol(d, _spec(protocol)).tables]
     p_plus = {Fraction(p) for _, column, _, _ in tables for p in column}
     assert Fraction(1, 2) in p_plus  # the zero row
     for eps in (0.1, 1.0, 1.5):

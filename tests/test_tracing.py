@@ -39,6 +39,17 @@ def test_wrapped_name_resolves_to_a_callable(name):
 UNCALLED = {"local.local_release"}
 
 
+# What each row's level release reaches: a central projection row calls
+# the projection mechanism, which projects, and a local row's server
+# projects each level mean.
+_PROJECTION = ("central.projection_mechanism", "hull.project_onto_hull")
+LEVEL_RELEASE = {
+    **dict.fromkeys(("projection", "coarse", "chaining"), _PROJECTION),
+    **dict.fromkeys(("pmw", "chaining_linf"), ("central.pmw_mechanism",)),
+    **dict.fromkeys(("lpm", "lcpm", "lcm"), ("hull.project_onto_hull",)),
+}
+
+
 def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
     calls = Counter()
 
@@ -49,16 +60,19 @@ def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
         return wrapper
 
     names = _wrapped_names()
-    for name in names:
+    for name in (*names, "central.projection_mechanism"):
         module, attr = _module_attr(name)
         monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
-    specs = [{"mechanism": "chaining", "rho": 0.5, "alpha": 0.3},
-             {"mechanism": "chaining_linf", "rho": 0.5, "alpha": 0.3},
-             {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.3}]
-    for spec in specs:
+    assert sorted(LEVEL_RELEASE) == sorted(harness.MECHANISMS)
+    for mech, row in harness.MECHANISMS.items():
+        privacy = 0.5 if row.privacy == "rho" else 1.0
+        spec = {"mechanism": mech, row.privacy: privacy, "alpha": 0.3}
+        before = {name: calls[name] for name in LEVEL_RELEASE[mech]}
         # A fresh universe per run, so no cached preprocessing hides a call.
         d = harness.gen_dataset(harness.gen_thresholds(8), 20, seed=0)
         harness.measure_error(d, spec, trials=1, seed=0)
+        unreached = [name for name in before if calls[name] == before[name]]
+        assert unreached == [], mech
     assert [name for name in names
             if calls[name] == 0 and name not in UNCALLED] == []
     assert [name for name in UNCALLED if calls[name]] == []
