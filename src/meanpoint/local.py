@@ -9,16 +9,18 @@ its row of every level through the signed-Gaussian channel with
 epsilon/k, spending epsilon in total by pure-DP composition.  The server
 projects each level's mean release onto that level's hull and sums.
 
-The channel draws, then decides.  Each party only draws, from its own
-generator: per level one uniform, m normals into its row of the one
-(k, n, m) release array, and one uniform.  The rest is public given a
-party's row, so each level tables its distinct rows once, with its
-release scale (its largest row norm), and decides every party's signs
-in one pass, scaling the array in place.  Privacy holds per party: only
-a pair of signs depends on the input, and the released sign's bias of
-eps/3 gives a density ratio of at most (1 + eps/3) / (1 - eps/3) <=
-e^eps between inputs.  A transcript is NDJSON, one
-``{"party": i, "payload": [...]}`` line per party.
+The channel draws, then decides.  Party i only draws, from its own
+generator on child i of the run seed: per level one uniform, m normals
+into its row of the one (k, n, m) release array, and one uniform.  The
+library computes ``SeedSequence.spawn``'s child states for all parties
+in one vectorised pass.  The rest is public given a party's row, so
+each level tables its distinct rows once, with its release scale (its
+largest row norm), and decides every party's signs in one pass, scaling
+the array in place.  Privacy holds per party: only a pair of signs
+depends on the input, and the released sign's bias of eps/3 gives a
+density ratio of at most (1 + eps/3) / (1 - eps/3) <= e^eps between
+inputs.  A transcript is NDJSON, one ``{"party": i, "payload": [...]}``
+line per party.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import hull
 from .central import MechanismOutput, as_seed_sequence
@@ -39,6 +42,89 @@ EPSILON_BIAS_LIMIT = 1.5
 # u, so dividing the release by (eps/3) * sqrt(2/pi) makes it exactly
 # unbiased on the unit ball.
 _SIGNED_GAUSSIAN_MEAN = math.sqrt(2.0 / math.pi)
+
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(x) -> list:
+    """SeedSequence's uint32 words of an entropy or spawn key: an int
+    little-endian, 0 as one word; a sequence each element's in turn."""
+    if isinstance(x, (int, np.integer)):
+        x, words = int(x), []
+        while True:
+            words.append(x & _MASK32)
+            x >>= 32
+            if not x:
+                return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` over uint32 arrays: each call xors with
+    the running constant, advances it, multiplies and folds."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+class _Words(ISeedSequence):
+    """Hands PCG64, which asks for ``generate_state(4, np.uint64)``, one
+    party's four precomputed words."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _party_generators(seed, n: int):
+    """Party i's generator for i < n, drawing exactly as ``default_rng``
+    of child i of ``as_seed_sequence(seed).spawn(n)``, made lazily.
+
+    SeedSequence hashes child i's entropy (the run entropy's words,
+    zero-padded to the pool size, the spawn key's words and i), then
+    ``generate_state(4, uint64)`` seeds PCG64.  Only i differs between
+    children, so the shared words are one-element arrays and every step
+    runs once, broadcast over the uint32 array of all i."""
+    if n >= 2 ** 32:
+        raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
+    parent = as_seed_sequence(seed)
+    run = _uint32_words(parent.entropy)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.array([w], dtype=np.uint32)
+               for w in run + _uint32_words(parent.spawn_key)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[t % _POOL_SIZE]) for t in range(8)],
+                     axis=1)
+    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(_Words(row)))
+            for row in states)
 
 
 def _row_table(points: np.ndarray, scale: float) -> tuple:
@@ -150,10 +236,11 @@ def simulate_protocol(protocol: LevelProtocol,
     (k, n, m) array whose ``release[j, i]`` is party i's level-j message,
     and the server's output.  Party i draws from child i of the run seed,
     per level one uniform, m normals and one uniform, so transcripts
-    replay bit-identically and parties could run concurrently."""
-    children = as_seed_sequence(seed).spawn(len(protocol.rows))
-    release = _channel(map(np.random.default_rng, children), protocol.tables,
-                       protocol.part, protocol.levels[0].shape[1])
+    replay bit-identically and parties could run concurrently.  The
+    children's generator states are computed in one vectorised pass."""
+    release = _channel(_party_generators(seed, len(protocol.rows)),
+                       protocol.tables, protocol.part,
+                       protocol.levels[0].shape[1])
     return release, protocol.server(release)
 
 

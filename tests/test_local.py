@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,38 @@ def test_transcript_follows_the_per_party_seed_contract(protocol):
             oracle[j, i] = _scalar_channel(level[p.rows[i, j]], scales[j], eps,
                                            first, z, last)
     assert release.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("spawn_key", [(), (0,), (3,), (1, 2), (2 ** 33,)])
+@pytest.mark.parametrize("entropy", [
+    0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7,
+    0x9A3F5C1E7B2D48E6A0C4F18B3D5E7092,  # 128 bits, as SeedSequence() draws
+    [1, 2, 3], [7, 0, 2 ** 32 - 1, 11, 2 ** 31, 4]])
+def test_party_generators_equal_default_rng_of_each_spawned_child(
+        entropy, spawn_key):
+    parent = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    want = map(np.random.default_rng, np.random.SeedSequence(
+        entropy, spawn_key=spawn_key).spawn(50))
+    got = list(local._party_generators(parent, 50))
+    assert len(got) == 50
+
+    def draws(rng):
+        return (rng.random(3).tobytes(), rng.standard_normal(4).tobytes(),
+                rng.random().hex())
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert draws(a) == draws(b), i
+
+
+def test_party_generators_refuse_more_parties_than_one_uint32_word():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="uint32"):
+            local._party_generators(0, 2 ** 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # An index array of 2**32 words would take 16 GiB.
+    assert peak < 2 ** 16
 
 
 class _Scripted:
