@@ -178,6 +178,15 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     release of the signed error vector.  Every round spends rho/rounds,
     half on the selection and half on the answer, so the pair of noise
     scales is computed once and fixed for the whole release.
+
+    All the noise is one ``(rounds, 2m + 1)`` block of standard normals
+    drawn before the first round: round t scales row t's first 2m
+    entries by the selection sigma and its last by the answer sigma,
+    the same stream as a ``normal(0, sigma, 2m)`` then a
+    ``normal(0, sigma')`` call per round.  A universe of zero rows (a
+    zero offset level of a sup-norm split) draws nothing: its estimate
+    is exactly zero whatever the noise, so the rounds are skipped while
+    the trace and the budget stay those of the full schedule.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
@@ -200,22 +209,22 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     answer_sigma = privacy.gaussian_sigma_for_zcdp(
         geometry.diameter(u, Norm.LINF) / d.n, rho_answer)
 
-    target = d.mean()
-    rng = np.random.default_rng(seed)
     weights = np.full(size, 1.0 / size)
-    for _ in range(rounds):
-        synthetic = weights @ pts
-        gap = target - synthetic
-        scores = np.concatenate([gap, -gap])
-        scores = scores + rng.normal(0.0, select_sigma, size=2 * m)
-        pick = int(scores.argmax())
-        coord = pick % m
-        answer = float(target[coord]) + float(rng.normal(0.0, answer_sigma))
-        shift = answer - float(synthetic[coord])
-        if shift != 0.0:
-            weights = weights * np.exp(eta * math.copysign(1.0, shift)
-                                       * pts[:, coord])
-            weights = weights / weights.sum()
+    if coord_bound > 0.0:
+        target = d.mean()
+        noise = np.random.default_rng(seed).standard_normal(
+            (rounds, 2 * m + 1))
+        for z in noise:
+            synthetic = weights @ pts
+            gap = target - synthetic
+            scores = np.concatenate([gap, -gap]) + select_sigma * z[:-1]
+            coord = int(scores.argmax()) % m
+            answer = float(target[coord]) + answer_sigma * float(z[-1])
+            shift = answer - float(synthetic[coord])
+            if shift != 0.0:
+                weights = weights * np.exp(eta * math.copysign(1.0, shift)
+                                           * pts[:, coord])
+                weights = weights / weights.sum()
     estimate = weights @ pts
     trace = {
         "mechanism": "pmw",
