@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from meanpoint import central, geometry, harness, privacy
+from meanpoint import central, geometry, harness, hull, privacy
 from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
                                decompose_and_run, level_dataset,
                                pmw_mechanism, projection_mechanism)
@@ -100,6 +100,25 @@ def pmw_reference(d, rho, alpha, seed=None):
         trace=trace)
 
 
+def projection_reference(d, rho, seed=None):
+    """The projection mechanism with no one-point shortcut: it always
+    draws its noise and calls the hull."""
+    u = d.universe
+    sensitivity = privacy.mean_sensitivity(u, d.n)
+    sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
+    rng = np.random.default_rng(seed)
+    noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
+    proj = hull.project_onto_hull(noisy, u.points)
+    trace = {"mechanism": "projection", "sigma": sigma,
+             "sensitivity": sensitivity,
+             "projection_iterations": proj.iterations,
+             "projection_gap": proj.gap,
+             "projection_certified": proj.certified}
+    return central.MechanismOutput(estimate=proj.point,
+                                   budget_consumed=PrivacyBudget.zcdp(rho),
+                                   trace=trace)
+
+
 def assert_same_release(out, ref):
     assert out.estimate.tobytes() == ref.estimate.tobytes()
     assert out.trace == ref.trace
@@ -160,6 +179,41 @@ class TestProjectionMechanism:
         assert a.estimate.tobytes() == b.estimate.tobytes()
         assert a.budget_consumed == b.budget_consumed
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_one_point_universe_draws_nothing(self, rows, monkeypatch):
+        u = Universe(points=np.tile([0.25, 0.75, 1.0], (rows, 1)))
+        d = Dataset(universe=u, indices=np.arange(4) % rows)
+        ref = projection_reference(d, 0.5, seed=38)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-point universe must not draw")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(Dataset, "mean", refuse)
+        monkeypatch.setattr(hull, "project_onto_hull", refuse)
+        out = projection_mechanism(d, 0.5, seed=38)
+        assert out.estimate.tobytes() == u.points[0].tobytes()
+        assert_same_release(out, ref)
+
+    # Chaining at alpha 0.1 has one-point levels on all three universes
+    # (the finest on each, and the coarsest on the sphere); coarse
+    # rounding at alpha 1 leaves the sphere a single point.
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    @pytest.mark.parametrize("name", ["chaining", "coarse"])
+    @pytest.mark.parametrize("universe", ["thresholds64", "marginals2_8",
+                                          "sphere"])
+    def test_report_hash_matches_the_unshortcut_reference(
+            self, name, universe, alpha, monkeypatch):
+        u = (harness.gen_random_sphere(20, 100, 1.0, seed=1)
+             if universe == "sphere" else ORACLE_UNIVERSES[universe]())
+        d = harness.gen_dataset(u, 100, mode="mixture", seed=39)
+        spec = {"mechanism": name, "rho": 0.5, "alpha": alpha}
+        fast = harness.measure_error(d, spec, trials=3, seed=40)
+        monkeypatch.setattr(central, "projection_mechanism",
+                            projection_reference)
+        slow = harness.measure_error(d, spec, trials=3, seed=40)
+        assert fast.determinism_hash() == slow.determinism_hash()
 
     def test_error_decreases_with_n(self, small_universe):
         # err at 4n below err at n, with slack for sampling noise
