@@ -6,8 +6,10 @@ line search -- each step moves weight from the worst support vertex to
 the best improving vertex -- interleaved with an active-set least-squares
 polish (minor cycles in the min-norm-point sense): pairwise steps alone
 zigzag near low-dimensional faces and cannot reach tight tolerances
-within the iteration cap.  The iterate stays an explicit convex
-combination throughout and carries the first-order certificate
+within the iteration cap.  Each minor cycle solves the support's KKT
+system, centred on the target, with ``linalg.solve``; ``lstsq`` runs
+only where that system is singular.  The iterate stays an explicit
+convex combination throughout and carries the first-order certificate
 ``<y - p, v - p> <= TOL * ||y - p|| * sqrt(m)`` for every vertex ``v``.
 
 Deterministic given its inputs; inner products may be reduced in any
@@ -34,13 +36,29 @@ POLISH_EVERY = 5
 
 
 def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weights minimizing ||w @ Vs - y|| subject to sum(w) = 1 only."""
-    k = Vs.shape[0]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = Vs @ Vs.T
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([Vs @ y, [1.0]])
+    """Weights minimizing ||w @ Vs - y|| subject to sum(w) = 1 only.
+
+    On that constraint w @ Vs - y = w @ U with U = Vs - y, so the KKT
+    system is [[U U^T, 1], [1^T, 0]] [w; mu] = e_{k+1}, which ``solve``
+    takes.  Over more than m + 1 vertices (affinely dependent) the system
+    is singular and goes straight to ``lstsq``'s minimum-norm solution;
+    so does a smaller one on which ``solve`` raises or returns
+    non-finite values (repeated vertices).
+    """
+    k, m = Vs.shape
+    U = Vs - y
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = U @ U.T
+    kkt[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    if k <= m + 1:
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+            if np.isfinite(sol).all():
+                return sol[:k]
+        except np.linalg.LinAlgError:
+            pass
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     return sol[:k]
 
@@ -121,7 +139,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     def gap_at(point: np.ndarray) -> tuple[float, float]:
         r = y - point
         g = V @ r - float(point @ r)
-        return float(g.max()), float(np.linalg.norm(r))
+        return float(g.max()), math.sqrt(float(r @ r))
 
     iterations = 0
     for iterations in range(1, 50 * n + 1):
@@ -130,7 +148,7 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
         base = float(p @ r)
         fw = int(scores.argmax())
         gap = float(scores[fw] - base)
-        resid = float(np.linalg.norm(r))
+        resid = math.sqrt(float(r @ r))
         if gap <= TOL * resid * sqrt_m + gap_floor:
             break
         support = np.flatnonzero(w > 0)

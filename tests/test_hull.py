@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meanpoint import harness
-from meanpoint.hull import GAP_FLOOR, TOL, project_onto_hull
+from meanpoint import geometry, harness
+from meanpoint.hull import (GAP_FLOOR, TOL, _affine_least_squares, _polish,
+                            project_onto_hull)
 
 
 def simplex_project_rows(lam):
@@ -204,6 +205,84 @@ class TestProjectOntoHull:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             project_onto_hull(np.array([0.0, 1.0]), np.array([[0.0]]))
+
+
+def counting_lstsq(monkeypatch):
+    """Patch ``np.linalg.lstsq`` to count its calls; returns the count."""
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+class TestMinorCycle:
+    def test_dependent_support_falls_back_and_never_increases(
+            self, monkeypatch):
+        # Supports of more than m + 1 vertices drawn with repeats from a
+        # few base points: every KKT system is singular, so each minor
+        # cycle takes the lstsq fallback.
+        calls = counting_lstsq(monkeypatch)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            m, base = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            B = rng.integers(0, 2, size=(base, m)).astype(float) \
+                if rng.random() < 0.5 else rng.random((base, m))
+            V = B[rng.integers(0, base, size=m + 2 + int(rng.integers(0, 4)))]
+            y = rng.random(m) * 3.0 - 1.0
+            w = rng.dirichlet(np.ones(len(V)))
+            before = np.linalg.norm(w @ V - y)
+            calls[0] = 0
+            polished = _polish(w, V, y)
+            assert calls[0] >= 1
+            assert np.linalg.norm(polished @ V - y) <= before + 1e-12
+            assert project_onto_hull(y, V).certified
+
+    def test_singular_small_system_raises_and_falls_back(self, monkeypatch):
+        # Two equal vertices of three in R^3: the support fits in m + 1,
+        # but its KKT system is exactly singular, and solve must say so.
+        Vs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        y = np.array([0.2, 0.3, 0.1])
+        kkt = np.ones((4, 4))
+        kkt[:3, :3] = (Vs - y) @ (Vs - y).T
+        kkt[3, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, np.array([0.0, 0.0, 0.0, 1.0]))
+        calls = counting_lstsq(monkeypatch)
+        lam = _affine_least_squares(Vs, y)
+        assert calls[0] == 1
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        # The affine optimum on the line through the two distinct points.
+        assert lam[2] == pytest.approx(0.55, abs=1e-12)
+
+    def test_marginal_level_projections_use_solve(self, monkeypatch):
+        # A live level of the marginals2(8) chaining split (220 rows, 156
+        # distinct, m = 28): the interior mean of its distinct rows passes
+        # through a support of more than m + 1 vertices, which takes
+        # lstsq, while noisy means outside its hull keep smaller supports
+        # and never reach it.
+        level = geometry.chaining_decomposition(
+            harness.gen_marginals2(8), 0.1).levels[1]
+        calls = counting_lstsq(monkeypatch)
+        inside = np.unique(level, axis=0).mean(axis=0)
+        res = project_onto_hull(inside, level)
+        assert calls[0] >= 1
+        assert res.certified
+        assert np.linalg.norm(res.point - inside) <= 1e-12
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq ran on a non-singular support")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            mean = level[rng.integers(0, len(level), 50)].mean(axis=0)
+            y = mean + rng.normal(0.0, 0.2, size=level.shape[1])
+            assert project_onto_hull(y, level).certified
 
 
 # Vertex sets of up to 12 points in [-2, 2]^m, m <= 5, with two targets
