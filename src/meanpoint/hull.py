@@ -122,6 +122,10 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
         raise ValueError("need at least one vertex")
     if y.shape[0] != m:
         raise ValueError("target length must match the vertex dimension")
+    if not np.isfinite(y).all():
+        raise ValueError("target must be finite")
+    if not np.isfinite(V).all():
+        raise ValueError("vertices must be finite")
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
     gap_floor = GAP_FLOOR * m * scale * scale

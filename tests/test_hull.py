@@ -205,6 +205,13 @@ class TestProjectOntoHull:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             project_onto_hull(np.array([0.0, 1.0]), np.array([[0.0]]))
+        V = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="target"):
+                project_onto_hull(np.array([0.5, bad]), V)
+            with pytest.raises(ValueError, match="vertices"):
+                project_onto_hull(np.array([0.5, 0.5]),
+                                  np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
 def counting_lstsq(monkeypatch):
