@@ -344,22 +344,26 @@ def _decompose(u: Universe, scales: Sequence[float], norm: Norm,
                alpha: float) -> Decomposition:
     """Decomposition whose level j is generated by a greedy cover at raw
     scale ``scales[j]``: the coarsest cover's points, then each finer
-    cover's offsets from its nearest point in the previous cover."""
+    cover's offsets from its nearest point in the previous cover.
+
+    Only the next cover's points are rounded to a cover, except at the
+    finest level, where every universe row is.
+    """
     k = len(scales)
     pts = u.points
-    gen: list[np.ndarray] = []
-    proj: list[np.ndarray] = []
-    for raw_t in scales:
-        gen.append(_greedy_cover(pts, [raw_t], norm)[0])
-        proj.append(_nearest(pts, pts[gen[-1]], norm))
+    gen = [_greedy_cover(pts, [raw_t], norm)[0] for raw_t in scales]
+    # near[j][i]: the level-j cover row nearest to gen[j + 1][i], and at
+    # the finest level the one nearest to universe row i.
+    near = [_nearest(pts[gen[j + 1]], pts[gen[j]], norm)
+            for j in range(k - 1)]
+    near.append(_nearest(pts, pts[gen[k - 1]], norm))
     levels = [pts[gen[0]].copy()]
     for j in range(1, k):
-        parents = gen[j - 1][proj[j - 1][gen[j]]]
-        levels.append(pts[gen[j]] - pts[parents])
+        levels.append(pts[gen[j]] - pts[gen[j - 1][near[j - 1]]])
     assign = np.empty((u.size, k), dtype=int)
-    assign[:, k - 1] = proj[k - 1]
+    assign[:, k - 1] = near[k - 1]
     for j in range(k - 2, -1, -1):
-        assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
+        assign[:, j] = near[j][assign[:, j + 1]]
     for a in (*gen, *levels, assign):
         a.setflags(write=False)
     return Decomposition(levels=levels, assignments=assign,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meanpoint import bounds, harness
-from meanpoint.geometry import (Norm, Universe, _pairwise_matrix, _row_norms,
+from meanpoint.geometry import (Norm, Universe, _nearest, _pairwise_matrix,
+                                _row_norms,
                                 chaining_decomposition, coarse_decomposition,
                                 diameter,
                                 gaussian_mean_width, greedy_separated_set,
@@ -240,6 +241,38 @@ class TestChainingDecomposition:
         u = Universe(points=np.array([[5.0, 0.0]]))
         with pytest.raises(ValueError):
             chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
+
+
+def full_table_levels(u, dec):
+    """Levels and assignments from every universe row's nearest centre
+    at every level, as the decomposition first computed them."""
+    pts, gen, k = u.points, dec.generator_indices, dec.k
+    proj = [_nearest(pts, pts[g], dec.norm) for g in gen]
+    levels = [pts[gen[0]].copy()]
+    for j in range(1, k):
+        levels.append(pts[gen[j]] - pts[gen[j - 1][proj[j - 1][gen[j]]]])
+    assign = np.empty((u.size, k), dtype=int)
+    assign[:, k - 1] = proj[k - 1]
+    for j in range(k - 2, -1, -1):
+        assign[:, j] = proj[j][gen[j + 1][assign[:, j + 1]]]
+    return levels, assign
+
+
+@pytest.mark.parametrize("name", ["marginals2_8", "thresholds64", "sphere"])
+@BOTH_NORMS
+def test_decomposition_equals_the_full_nearest_table(name, norm):
+    u = {"marginals2_8": lambda: harness.gen_marginals2(8),
+         "thresholds64": lambda: harness.gen_thresholds(64),
+         "sphere": lambda: harness.gen_random_sphere(20, 200, 1.0,
+                                                     seed=1)}[name]()
+    decs = [chaining_decomposition(u, alpha, norm) for alpha in (0.1, 0.3)]
+    if norm is Norm.L2:
+        decs += [coarse_decomposition(u, alpha) for alpha in (0.2, 0.5)]
+    for dec in decs:
+        levels, assign = full_table_levels(u, dec)
+        assert dec.assignments.tobytes() == assign.tobytes()
+        assert [lv.tobytes() for lv in dec.levels] == \
+            [lv.tobytes() for lv in levels]
 
 
 # Universes of up to 14 points in [0, 1]^m, m <= 5.
