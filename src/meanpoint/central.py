@@ -100,21 +100,18 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     post-processing.
 
     A universe whose rows all equal the first (a chaining split's
-    one-point levels) has that row as its hull, so the release is the
-    row itself, with the trace of the hull's degenerate case; it draws
-    no noise, reads no data and calls no projection.
+    one-point levels) has that row as its hull, so the release is
+    ``hull.one_point_projection``'s: the row itself, with the trace a
+    projection onto it gives.  It draws no noise and reads no data.
     """
     u = d.universe
     sensitivity = privacy.mean_sensitivity(u, d.n)
     sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
-    pts = u.points
-    if bool((pts == pts[0]).all()):
-        proj = hull.ProjectionResult(point=pts[0].copy(), weights={0: 1.0},
-                                     iterations=0, gap=0.0, certified=True)
-    else:
+    proj = hull.one_point_projection(u.points)
+    if proj is None:
         rng = np.random.default_rng(seed)
         noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
-        proj = hull.project_onto_hull(noisy, pts)
+        proj = hull.project_onto_hull(noisy, u.points)
     trace = {
         "mechanism": "projection",
         "sigma": sigma,

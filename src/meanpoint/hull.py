@@ -99,6 +99,16 @@ class ProjectionResult:
     certified: bool
 
 
+def one_point_projection(vertices: np.ndarray) -> ProjectionResult | None:
+    """The projection of every target when all rows of ``vertices`` (an
+    (n, m) matrix) equal the first: that row, certified with gap 0.
+    None when the hull has more than one point."""
+    if not bool((vertices == vertices[0]).all()):
+        return None
+    return ProjectionResult(point=vertices[0].copy(), weights={0: 1.0},
+                            iterations=0, gap=0.0, certified=True)
+
+
 def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     """Closest point to ``y`` in the convex hull of ``vertices``.
 
@@ -130,10 +140,9 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
     gap_floor = GAP_FLOOR * m * scale * scale
 
-    # Degenerate hull: all vertices identical.
-    if n == 1 or bool((V == V[0]).all()):
-        return ProjectionResult(point=V[0].copy(), weights={0: 1.0},
-                                iterations=0, gap=0.0, certified=True)
+    single = one_point_projection(V)
+    if single is not None:
+        return single
 
     w = np.zeros(n)
     start = int(((V - y) ** 2).sum(axis=1).argmin())
