@@ -100,9 +100,9 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     post-processing.
 
     A universe whose rows all equal the first (a chaining split's
-    one-point levels) has that row as its hull, so the release is
-    ``hull.one_point_projection``'s: the row itself, with the trace a
-    projection onto it gives.  It draws no noise and reads no data.
+    one-point levels) has that row as its hull: the release is that row,
+    from ``hull.one_point_projection``, with the trace a projection onto
+    it gives.  It draws no noise and reads no data.
     """
     u = d.universe
     sensitivity = privacy.mean_sensitivity(u, d.n)
