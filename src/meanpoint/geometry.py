@@ -339,6 +339,23 @@ def _nearest(points: np.ndarray, centers: np.ndarray,
     return idx
 
 
+def _nearest_in_cover(pts: np.ndarray, rows: np.ndarray, cover: np.ndarray,
+                      norm: Norm) -> np.ndarray:
+    """Position in ``cover`` of the cover row nearest to each of ``rows``
+    (row indices into ``pts``), ties to the lowest.
+
+    A row that is itself in the cover maps to its own position without a
+    search: the cover is strictly separated, so that row is its own
+    unique nearest, at distance 0.
+    """
+    pos = np.full(pts.shape[0], -1)
+    pos[cover] = np.arange(cover.size)
+    idx = pos[rows]
+    rest = np.flatnonzero(idx < 0)
+    idx[rest] = _nearest(pts[rows[rest]], pts[cover], norm)
+    return idx
+
+
 def _decompose(u: Universe, scales: Sequence[float], norm: Norm,
                level_radii: list[float], delta: float,
                alpha: float) -> Decomposition:
@@ -354,9 +371,9 @@ def _decompose(u: Universe, scales: Sequence[float], norm: Norm,
     gen = [_greedy_cover(pts, [raw_t], norm)[0] for raw_t in scales]
     # near[j][i]: the level-j cover row nearest to gen[j + 1][i], and at
     # the finest level the one nearest to universe row i.
-    near = [_nearest(pts[gen[j + 1]], pts[gen[j]], norm)
+    near = [_nearest_in_cover(pts, gen[j + 1], gen[j], norm)
             for j in range(k - 1)]
-    near.append(_nearest(pts, pts[gen[k - 1]], norm))
+    near.append(_nearest_in_cover(pts, np.arange(u.size), gen[k - 1], norm))
     levels = [pts[gen[0]].copy()]
     for j in range(1, k):
         levels.append(pts[gen[j]] - pts[gen[j - 1][near[j - 1]]])
