@@ -1,15 +1,15 @@
 """Euclidean projection onto the convex hull of a finite point set.
 
 The "project back" step shared by the central and local projection
-mechanisms.  Uses pairwise Frank-Wolfe over the vertex list with exact
-line search -- each step moves weight from the worst support vertex to
-the best improving vertex -- interleaved with an active-set least-squares
-polish (minor cycles in the min-norm-point sense): pairwise steps alone
-zigzag near low-dimensional faces and cannot reach tight tolerances
-within the iteration cap.  Each minor cycle solves the support's KKT
-system, centred on the target, with ``linalg.solve``; ``lstsq`` runs
-only where that system is singular.  The iterate stays an explicit
-convex combination throughout and carries the first-order certificate
+mechanisms.  Uses Wolfe's min-norm-point algorithm (Math. Programming
+11, 1976) over the vertex list.  Each major cycle adds the Frank-Wolfe
+vertex (the best improving one) to the support; minor cycles then jump
+to the support's affine optimum, stepping back to the feasible boundary
+and dropping vertices while a weight would go negative.  The support
+stays affinely independent, so it never exceeds m + 1 vertices, and each
+minor cycle solves the support's KKT system, centred on the target, with
+``linalg.solve``.  The iterate stays an explicit convex combination
+throughout and carries the first-order certificate
 ``<y - p, v - p> <= TOL * ||y - p|| * sqrt(m)`` for every vertex ``v``.
 
 Deterministic given its inputs; inner products may be reduced in any
@@ -31,8 +31,6 @@ TOL = 1e-7
 # over m coordinates of size up to scale^2, so its rounding error grows
 # like eps * m * scale^2; a floor below that is never reached.
 GAP_FLOOR = 8 * sys.float_info.epsilon
-# Pairwise steps between least-squares polishes of the active set.
-POLISH_EVERY = 5
 
 
 def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -40,10 +38,11 @@ def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     On that constraint w @ Vs - y = w @ U with U = Vs - y, so the KKT
     system is [[U U^T, 1], [1^T, 0]] [w; mu] = e_{k+1}, which ``solve``
-    takes.  Over more than m + 1 vertices (affinely dependent) the system
-    is singular and goes straight to ``lstsq``'s minimum-norm solution;
-    so does a smaller one on which ``solve`` raises or returns
-    non-finite values (repeated vertices).
+    takes.  The minor cycles never pass it more than m + 1 vertices; a
+    larger support would be affinely dependent, so the system singular,
+    and it is guarded straight to ``lstsq``'s minimum-norm solution.  So
+    is a smaller system on which ``solve`` raises or returns non-finite
+    values (repeated vertices).
     """
     k, m = Vs.shape
     U = Vs - y
@@ -63,28 +62,27 @@ def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sol[:k]
 
 
-def _polish(w: np.ndarray, V: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minor cycles: jump to the support's affine optimum, stepping back
-    to the feasible boundary (dropping a vertex) while weights would go
-    negative.  Never increases the objective."""
-    for _ in range(V.shape[0] + 1):
-        support = np.flatnonzero(w > 0)
-        lam_s = _affine_least_squares(V[support], y)
-        if bool((lam_s >= -1e-12).all()):
-            w = np.zeros_like(w)
-            w[support] = np.clip(lam_s, 0.0, None)
+def _minor_cycles(w: np.ndarray, support: np.ndarray, V: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """Wolfe's minor cycles on ``support`` (row indices of ``V``, which
+    may carry zero weight in ``w``): jump to the support's affine
+    optimum once it is feasible; until then step from ``w`` towards it
+    as far as the simplex allows and drop the vertices that reach zero.
+    Each step keeps the weights on the simplex and drops at least one
+    vertex, so the loop ends.  Never increases the objective."""
+    ws = w[support]
+    while True:
+        lam = _affine_least_squares(V[support], y)
+        if bool((lam >= 0.0).all()):
+            ws = lam
             break
-        lam = np.zeros_like(w)
-        lam[support] = lam_s
-        neg = support[lam_s < 0]
-        theta = float((w[neg] / (w[neg] - lam[neg])).min())
-        w = w + min(max(theta, 0.0), 1.0) * (lam - w)
-        w[w < 1e-15] = 0.0
-        if not w.any():
-            w[support[0]] = 1.0
-            break
-    total = w.sum()
-    return w / total if total > 0 else w
+        neg = np.flatnonzero(lam < 0)
+        ratios = ws[neg] / (ws[neg] - lam[neg])
+        ws = ws + float(ratios.min()) * (lam - ws)
+        ws[neg[ratios.argmin()]] = 0.0
+        keep = ws >= 1e-15
+        support, ws = support[keep], ws[keep]
+    return np.bincount(support, ws / ws.sum(), minlength=w.size)
 
 
 @dataclass
@@ -112,8 +110,8 @@ def one_point_projection(vertices: np.ndarray) -> ProjectionResult | None:
 def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     """Closest point to ``y`` in the convex hull of ``vertices``.
 
-    Runs at most 50 * n iterations; on exhaustion the best iterate is
-    returned flagged ``certified=False``.
+    Runs at most 50 * n major cycles, which ``iterations`` counts; on
+    exhaustion the best iterate is returned flagged ``certified=False``.
 
     Args:
         y: target vector of length m.
@@ -149,42 +147,22 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     w[start] = 1.0
     p = V[start].copy()
 
-    def gap_at(point: np.ndarray) -> tuple[float, float]:
-        r = y - point
-        g = V @ r - float(point @ r)
-        return float(g.max()), math.sqrt(float(r @ r))
-
     iterations = 0
     for iterations in range(1, 50 * n + 1):
         r = y - p
         scores = V @ r
-        base = float(p @ r)
         fw = int(scores.argmax())
-        gap = float(scores[fw] - base)
+        gap = float(scores[fw] - p @ r)
         resid = math.sqrt(float(r @ r))
         if gap <= TOL * resid * sqrt_m + gap_floor:
             break
-        support = np.flatnonzero(w > 0)
-        away = int(support[scores[support].argmin()])
-        d = V[fw] - V[away]
-        denom = float(d @ d)
-        if denom > 0.0:
-            step = float(r @ d) / denom
-            step = min(max(step, 0.0), float(w[away]))
-            w[fw] += step
-            w[away] -= step
-            if w[away] < 1e-16:
-                w[away] = 0.0
-        if denom <= 0.0 or iterations % POLISH_EVERY == 0:
-            w = _polish(w, V, y)
+        w = _minor_cycles(w, np.append(np.flatnonzero(w > 0), fw), V, y)
         p = w @ V
 
-    # Clean the weights into an exact convex combination and recompute
-    # the certificate at the reported point.
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
-    p = w @ V
-    final_gap, resid = gap_at(p)
+    # Recompute the certificate at the reported point.
+    r = y - p
+    final_gap = float((V @ r).max() - p @ r)
+    resid = math.sqrt(float(r @ r))
     certified = final_gap <= TOL * resid * sqrt_m + gap_floor
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0)}
     return ProjectionResult(point=p, weights=weights, iterations=iterations,

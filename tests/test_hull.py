@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meanpoint import geometry, harness
-from meanpoint.hull import (GAP_FLOOR, TOL, _affine_least_squares, _polish,
-                            project_onto_hull)
+from meanpoint.hull import (GAP_FLOOR, TOL, _affine_least_squares,
+                            _minor_cycles, project_onto_hull)
 
 
 def simplex_project_rows(lam):
@@ -230,24 +230,34 @@ def counting_lstsq(monkeypatch):
 class TestMinorCycle:
     def test_dependent_support_falls_back_and_never_increases(
             self, monkeypatch):
-        # Supports of more than m + 1 vertices drawn with repeats from a
-        # few base points: every KKT system is singular, so each minor
-        # cycle takes the lstsq fallback.
+        # Supports drawn with a repeated vertex, some within m + 1 rows
+        # and some beyond: every KKT system over the whole support is
+        # singular.  Beyond m + 1 rows the first minor cycle goes straight
+        # to lstsq.  Within, it does so when solve raises; LU's rounding
+        # can instead leave a tiny pivot, and solve then returns one of
+        # the equivalent affine optima.
         calls = counting_lstsq(monkeypatch)
         rng = np.random.default_rng(8)
+        within = []
         for _ in range(200):
             m, base = int(rng.integers(1, 4)), int(rng.integers(1, 5))
             B = rng.integers(0, 2, size=(base, m)).astype(float) \
                 if rng.random() < 0.5 else rng.random((base, m))
-            V = B[rng.integers(0, base, size=m + 2 + int(rng.integers(0, 4)))]
+            rows = rng.integers(0, base, size=int(rng.integers(2, m + 6)))
+            rows[-1] = rows[0]
+            V = B[rows]
             y = rng.random(m) * 3.0 - 1.0
             w = rng.dirichlet(np.ones(len(V)))
             before = np.linalg.norm(w @ V - y)
             calls[0] = 0
-            polished = _polish(w, V, y)
-            assert calls[0] >= 1
-            assert np.linalg.norm(polished @ V - y) <= before + 1e-12
+            after = _minor_cycles(w, np.arange(len(V)), V, y)
+            if len(V) > m + 1:
+                assert calls[0] >= 1
+            else:
+                within.append(calls[0] >= 1)
+            assert np.linalg.norm(after @ V - y) <= before + 1e-12
             assert project_onto_hull(y, V).certified
+        assert sum(within) >= len(within) / 2
 
     def test_singular_small_system_raises_and_falls_back(self, monkeypatch):
         # Two equal vertices of three in R^3: the support fits in m + 1,
@@ -268,23 +278,20 @@ class TestMinorCycle:
 
     def test_marginal_level_projections_use_solve(self, monkeypatch):
         # A live level of the marginals2(8) chaining split (220 rows, 156
-        # distinct, m = 28): the interior mean of its distinct rows passes
-        # through a support of more than m + 1 vertices, which takes
-        # lstsq, while noisy means outside its hull keep smaller supports
-        # and never reach it.
+        # distinct, m = 28): neither the interior mean of its distinct
+        # rows nor noisy means outside its hull grow a support past
+        # m + 1 vertices, so no minor cycle reaches lstsq.
         level = geometry.chaining_decomposition(
             harness.gen_marginals2(8), 0.1).levels[1]
-        calls = counting_lstsq(monkeypatch)
-        inside = np.unique(level, axis=0).mean(axis=0)
-        res = project_onto_hull(inside, level)
-        assert calls[0] >= 1
-        assert res.certified
-        assert np.linalg.norm(res.point - inside) <= 1e-12
 
         def refuse(*args, **kwargs):
             raise AssertionError("lstsq ran on a non-singular support")
 
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        inside = np.unique(level, axis=0).mean(axis=0)
+        res = project_onto_hull(inside, level)
+        assert res.certified
+        assert np.linalg.norm(res.point - inside) <= 1e-12
         rng = np.random.default_rng(0)
         for _ in range(8):
             mean = level[rng.integers(0, len(level), 50)].mean(axis=0)
@@ -320,6 +327,7 @@ class TestProjectionProperties:
 
         res = project_onto_hull(y1, V)
         assert res.certified
+        assert len(res.weights) <= m + 1
         # The solver's own first-order inequality at the returned point.
         r = y1 - res.point
         gap = float(((V - res.point) @ r).max())
