@@ -69,7 +69,8 @@ def _minor_cycles(w: np.ndarray, support: np.ndarray, V: np.ndarray,
     optimum once it is feasible; until then step from ``w`` towards it
     as far as the simplex allows and drop the vertices that reach zero.
     Each step keeps the weights on the simplex and drops at least one
-    vertex, so the loop ends.  Never increases the objective."""
+    vertex, so the loop ends.  Never increases the objective.  A vertex
+    listed twice gets the sum of its weights."""
     ws = w[support]
     while True:
         lam = _affine_least_squares(V[support], y)

@@ -255,6 +255,8 @@ class TestMinorCycle:
                 assert calls[0] >= 1
             else:
                 within.append(calls[0] >= 1)
+            assert after.min() >= 0.0
+            assert after.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(after @ V - y) <= before + 1e-12
             assert project_onto_hull(y, V).certified
         assert sum(within) >= len(within) / 2
