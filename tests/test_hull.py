@@ -314,8 +314,8 @@ class TestProjectionProperties:
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
     @given(_instances)
-    # A thin triangle whose target projects onto an edge: projecting that
-    # point again lands 1.6e-7 away, inside what its certificate allows.
+    # A thin triangle whose target projects onto an edge: the gap floor
+    # alone lets a re-projection of that point move it by up to 1.1e-7.
     @example((np.array([[0.0, -1.625], [6.103515625e-05, 0.0],
                         [-1e-05, -1.90625]]),
               np.array([-1.8125, -1.8125]), np.array([0.0, 0.0])))
