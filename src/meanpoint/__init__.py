@@ -10,8 +10,7 @@ from .geometry import (Decomposition, Norm, Universe, chaining_decomposition,
 from .harness import (RunReport, gen_cone, gen_dataset, gen_marginals2,
                       gen_random_sphere, gen_thresholds, measure_error)
 from .hull import ProjectionResult, project_onto_hull
-from .local import (LevelProtocol, local_release, run_protocol,
-                    simulate_protocol)
+from .local import LevelProtocol, local_release, simulate_protocol
 from .privacy import (PrivacyBudget, compose, gaussian_sigma_for_zcdp,
                       mean_sensitivity)
 

@@ -28,9 +28,6 @@ EXIT_NONCONVERGENCE = 3
 BENCH_HEADER = ("universe,mechanism,n,rho_or_eps,alpha,err2_mean,err2_sd,"
                 "errinf_mean,bound_ub,bound_lb,seed")
 
-class ConfigError(ValueError):
-    pass
-
 
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a new file beside ``path``, which no other file
@@ -64,9 +61,9 @@ def _check_writable(*paths: str | None) -> None:
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.path.isdir(folder) \
                 or not os.access(folder, os.W_OK):
-            raise ConfigError(f"cannot write {path!r}")
+            raise ValueError(f"cannot write {path!r}")
     if len({os.path.abspath(path) for path in paths}) < len(paths):
-        raise ConfigError(f"outputs {paths!r} name the same file")
+        raise ValueError(f"outputs {paths!r} name the same file")
 
 
 _SHARED_FLAGS = {
@@ -217,22 +214,22 @@ def _dataset_from_arg(u, arg: str, n: int, seed: int):
                                    index=int(arg.split(":", 1)[1]), seed=seed)
     if arg in ("uniform", "mixture"):
         return harness.gen_dataset(u, n, mode=arg, seed=seed)
-    raise ConfigError(f"unknown dataset spec {arg!r}")
+    raise ValueError(f"unknown dataset spec {arg!r}")
 
 
 def _spec(name: str, args) -> dict:
     """Spec for a ``harness.MECHANISMS`` row from the parsed options."""
     mech = harness.MECHANISMS.get(name)
     if mech is None:
-        raise ConfigError(f"unknown mechanism {name!r}")
+        raise ValueError(f"unknown mechanism {name!r}")
     value = getattr(args, mech.privacy, None)
     if value is None:
-        raise ConfigError(f"{name} needs --{mech.privacy}")
+        raise ValueError(f"{name} needs --{mech.privacy}")
     spec: dict = {"mechanism": name, mech.privacy: value}
     if args.alpha is not None:
         spec["alpha"] = args.alpha
     elif mech.needs_alpha:
-        raise ConfigError(f"{name} needs --alpha")
+        raise ValueError(f"{name} needs --alpha")
     return spec
 
 
@@ -276,9 +273,9 @@ def _bench(args) -> int:
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError("--n-grid must be comma-separated integers") from exc
+        raise ValueError("--n-grid must be comma-separated integers") from exc
     if not mechs or not n_grid:
-        raise ConfigError("need at least one mechanism and one n value")
+        raise ValueError("need at least one mechanism and one n value")
     # Refuse any bad mechanism or n before the first cell runs.
     specs = [_spec(mech, args) for mech in mechs]
     datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)

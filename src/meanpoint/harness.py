@@ -247,7 +247,7 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     def run(d: Dataset, seed) -> MechanismOutput:
         dec = None if row.split is None else row.split(d.universe, alpha)
         if row.level is None:
-            out = local.run_protocol(_protocol(d, dec, budget), seed)
+            _, out = local.simulate_protocol(_protocol(d, dec, budget), seed)
         elif dec is None:
             out = row.level(d, budget, alpha, seed)
             out.trace = {"levels": [out.trace]}

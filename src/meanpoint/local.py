@@ -14,13 +14,13 @@ generator on child i of the run seed: per level one uniform, m normals
 into its row of the one (k, n, m) release array, and one uniform.  The
 library computes ``SeedSequence.spawn``'s child states for all parties
 in one vectorised pass.  The rest is public given a party's row, so
-each level tables its distinct rows once, with its release scale (its
-largest row norm), and decides every party's signs in one pass, scaling
-the array in place.  Privacy holds per party: only a pair of signs
-depends on the input, and the released sign's bias of eps/3 gives a
-density ratio of at most (1 + eps/3) / (1 - eps/3) <= e^eps between
-inputs.  A transcript is NDJSON, one ``{"party": i, "payload": [...]}``
-line per party.
+each level tables its rows once, with its release scale (its largest
+row norm), decides every party's signs from the dot a lone party's
+channel takes, in blocks of parties, and scales the array in place.
+Privacy holds per party: only a pair of signs depends on the input, and
+the released sign's bias of eps/3 gives a density ratio of at most
+(1 + eps/3) / (1 - eps/3) <= e^eps between inputs.  A transcript is
+NDJSON, one ``{"party": i, "payload": [...]}`` line per party.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import hull
+from . import geometry, hull
 from .central import MechanismOutput, as_seed_sequence
 from .privacy import PrivacyBudget, as_fraction
 
@@ -127,33 +127,46 @@ def _party_generators(seed, n: int):
             for row in states)
 
 
+def _dots(a: np.ndarray, b: np.ndarray, rows) -> np.ndarray:
+    """``a[i] @ b[rows[i]]`` for every i, in blocks of ``BLOCK_ENTRIES //
+    m`` rows.  matmul hands each vector-by-vector product to the ``dot``
+    a 1-d ``@`` calls, so with contiguous rows, as ``a``'s and the
+    gathered rows of ``b`` are, each is that float; a strided operand
+    takes another BLAS path, whose sums can differ in the last bit."""
+    out = np.empty(len(a))
+    block = max(1, geometry.BLOCK_ENTRIES // b.shape[1])
+    for i0 in range(0, len(a), block):
+        blk = slice(i0, i0 + block)
+        out[blk] = np.matmul(a[blk, None, :], b[rows[blk], :, None])[:, 0, 0]
+    return out
+
+
 def _row_table(points: np.ndarray, scale: float) -> tuple:
     """Each row's unit direction and ``p_plus`` = P(u = +1) in the ball of
     radius ``scale`` rescaled to the unit ball.  The origin gets the axis
-    e_0 with a fair sign, which keeps its mean at zero."""
+    e_0 with a fair sign, which keeps its mean at zero.  A radius is the
+    row's ``np.linalg.norm``, the ``sqrt`` of its 1-d dot."""
     if not scale > 0:
         raise ValueError("scale must be positive")
+    v = points / scale
+    r = np.sqrt(_dots(v, v, np.arange(len(v))))
+    over = np.flatnonzero(r > 1.0 + 1e-9)
+    if over.size:
+        raise ValueError(f"input norm {r[over[0]] * scale:.6g} exceeds the "
+                         f"release scale {scale:.6g}")
     units, p_plus = np.zeros(points.shape), np.full(len(points), 0.5)
     units[:, 0] = 1.0
-    for t, x in enumerate(points):
-        v = x / scale
-        r = float(np.linalg.norm(v))
-        if r > 1.0 + 1e-9:
-            raise ValueError(f"input norm {r * scale:.6g} exceeds the "
-                             f"release scale {scale:.6g}")
-        if r > 0.0:
-            r = min(r, 1.0)
-            units[t], p_plus[t] = v / r, (1.0 + r) / 2.0
+    live = r > 0.0
+    r = np.minimum(r[live], 1.0)
+    units[live], p_plus[live] = v[live] / r[:, None], (1.0 + r) / 2.0
     return units, p_plus
 
 
 def _channel(rngs, tables: list, epsilon: float, m: int) -> np.ndarray:
     """Every party's release of every level with ``epsilon`` each, as one
     (k, n, m) array: party i draws from ``rngs[i]``, then each level j
-    decides all signs at once, party i holding row ``rows[i]`` of
-    ``(units, p_plus, rows, scale) = tables[j]``.
-    A dot summed in any order errs by at most gamma_m ~ m eps/2 times
-    S = sum_c |z_c u_c|, so dots within 2 m eps S of 0 use the scalar dot."""
+    decides all signs from ``_dots``, party i holding row ``rows[i]`` of
+    ``(units, p_plus, rows, scale) = tables[j]``."""
     if not 0 < epsilon <= EPSILON_BIAS_LIMIT:
         raise ValueError(f"epsilon {epsilon} is not in (0, "
                          f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
@@ -167,14 +180,7 @@ def _channel(rngs, tables: list, epsilon: float, m: int) -> np.ndarray:
             coins[1, j, i] = rng.random()
     for (units, p_plus, rows, scale), first, z, last in zip(
             tables, coins[0], release, coins[1]):
-        dots, band = np.zeros(n), np.zeros(n)
-        for z_col, u_col in zip(z.T, units.T):
-            prod = z_col * u_col[rows]
-            dots += prod
-            band += np.abs(prod)
-        band *= 2 * m * np.finfo(float).eps
-        for i in np.flatnonzero(np.abs(dots) <= band):
-            dots[i] = z[i] @ units[rows[i]]
+        dots = _dots(z, units, rows)
         u_sign = np.where(first < p_plus[rows], 1.0, -1.0)
         bias = (epsilon / 3.0) * np.sign(dots) * u_sign
         s = np.where(last < (1.0 + bias) / 2.0, 1.0, -1.0)
@@ -197,8 +203,8 @@ def local_release(x: np.ndarray, epsilon: float, scale: float,
 @dataclass(eq=False)
 class LevelProtocol:
     """``levels[j]`` is level j's public matrix and ``rows[i, j]`` party
-    i's row in it; ``tables[j]`` is the channel's table of level j's
-    distinct rows and ``part`` = epsilon/k each level's share."""
+    i's row in it; ``tables[j]`` is the channel's table of level j, with
+    ``rows[:, j]``, and ``part`` = epsilon/k each level's share."""
 
     levels: list[np.ndarray]
     rows: np.ndarray
@@ -212,13 +218,13 @@ class LevelProtocol:
         self.part = float(as_fraction(self.epsilon) / len(self.levels))
         self.tables = []
         for lvl, rows in zip(self.levels, self.rows.T):
-            used, index = np.unique(rows, return_inverse=True)
             scale = float(np.linalg.norm(lvl, axis=1).max()) or 1.0
-            self.tables.append((*_row_table(lvl[used], scale), index, scale))
+            self.tables.append((*_row_table(lvl, scale), rows, scale))
 
-    def server(self, release: np.ndarray) -> tuple:
+    def server(self, release: np.ndarray) -> MechanismOutput:
         """The sum over levels of each level mean's projection onto that
-        level's hull, and each level's certificate."""
+        level's hull, with each level's certificate; each party spends
+        pure-DP epsilon in total."""
         estimate, certificates = np.zeros(self.levels[0].shape[1]), []
         for lvl, level_release in zip(self.levels, release):
             mean = np.mean(level_release, axis=0)
@@ -227,26 +233,20 @@ class LevelProtocol:
                                  "projection_gap": proj.gap,
                                  "projection_certified": proj.certified})
             estimate = estimate + proj.point
-        return estimate, certificates
+        budget = PrivacyBudget.pure_dp(self.epsilon)
+        return MechanismOutput(estimate=estimate, budget_consumed=budget,
+                               trace={"levels": certificates})
 
 
 def simulate_protocol(protocol: LevelProtocol,
-                      seed=None) -> tuple[np.ndarray, tuple]:
-    """``(release, (estimate, certificates))``: the transcript, one
-    (k, n, m) array whose ``release[j, i]`` is party i's level-j message,
-    and the server's output.  Party i draws from child i of the run seed,
-    per level one uniform, m normals and one uniform, so transcripts
-    replay bit-identically and parties could run concurrently.  The
-    children's generator states are computed in one vectorised pass."""
+                      seed=None) -> tuple[np.ndarray, MechanismOutput]:
+    """``(release, output)``: the transcript, one (k, n, m) array whose
+    ``release[j, i]`` is party i's level-j message, and the server's
+    output.  Party i draws from child i of the run seed, per level one
+    uniform, m normals and one uniform, so transcripts replay
+    bit-identically and parties could run concurrently.  The children's
+    generator states are computed in one vectorised pass."""
     release = _channel(_party_generators(seed, len(protocol.rows)),
                        protocol.tables, protocol.part,
                        protocol.levels[0].shape[1])
     return release, protocol.server(release)
-
-
-def run_protocol(protocol: LevelProtocol, seed=None) -> MechanismOutput:
-    """Run ``protocol``; each party spends pure-DP epsilon in total."""
-    _, (estimate, certificates) = simulate_protocol(protocol, seed)
-    budget = PrivacyBudget.pure_dp(protocol.epsilon)
-    return MechanismOutput(estimate=estimate, budget_consumed=budget,
-                           trace={"levels": certificates})

@@ -150,35 +150,46 @@ class _Scripted:
         out[:] = self.z
 
 
-def test_sign_step_ties_take_the_scalar_sign():
+# m of the tests, of marginals2(8) and of thresholds(64); at m = 64 the
+# rows outnumber BLOCK_ENTRIES // 64 = 2048, so the channel's dots cross
+# a block boundary inside the level.
+@pytest.mark.parametrize("m, draws, blocks", [(3, 40, 1), (28, 40, 1),
+                                              (64, 400, 2)])
+def test_sign_step_ties_take_the_scalar_sign(m, draws, blocks):
     rng = np.random.default_rng(4)
-    points = np.vstack([np.zeros(3), [0.6, 0.8, 0.0], rng.normal(size=(6, 3))])
+    points = np.vstack([np.zeros(m), np.r_[0.6, 0.8, np.zeros(m - 2)],
+                        rng.normal(size=(6, m))])
     points /= max(np.linalg.norm(points, axis=1).max(), 1.0)
     units, p_plus = local._row_table(points, 1.0)
     # The zero row keeps the axis e_0 and a fair sign.
-    assert units[0].tolist() == [1.0, 0.0, 0.0] and p_plus[0] == 0.5
+    assert units[0].tolist() == np.eye(m)[0].tolist() and p_plus[0] == 0.5
     rows, zs, in_band = [], [], 0
     for t, unit in enumerate(units):
         # Exactly orthogonal: z . unit is 0 in every summation order.
         rows.append(t)
-        zs.append(np.array([unit[1], -unit[0], 0.0]) if unit[2] == 0 else
-                  np.array([0.0, unit[2], -unit[1]]))
-        # Orthogonal up to rounding; those within 2 m eps sum|z_c u_c|
-        # of zero are the ones the scalar dot re-checks.
-        for w in rng.normal(size=(40, 3)):
+        z = np.zeros(m)
+        if unit[2] == 0:
+            z[:2] = unit[1], -unit[0]
+        else:
+            z[1:3] = unit[2], -unit[1]
+        zs.append(z)
+        # Orthogonal up to rounding; within 2 m eps sum|z_c u_c| of zero,
+        # another summation order than the scalar dot's may flip the sign.
+        for w in rng.normal(size=(draws, m)):
             z = w - (w @ unit) * unit
-            band = 6 * np.finfo(float).eps * np.abs(z * unit).sum()
+            band = 2 * m * np.finfo(float).eps * np.abs(z * unit).sum()
             if 0 < abs(z @ unit) <= band:
                 rows.append(t)
                 zs.append(z)
                 in_band += 1
     assert in_band >= 40
+    assert math.ceil(len(rows) / (geometry.BLOCK_ENTRIES // m)) == blocks
     table = (units, p_plus, np.array(rows), 1.0)
     # With u = +1, last = 0.5 tells a positive sign from the rest, and
     # last = (1 - eps/3) / 2 a negative sign from the rest.
     for last in (0.5, (1.0 - 1.2 / 3.0) / 2.0):
         got = local._channel([_Scripted(0.0, z, last) for z in zs], [table],
-                             1.2, 3)[0]
+                             1.2, m)[0]
         for i, (t, z) in enumerate(zip(rows, zs)):
             want = _scalar_channel(points[t], 1.0, 1.2, 0.0, z, last)
             assert got[i].tobytes() == want.tobytes(), (t, z)
