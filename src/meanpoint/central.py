@@ -168,6 +168,14 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
 PMW_ROUND_CAP = 200
 
 
+def _tilt_table(pts: np.ndarray, eta: float) -> np.ndarray:
+    """Read-only (2m, |X|) table of the weight updates: row c is
+    exp(eta * pts[:, c]), row m + c exp(-eta * pts[:, c])."""
+    table = np.exp(np.concatenate([eta * pts.T, -eta * pts.T]))
+    table.setflags(write=False)
+    return table
+
+
 def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     """Multiplicative weights with private per-round corrections.
 
@@ -190,7 +198,10 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     drawn before the first round: round t scales row t's first 2m
     entries by the selection sigma and its last by the answer sigma,
     the same stream as a ``normal(0, sigma, 2m)`` then a
-    ``normal(0, sigma')`` call per round.  A universe of zero rows (a
+    ``normal(0, sigma')`` call per round.  The multiplicative updates
+    exp(+-eta * pts[:, c]) are public given the universe and alpha, so
+    they are one read-only ``_tilt_table`` cached on the universe under
+    eta; a round only reads a row of it.  A universe of zero rows (a
     zero offset level of a sup-norm split) draws nothing: its estimate
     is exactly zero whatever the noise, so the rounds are skipped while
     the trace and the budget stay those of the full schedule.
@@ -221,17 +232,23 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
         target = d.mean()
         noise = np.random.default_rng(seed).standard_normal(
             (rounds, 2 * m + 1))
-        for z in noise:
+        select = select_sigma * noise[:, :-1]
+        answers = (answer_sigma * noise[:, -1]).tolist()
+        truth = target.tolist()
+        tilt = geometry._memo(u, ("pmw_tilt", eta),
+                              lambda: _tilt_table(pts, eta))
+        scores = np.empty(2 * m)
+        up, down = scores[:m], scores[m:]
+        for t in range(rounds):
             synthetic = weights @ pts
-            gap = target - synthetic
-            scores = np.concatenate([gap, -gap]) + select_sigma * z[:-1]
+            np.subtract(target, synthetic, out=up)
+            np.negative(up, out=down)
+            scores += select[t]
             coord = int(scores.argmax()) % m
-            answer = float(target[coord]) + answer_sigma * float(z[-1])
-            shift = answer - float(synthetic[coord])
+            shift = (truth[coord] + answers[t]) - float(synthetic[coord])
             if shift != 0.0:
-                weights = weights * np.exp(eta * math.copysign(1.0, shift)
-                                           * pts[:, coord])
-                weights = weights / weights.sum()
+                weights *= tilt[coord if shift > 0.0 else coord + m]
+                weights /= weights.sum()
     estimate = weights @ pts
     trace = {
         "mechanism": "pmw",

@@ -42,7 +42,9 @@ def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
     larger support would be affinely dependent, so the system singular,
     and it is guarded straight to ``lstsq``'s minimum-norm solution.  So
     is a smaller system on which ``solve`` raises or returns non-finite
-    values (repeated vertices).
+    values.  ``solve`` need not raise on an exactly singular system
+    (repeated vertices): LU can leave a tiny pivot in place of a zero
+    and return finite weights, which are then kept.
     """
     k, m = Vs.shape
     U = Vs - y

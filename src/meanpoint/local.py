@@ -11,12 +11,15 @@ projects each level's mean release onto that level's hull and sums.
 
 The channel draws, then decides.  Party i only draws, from its own
 generator on child i of the run seed: per level one uniform, m normals
-into its row of the one (k, n, m) release array, and one uniform.  The
-library computes ``SeedSequence.spawn``'s child states for all parties
-in one vectorised pass.  The rest is public given a party's row, so
-each level tables its rows once, with its release scale (its largest
-row norm), decides every party's signs from the dot a lone party's
-channel takes, in blocks of parties, and scales the array in place.
+into its row of the one (k, n, m) release array, and one uniform.  A
+uniform is drawn as the raw 64-bit word under it, and all the words
+become coins in one pass, ``(word >> 11) * 2**-53``: for PCG64 that is
+the float ``Generator.random()`` makes of the word.  The library
+computes ``SeedSequence.spawn``'s child states for all parties in one
+vectorised pass.  The rest is public given a party's row, so each
+level tables its rows once, with its release scale (its largest row
+norm), decides every party's signs from the dot a lone party's channel
+takes, in blocks of parties, and scales the array in place.
 Privacy holds per party: only a pair of signs depends on the input, and
 the released sign's bias of eps/3 gives a density ratio of at most
 (1 + eps/3) / (1 - eps/3) <= e^eps between inputs.  A transcript is
@@ -172,12 +175,16 @@ def _channel(rngs, tables: list, epsilon: float, m: int) -> np.ndarray:
                          f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
                          "leave [0, 1/2]")
     k, n = len(tables), len(tables[0][2])
-    release, coins = np.empty((k, n, m)), np.empty((2, k, n))
-    for i, rng in enumerate(rngs):
-        for j, row in enumerate(release[:, i]):
-            coins[0, j, i] = rng.random()
-            rng.standard_normal(out=row)
-            coins[1, j, i] = rng.random()
+    release, words = np.empty((k, n, m)), []
+    for rng, party in zip(rngs, release.transpose(1, 0, 2)):
+        raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+        for row in party:
+            words.append(raw())
+            normal(out=row)
+            words.append(raw())
+    # The coins PCG64's Generator.random() makes of the same words.
+    coins = (np.array(words, np.uint64) >> 11).reshape(n, k, 2).transpose(
+        2, 1, 0) * 2.0 ** -53
     for (units, p_plus, rows, scale), first, z, last in zip(
             tables, coins[0], release, coins[1]):
         dots = _dots(z, units, rows)
@@ -193,11 +200,16 @@ def local_release(x: np.ndarray, epsilon: float, scale: float,
     """One party's unbiased, eps-DP release of its point in the ball of
     radius ``scale``, the channel's one-party case: a signed Gaussian
     direction whose sign carries an eps/3 bias toward the input, scaled
-    so that the output has mean x."""
+    so that the output has mean x.  The channel reads its uniforms as
+    raw 64-bit words, so a generator on MT19937, whose ``random()`` joins
+    two 32-bit words, is refused."""
+    rng = np.random.default_rng(seed)
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("MT19937 builds random() from two 32-bit words, so "
+                         "the channel's raw-word coins would differ from it")
     x = np.asarray(x, dtype=float).reshape(1, -1)
     table = (*_row_table(x, scale), [0], scale)
-    return _channel([np.random.default_rng(seed)], [table], epsilon,
-                    x.shape[1])[0, 0]
+    return _channel([rng], [table], epsilon, x.shape[1])[0, 0]
 
 
 @dataclass(eq=False)

@@ -464,6 +464,18 @@ class TestPMW:
         slow = harness.measure_error(d, spec, trials=3, seed=36)
         assert fast.determinism_hash() == slow.determinism_hash()
 
+    def test_tilt_table_is_cached_per_learning_rate(self):
+        # Alternating alphas on one universe object: a table cached under
+        # the wrong key would hand one alpha the other's updates.
+        u = harness.gen_marginals2(4)
+        d = harness.gen_dataset(u, 40, mode="mixture", seed=38)
+        for t, alpha in enumerate((0.1, 0.3, 0.1, 0.3)):
+            assert_same_release(pmw_mechanism(d, 0.5, alpha, seed=39 + t),
+                                pmw_reference(d, 0.5, alpha, seed=39 + t))
+        tables = [v for key, v in u._cache.items() if key[0] == "pmw_tilt"]
+        assert len(tables) == 2
+        assert not any(table.flags.writeable for table in tables)
+
     @pytest.mark.parametrize("alpha", [0.1, 10.0])
     def test_zero_universe_draws_nothing(self, alpha, monkeypatch):
         d = Dataset(universe=Universe(points=np.zeros((5, 3))),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,26 @@ def test_party_generators_equal_default_rng_of_each_spawned_child(
         assert draws(a) == draws(b), i
 
 
+@pytest.mark.parametrize("source", ["party", "PCG64", "PCG64DXSM",
+                                    "Philox", "SFC64"])
+def test_random_is_the_top_53_bits_of_one_raw_word(source):
+    """The channel's coins: ``random()`` is (random_raw() >> 11) * 2**-53
+    on the party generators and on every 64-bit numpy bit generator."""
+    if source == "party":
+        a, b = (next(local._party_generators(7, 1)) for _ in range(2))
+    else:
+        a, b = (np.random.default_rng(getattr(np.random, source)(7))
+                for _ in range(2))
+    words = a.bit_generator.random_raw(10_000)
+    assert ((words >> 11) * 2.0 ** -53).tobytes() == b.random(10_000).tobytes()
+
+
+def test_release_refuses_an_mt19937_generator():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="MT19937"):
+        local.local_release(np.zeros(2), 1.0, 1.0, rng)
+
+
 def test_party_generators_refuse_more_parties_than_one_uint32_word():
     tracemalloc.start()
     try:
@@ -138,13 +159,16 @@ def test_party_generators_refuse_more_parties_than_one_uint32_word():
 
 
 class _Scripted:
-    """Stands in for a party's generator, handing out fixed draws."""
+    """Stands in for a party's generator, handing out fixed draws.  The
+    channel reads a uniform as the raw word w with coin (w >> 11) * 2**-53,
+    so a scripted u comes as ceil(u * 2**53) << 11, whose coin is the
+    least reachable uniform >= u."""
 
     def __init__(self, first, z, last):
-        self.uniforms, self.z = iter([first, last]), z
-
-    def random(self):
-        return next(self.uniforms)
+        words = iter([math.ceil(u * 2 ** 53) << 11 for u in (first, last)])
+        self.bit_generator = types.SimpleNamespace(
+            random_raw=lambda: next(words))
+        self.z = z
 
     def standard_normal(self, out):
         out[:] = self.z
