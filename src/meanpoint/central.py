@@ -8,6 +8,8 @@ its public split: coarse projection and chaining are the combinator
 over projection, sup-norm chaining the combinator over multiplicative
 weights.
 
+Every mechanism reads the private data only through the dataset's
+count vector over the universe, so a release costs the same at any n.
 Every mechanism owns one RNG stream derived from its seed; identical
 seeds and inputs give bit-identical outputs.  Level mechanisms get
 independent child streams derived from the run seed by level index
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -32,30 +34,48 @@ from .privacy import PrivacyBudget, as_fraction
 
 @dataclass(eq=False)
 class Dataset:
-    """Multiset of universe rows; the estimation target is its mean."""
+    """Multiset of universe rows; the estimation target is its mean.
+
+    Give either ``indices``, one universe row per element, or ``counts``
+    alone, how many elements sit on each universe row.  ``counts`` is
+    built once from the indices otherwise, and it is all a central
+    release reads: the mean is ``counts @ points / n``, O(|X| * m) at
+    any n.  The local protocols read ``indices``, one row per party.
+    """
 
     universe: Universe
-    indices: np.ndarray
+    indices: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    n: int = field(init=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices).reshape(-1)
-        if idx.size < 1:
+        if (self.indices is None) == (self.counts is None):
+            raise ValueError("a dataset takes exactly one of indices and counts")
+        if self.counts is None:
+            idx = np.asarray(self.indices).reshape(-1)
+            if idx.size < 1:
+                raise ValueError("dataset must contain at least one element")
+            if not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError("dataset indices must be integers")
+            if idx.min() < 0 or idx.max() >= self.universe.size:
+                raise ValueError("dataset index out of universe range")
+            self.indices = idx
+            self.counts = np.bincount(idx, minlength=self.universe.size)
+        counts = np.asarray(self.counts)
+        if counts.shape != (self.universe.size,):
+            raise ValueError("dataset counts need one entry per universe row")
+        if counts.dtype.kind not in "iuf" or not (
+                np.isfinite(counts).all() and (counts >= 0).all()
+                and (counts == np.floor(counts)).all()):
+            raise ValueError("dataset counts must be non-negative integers")
+        total = counts.sum()
+        if total < 1:
             raise ValueError("dataset must contain at least one element")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError("dataset indices must be integers")
-        if idx.min() < 0 or idx.max() >= self.universe.size:
-            raise ValueError("dataset index out of universe range")
-        self.indices = idx
-
-    @property
-    def n(self) -> int:
-        return int(self.indices.size)
-
-    def points(self) -> np.ndarray:
-        return self.universe.points[self.indices]
+        self.counts = counts
+        self.n = int(total)
 
     def mean(self) -> np.ndarray:
-        return self.points().mean(axis=0)
+        return self.counts @ self.universe.points / self.n
 
 
 @dataclass
@@ -130,9 +150,14 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
 
 
 def level_dataset(d: Dataset, dec: Decomposition, j: int) -> Dataset:
-    """Dataset induced on level j by the decomposition's assignments."""
-    return Dataset(universe=dec.level_universes[j],
-                   indices=dec.assignments[d.indices, j])
+    """Dataset induced on level j by the decomposition's assignments.
+
+    Its counts add ``d``'s counts over the universe rows that level j
+    maps to each of its rows: O(|X|), whatever n is.
+    """
+    level = dec.level_universes[j]
+    return Dataset(universe=level, counts=np.bincount(
+        dec.assignments[:, j], weights=d.counts, minlength=level.size))
 
 
 def decompose_and_run(d: Dataset, dec: Decomposition,

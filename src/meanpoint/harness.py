@@ -217,6 +217,9 @@ def _row(spec: dict) -> Mechanism:
 
 def _protocol(d: Dataset, dec: Decomposition | None,
               epsilon) -> local.LevelProtocol:
+    if d.indices is None:
+        raise ValueError("a local protocol needs the dataset's indices, "
+                         "one row per party")
     levels, rows = (([d.universe.points], d.indices[:, None]) if dec is None
                     else (dec.levels, dec.assignments[d.indices]))
     return local.LevelProtocol(levels, rows, epsilon)

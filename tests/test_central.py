@@ -153,6 +153,119 @@ class TestDataset:
         assert np.allclose(d.mean(), expected)
 
 
+COUNT_UNIVERSES = {
+    "thresholds64": lambda: harness.gen_thresholds(64),
+    "marginals2_8": lambda: harness.gen_marginals2(8),
+    "sphere": lambda: harness.gen_random_sphere(20, 300, 1.0, seed=1),
+    "cone": lambda: harness.gen_cone(16, 0.1, density=40, seed=1),
+}
+INTEGER_VALUED = {"thresholds64", "marginals2_8"}
+
+
+def gathered_release(name, d, rho, alpha, seed):
+    """A split row's release over level datasets gathered row by row
+    (``assignments[indices, j]``), the O(n) form the counts replaced."""
+    row = harness.MECHANISMS[name]
+    dec = row.split(d.universe, alpha)
+    estimate = np.zeros(d.universe.dim)
+    for j, s in enumerate(central._level_seeds(seed, dec.k)):
+        e = Dataset(universe=dec.level_universes[j],
+                    indices=dec.assignments[d.indices, j])
+        out = row.level(e, as_fraction(rho) / dec.k, alpha / (2.0 * dec.k), s)
+        estimate = estimate + out.estimate
+    return estimate
+
+
+class TestCountForm:
+    """A central release reads a dataset only through its counts."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_UNIVERSES))
+    @pytest.mark.parametrize("mode", ["uniform", "mixture"])
+    @pytest.mark.parametrize("n", [50, 2000])
+    def test_mean_matches_the_gathered_mean(self, name, mode, n):
+        u = COUNT_UNIVERSES[name]()
+        d = harness.gen_dataset(u, n, mode=mode, seed=4)
+        rows = u.points[d.indices]
+        reference = rows.mean(axis=0)
+        if name in INTEGER_VALUED:
+            assert d.mean().tobytes() == reference.tobytes()
+        else:
+            # Each side sums n rows in its own order: n roundings at most.
+            scale = np.abs(rows).mean(axis=0)
+            tol = n * np.finfo(float).eps * scale
+            assert (np.abs(d.mean() - reference) <= tol).all()
+
+    @pytest.mark.parametrize("name", sorted(COUNT_UNIVERSES))
+    def test_level_counts_are_the_gathered_assignments(self, name):
+        u = COUNT_UNIVERSES[name]()
+        d = harness.gen_dataset(u, 700, mode="mixture", seed=5)
+        dec = chaining_decomposition(u, 0.1)
+        for j in range(dec.k):
+            level = level_dataset(d, dec, j)
+            gathered = dec.assignments[d.indices, j]
+            assert level.indices is None and level.n == d.n
+            assert np.array_equal(
+                level.counts,
+                np.bincount(gathered, minlength=dec.level_universes[j].size))
+
+    def test_counts_only_dataset(self, small_universe):
+        d = Dataset(universe=small_universe, indices=np.array([0, 0, 3]))
+        e = Dataset(universe=small_universe, counts=d.counts.astype(float))
+        assert e.n == 3 and e.indices is None
+        assert e.mean().tobytes() == d.mean().tobytes()
+
+    def test_counts_validation(self, small_universe):
+        size = small_universe.size
+        counts = np.zeros(size)
+        counts[2] = 3
+        bad = {
+            "negative": np.where(np.arange(size) == 0, -1.0, counts),
+            "fraction": np.where(np.arange(size) == 0, 0.5, counts),
+            "infinite": np.where(np.arange(size) == 0, np.inf, counts),
+            "short": counts[:-1],
+            "long": np.append(counts, 1.0),
+            "matrix": counts[None, :],
+            "zero total": np.zeros(size, dtype=int),
+            "booleans": counts > 0,
+        }
+        for what, c in bad.items():
+            with pytest.raises(ValueError):
+                Dataset(universe=small_universe, counts=c)
+        with pytest.raises(ValueError, match="exactly one"):
+            Dataset(universe=small_universe)
+        with pytest.raises(ValueError, match="exactly one"):
+            Dataset(universe=small_universe, indices=np.array([2]),
+                    counts=counts)
+
+    @pytest.mark.parametrize("name", ["coarse", "chaining", "chaining_linf"])
+    @pytest.mark.parametrize("universe", sorted(INTEGER_VALUED))
+    def test_split_release_matches_the_gathered_levels(self, name, universe):
+        d = harness.gen_dataset(COUNT_UNIVERSES[universe](), 2000,
+                                mode="mixture", seed=6)
+        counted = Dataset(universe=d.universe, counts=d.counts)
+        for seed in (1, 2):
+            reference = gathered_release(name, d, 0.5, 0.1, seed)
+            for e in (d, counted):
+                out = release(name, e, 0.5, 0.1, seed)
+                assert out.estimate.tobytes() == reference.tobytes()
+
+    def test_chaining_at_a_million_rows(self):
+        u = harness.gen_marginals2(8)
+        d = harness.gen_dataset(u, 10 ** 6, mode="mixture", seed=7)
+        out = release("chaining", d, 0.5, 0.1, 8)
+        assert float(np.abs(out.estimate - d.mean()).max()) <= 1e-3
+        counted = Dataset(universe=u, counts=d.counts)
+        assert release("chaining", counted, 0.5, 0.1, 8).estimate.tobytes() \
+            == out.estimate.tobytes()
+
+    def test_local_protocols_refuse_a_counts_only_dataset(self):
+        d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=9)
+        counted = Dataset(universe=d.universe, counts=d.counts)
+        spec = {"mechanism": "lpm", "epsilon": 1.0}
+        with pytest.raises(ValueError, match="indices"):
+            harness.make_mechanism(spec)(counted, 1)
+
+
 class TestProjectionMechanism:
     def test_zero_noise_limit_recovers_mean(self, small_dataset):
         out = projection_mechanism(small_dataset, 1e9, seed=2)

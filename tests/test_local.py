@@ -91,7 +91,7 @@ def test_transcript_follows_the_per_party_seed_contract(protocol):
     d = harness.gen_dataset(harness.gen_marginals2(4), 25, seed=1)
     p = harness.level_protocol(d, _spec(protocol))
     release, _ = local.simulate_protocol(p, seed=9)
-    k, (n, m) = len(p.levels), d.points().shape
+    k, (n, m) = len(p.levels), (d.n, d.universe.dim)
     eps = float(Fraction(1) / k)
     # A level of zero rows releases at scale 1.
     scales = [float(np.sqrt((lv ** 2).sum(axis=1)).max()) or 1.0
