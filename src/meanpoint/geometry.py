@@ -76,7 +76,7 @@ class Universe:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float, copy=True)
+        pts = np.array(self.points, dtype=float, order="C", copy=True)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
