@@ -190,7 +190,8 @@ class TestCountForm:
         if name in INTEGER_VALUED:
             assert d.mean().tobytes() == reference.tobytes()
         else:
-            # Each side sums n rows in its own order: n roundings at most.
+            # Each side rounds at most n times while summing n rows,
+            # each time by at most eps times the rows' magnitudes.
             scale = np.abs(rows).mean(axis=0)
             tol = n * np.finfo(float).eps * scale
             assert (np.abs(d.mean() - reference) <= tol).all()
@@ -228,7 +229,7 @@ class TestCountForm:
             "zero total": np.zeros(size, dtype=int),
             "booleans": counts > 0,
         }
-        for what, c in bad.items():
+        for c in bad.values():
             with pytest.raises(ValueError):
                 Dataset(universe=small_universe, counts=c)
         with pytest.raises(ValueError, match="exactly one"):
