@@ -3,10 +3,9 @@
 The projection mechanism (average error), private multiplicative
 weights (worst-case error), and the level combinator that runs one
 level release on every summand of a decomposition with an equal share
-of rho and adds the results.  ``harness.MECHANISMS`` pairs each with
-its public split: coarse projection and chaining are the combinator
-over projection, sup-norm chaining the combinator over multiplicative
-weights.
+of rho and adds the results.  Every central ``harness.MECHANISMS`` row
+is the combinator over its public split; projection and PMW alone are
+its one-level case, on the identity split.
 
 Every mechanism reads the private data only through the dataset's
 count vector over the universe, so a release costs the same at any n.
@@ -101,11 +100,8 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _level_seeds(seed, k: int) -> list:
-    # One level reuses the run stream so the combinator degenerates to
-    # the direct mechanism call; otherwise spawn one child per level.
-    if k == 1:
-        return [seed]
-    return list(as_seed_sequence(seed).spawn(k))
+    # One level reuses the run stream: an identity split is the direct call.
+    return [seed] if k == 1 else list(as_seed_sequence(seed).spawn(k))
 
 
 # ---------------------------------------------------------------------------

@@ -149,18 +149,17 @@ class Mechanism(NamedTuple):
     (pure-DP per party) protocols.  ``needs_alpha`` says whether the
     mechanism reads the error target ``alpha``.  ``upper_bound`` is the
     ``bounds.bound_report`` key of the mechanism's sample-size estimate.
-    ``split(u, alpha)`` is the row's public ``geometry.Decomposition``;
-    a row without one releases on the universe itself, its one level.
-    ``level(d, rho, alpha, seed)`` is the central release on one level,
-    given alpha / (2k) on each of a split's k levels.  A local row has
-    no level release: its parties run ``local.LevelProtocol`` over the
-    levels with epsilon / k each.
+    ``split(u, alpha)`` is the row's public ``geometry.Decomposition``,
+    the identity (one level, the universe itself) for projection, PMW
+    and LPM.  ``level(d, rho, alpha, seed)`` is the central release on
+    one level at target (alpha - split.alpha / 2) / k.  A local row runs
+    ``local.LevelProtocol`` over the levels with epsilon / k each.
     """
 
     privacy: str
     needs_alpha: bool
     upper_bound: str | None
-    split: Callable[[Universe, float], Decomposition] | None
+    split: Callable[[Universe, float | None], Decomposition]
     level: Callable[[Dataset, object, float, object], MechanismOutput] | None
 
 
@@ -170,6 +169,24 @@ def _projection(d: Dataset, rho, alpha, seed) -> MechanismOutput:
 
 def _pmw(d: Dataset, rho, alpha, seed) -> MechanismOutput:
     return central.pmw_mechanism(d, rho, alpha, seed=seed)
+
+
+def _identity(u: Universe, alpha) -> Decomposition:
+    # The level universe is u itself, so releases share u's memoised tables.
+    def build() -> Decomposition:
+        rows = np.arange(u.size)
+        # The scale-0 cover generates the level: each distinct row once.
+        gen = np.sort(np.unique(u.points, axis=0, return_index=True)[1])
+        for a in (rows, gen):
+            a.setflags(write=False)
+        radius = float(geometry._row_norms(u.points, Norm.L2).max())
+        dec = Decomposition([u.points], rows[:, None], [gen], scales=[0.0],
+                            remainder_radius=0.0, norm=Norm.L2,
+                            level_radii=[radius], delta=radius, alpha=0.0)
+        dec.level_universes = [u]
+        return dec
+
+    return geometry._memo(u, ("identity_decomposition",), build)
 
 
 def _coarse(u: Universe, alpha: float) -> Decomposition:
@@ -188,12 +205,12 @@ def _chaining_linf(u: Universe, alpha: float) -> Decomposition:
 
 
 MECHANISMS = {
-    "projection": Mechanism("rho", False, None, None, _projection),
+    "projection": Mechanism("rho", False, None, _identity, _projection),
     "coarse": Mechanism("rho", True, "ub_coarse", _coarse, _projection),
     "chaining": Mechanism("rho", True, "ub_chain", _chaining, _projection),
-    "pmw": Mechanism("rho", True, None, None, _pmw),
+    "pmw": Mechanism("rho", True, None, _identity, _pmw),
     "chaining_linf": Mechanism("rho", True, "ub_infty", _chaining_linf, _pmw),
-    "lpm": Mechanism("epsilon", False, None, None, None),
+    "lpm": Mechanism("epsilon", False, None, _identity, None),
     "lcpm": Mechanism("epsilon", True, "ub_local_coarse", _coarse, None),
     "lcm": Mechanism("epsilon", True, "ub_local_chain", _chaining, None),
 }
@@ -215,23 +232,17 @@ def _row(spec: dict) -> Mechanism:
     return row
 
 
-def _protocol(d: Dataset, dec: Decomposition | None,
-              epsilon) -> local.LevelProtocol:
-    if d.indices is None:
-        raise ValueError("a local protocol needs the dataset's indices, "
-                         "one row per party")
-    levels, rows = (([d.universe.points], d.indices[:, None]) if dec is None
-                    else (dec.levels, dec.assignments[d.indices]))
-    return local.LevelProtocol(levels, rows, epsilon)
-
-
 def level_protocol(d: Dataset, spec: dict) -> local.LevelProtocol:
     """The ``local.LevelProtocol`` a local row's spec runs on ``d``."""
     row = _row(spec)
     if row.level is not None:
         raise ValueError(f"{spec['mechanism']} is not a local protocol")
-    dec = None if row.split is None else row.split(d.universe, spec["alpha"])
-    return _protocol(d, dec, spec["epsilon"])
+    if d.indices is None:
+        raise ValueError("a local protocol needs the dataset's indices, "
+                         "one row per party")
+    dec = row.split(d.universe, spec.get("alpha"))
+    return local.LevelProtocol(dec.levels, dec.assignments[d.indices],
+                               spec["epsilon"])
 
 
 def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
@@ -239,31 +250,24 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
 
     The spec names a ``MECHANISMS`` row and carries its privacy
     parameter and, where the row needs it, ``alpha``; every other
-    setting of the mechanism follows from those two.  Every row's trace
-    is ``{"mechanism": name, "k": k, "levels": [one trace per level]}``,
-    plus ``alpha`` and ``remainder_radius`` where the row splits.
+    setting of the mechanism follows from those two.  Every row runs
+    over its split, a local row as its ``level_protocol``, and writes
+    one trace: ``{"mechanism", "k", "levels", "alpha", "remainder_radius"}``.
     """
     row = _row(spec)
     name, alpha = spec["mechanism"], spec.get("alpha")
-    budget = spec[row.privacy]
 
     def run(d: Dataset, seed) -> MechanismOutput:
-        dec = None if row.split is None else row.split(d.universe, alpha)
+        dec = row.split(d.universe, alpha)
         if row.level is None:
-            _, out = local.simulate_protocol(_protocol(d, dec, budget), seed)
-        elif dec is None:
-            out = row.level(d, budget, alpha, seed)
-            out.trace = {"levels": [out.trace]}
+            _, out = local.simulate_protocol(level_protocol(d, spec), seed)
         else:
-            level_alpha = alpha / (2.0 * dec.k)
+            target = None if alpha is None else (alpha - dec.alpha / 2) / dec.k
             out = central.decompose_and_run(
-                d, dec, lambda e, rho, s: row.level(e, rho, level_alpha, s),
-                budget, seed=seed)
-        levels = out.trace["levels"]
-        out.trace = {"mechanism": name, "k": len(levels), "levels": levels}
-        if dec is not None:
-            out.trace.update(alpha=float(alpha),
-                             remainder_radius=dec.remainder_radius)
+                d, dec, lambda e, rho, s: row.level(e, rho, target, s),
+                spec["rho"], seed=seed)
+        out.trace = dict(mechanism=name, k=dec.k, levels=out.trace["levels"],
+                         alpha=alpha, remainder_radius=dec.remainder_radius)
         return out
 
     return run

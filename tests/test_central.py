@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from meanpoint import central, geometry, harness, hull, privacy
+from meanpoint import central, geometry, harness, hull, local, privacy
 from meanpoint.central import (PMW_ROUND_CAP, Dataset, as_seed_sequence,
                                decompose_and_run, level_dataset,
                                pmw_mechanism, projection_mechanism)
@@ -657,21 +657,22 @@ class TestChainingLinf:
             release("chaining_linf", d, 1.0, 0.5, 39)
 
 
-# Rows with a public split; the others release on the universe itself.
-SPLIT_ROWS = {"coarse", "chaining", "chaining_linf", "lcpm", "lcm"}
-
-
 class TestMechanismTable:
     @pytest.mark.parametrize("name", sorted(harness.MECHANISMS))
     def test_every_row_writes_one_trace_shape(self, name):
         row = harness.MECHANISMS[name]
         d = harness.gen_dataset(harness.gen_thresholds(16), 50, seed=45)
-        spec = {"mechanism": name, row.privacy: 0.7, "alpha": 0.3}
-        trace = harness.make_mechanism(spec)(d, 46).trace
-        assert trace["mechanism"] == name
-        assert trace["k"] == len(trace["levels"])
-        split = {"alpha", "remainder_radius"} if name in SPLIT_ROWS else set()
-        assert set(trace) == {"mechanism", "k", "levels"} | split
+        # A row that does not need alpha is also run without one.
+        for alpha in (0.3, None)[:2 - row.needs_alpha]:
+            spec = {"mechanism": name, row.privacy: 0.7}
+            if alpha is not None:
+                spec["alpha"] = alpha
+            trace = harness.make_mechanism(spec)(d, 46).trace
+            assert set(trace) == {"mechanism", "k", "levels", "alpha",
+                                  "remainder_radius"}
+            assert trace["mechanism"] == name
+            assert trace["k"] == len(trace["levels"])
+            assert trace["alpha"] == alpha
 
     @pytest.mark.parametrize("name", sorted(harness.MECHANISMS))
     def test_incomplete_spec_is_refused_when_the_runner_is_built(
@@ -687,6 +688,75 @@ class TestMechanismTable:
                 harness.make_mechanism(spec)
             with pytest.raises(ValueError, match=f"^{name} needs {key}$"):
                 harness.measure_error(small_dataset, spec, trials=2)
+
+
+IDENTITY_ROWS = ("projection", "pmw", "lpm")
+
+
+def direct_release(name, d, budget, alpha, seed):
+    """The row's level release called on the universe itself."""
+    if name == "projection":
+        return projection_mechanism(d, budget, seed=seed)
+    if name == "pmw":
+        return pmw_mechanism(d, budget, alpha, seed=seed)
+    protocol = local.LevelProtocol([d.universe.points], d.indices[:, None],
+                                   budget)
+    return local.simulate_protocol(protocol, seed)[1]
+
+
+class TestIdentitySplit:
+    """Projection, PMW and LPM run as one-level splits whose level is
+    the universe itself."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_UNIVERSES))
+    @pytest.mark.parametrize("mode", ["uniform", "mixture"])
+    @pytest.mark.parametrize("n", [50, 700])
+    def test_release_is_the_direct_level_call(self, name, mode, n):
+        u = COUNT_UNIVERSES[name]()
+        d = harness.gen_dataset(u, n, mode=mode, seed=12)
+        alpha = 0.1
+        for row_name in IDENTITY_ROWS:
+            row = harness.MECHANISMS[row_name]
+            spec = {"mechanism": row_name, row.privacy: 0.5, "alpha": alpha}
+            out = harness.make_mechanism(spec)(d, 13)
+            ref = direct_release(row_name, d, 0.5, alpha, 13)
+            assert out.estimate.tobytes() == ref.estimate.tobytes()
+            assert out.budget_consumed == ref.budget_consumed
+            levels = ref.trace["levels"] if row_name == "lpm" \
+                else [ref.trace]
+            assert out.trace["levels"] == levels
+
+    def test_split_is_the_memoised_universe(self):
+        u = harness.gen_marginals2(6)
+        dec = harness.MECHANISMS["projection"].split(u, None)
+        for row_name in IDENTITY_ROWS:
+            assert harness.MECHANISMS[row_name].split(u, 0.3) is dec
+        assert dec.k == 1 and dec.level_universes[0] is u
+        assert dec.levels[0] is u.points
+        assert np.array_equal(dec.assignments[:, 0], np.arange(u.size))
+        assert dec.remainder_radius == 0.0 and dec.alpha == 0.0
+        # marginals2(6) repeats the zero row; the generators are distinct.
+        distinct = np.unique(u.points, axis=0)
+        assert dec.generator_indices[0].size == len(distinct)
+        geometry.verify_decomposition(u, dec)
+        assert not dec.remainders(u).any()
+
+    def test_l2_diameter_is_built_once(self, monkeypatch):
+        builds = []
+        blocks = geometry._distance_blocks
+
+        def counting(a, b, norm):
+            builds.append(norm)
+            return blocks(a, b, norm)
+
+        monkeypatch.setattr(geometry, "_distance_blocks", counting)
+        u = harness.gen_thresholds(32)
+        d = harness.gen_dataset(u, 200, seed=14)
+        for seed in range(3):
+            release("projection", d, 0.5, None, seed)
+            release("pmw", d, 0.5, 0.3, seed)
+        assert builds == [Norm.L2]
+        assert ("diameter", Norm.L2) in u._cache
 
 
 class TestLedger:
