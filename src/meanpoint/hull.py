@@ -5,15 +5,52 @@ mechanisms.  Uses Wolfe's min-norm-point algorithm (Math. Programming
 11, 1976) over the vertex list.  Each major cycle adds the Frank-Wolfe
 vertex (the best improving one) to the support; minor cycles then jump
 to the support's affine optimum, stepping back to the feasible boundary
-and dropping vertices while a weight would go negative.  The support
-stays affinely independent, so it never exceeds m + 1 vertices, and each
-minor cycle solves the support's KKT system, centred on the target, with
-``linalg.solve``.  The iterate stays an explicit convex combination
-throughout and carries the first-order certificate
-``<y - p, v - p> <= TOL * ||y - p|| * sqrt(m)`` for every vertex ``v``.
+and dropping vertices while a weight would go negative.
+
+The affine optimum of a support S minimises ||lam @ U_S|| subject to
+sum(lam) = 1, where U_S = V_S - y holds the support's rows centred on
+the target.  It is lam = M^{-1} 1 / (1^T M^{-1} 1) with
+M = 1 1^T + U_S U_S^T, the Gram matrix of the rows a_i = (1, u_i), which
+is positive definite exactly when S is affinely independent.  As in
+Wolfe's original, the support keeps a factor instead of solving afresh:
+an upper-triangular Q with Q Q^T = M^{-1} and t = Q^T 1, so that
+lam = Q t / (t . t).  Appending the Frank-Wolfe vertex's centred row u
+adds one column: with b = 1 + U_S u, r = Q^T b and pivot
+rho^2 = 1 + ||u||^2 - ||r||^2, the column is (-Q r / rho, 1 / rho) and t
+gains (1 - r . t) / rho.  A minor cycle that drops vertices refactors
+the reduced support once, from ``np.linalg.cholesky`` of its M.
+
+A pivot (rho^2, or a squared diagonal entry of the Cholesky factor) is
+the squared distance of a row a = (1, u) from the span of the rows
+before it, computed as the diagonal entry 1 + ||u||^2 less a sum of
+squares.  If a = sum_i c_i a_i lies in that span, rounding in the factor
+acts as a perturbation E of M_S, with ||E|| about eps * (m + 2) * ||M_S||
+for sums of at most m + 2 terms, and the pivot computes to about
+c^T E c instead of 0.  As ||c||^2 <= (1 + ||u||^2) / lambda_min(M_S), that
+is at most eps * (m + 2) * kappa * (1 + ||u||^2), where kappa =
+trace(M_S) * trace(M_S^{-1}) bounds the condition number of M_S and
+trace(M_S^{-1}) = ||Q||_F^2 grows with the factor.  So a pivot at or
+below ``PIVOT_FLOOR * (m + 2) * kappa * (1 + ||u||^2)`` marks the support
+as affinely dependent, and so does any support of more than m + 1
+vertices.  A pivot at or below ``(1 + ||u||^2) / KAPPA_MAX`` is treated
+the same way: it would make M's condition number exceed KAPPA_MAX, and
+the factor's weights carry a forward error of about eps * cond(M), so a
+thin support (an in-hull target on an edge of a sliver triangle, say)
+would lose the point's accuracy that a backward-stable solve keeps.  A
+support so marked takes the minimum-norm solution of its KKT system
+from ``lstsq`` until a drop lets it factor again; one of m + 2
+vertices, which has an exact affine dependence, is cut back to m + 1 by
+a Caratheodory step that keeps the point.  So every major cycle starts
+from at most m + 1 vertices.
+
+The iterate ``p = lam @ V_S`` is an explicit convex combination of
+vertex rows, never ``y + lam @ U_S``: the latter leaves rounding (such
+as -2.2e-16) in coordinates where every vertex is 0.  It carries the
+first-order certificate ``<y - p, v - p> <= TOL * ||y - p|| * sqrt(m)``
+for every vertex ``v``.
 
 Deterministic given its inputs; inner products may be reduced in any
-order (the tolerance absorbs reduction noise).
+order (the tolerances absorb reduction noise).
 """
 
 from __future__ import annotations
@@ -31,73 +68,189 @@ TOL = 1e-7
 # over m coordinates of size up to scale^2, so its rounding error grows
 # like eps * m * scale^2; a floor below that is never reached.
 GAP_FLOOR = 8 * sys.float_info.epsilon
+# Relative floor on a factor pivot, per term of its sums and unit of the
+# condition bound (module docstring); the factor 8 is GAP_FLOOR's margin.
+PIVOT_FLOOR = 8 * sys.float_info.epsilon
+# Largest condition number of M the factor serves (module docstring):
+# its weights then keep about 8 significant digits.  Sampled projections
+# onto the marginals2(8) chaining levels keep kappa below 3e6.
+KAPPA_MAX = 1e8
 
 
-def _affine_least_squares(Vs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weights minimizing ||w @ Vs - y|| subject to sum(w) = 1 only.
+def _pivot_floor(kappa: float, m: int) -> float:
+    """Pivot, per unit of its diagonal entry, at or below which a row
+    counts as dependent on rows whose M has condition bound ``kappa``."""
+    return max(PIVOT_FLOOR * (m + 2) * kappa, 1.0 / KAPPA_MAX)
 
-    On that constraint w @ Vs - y = w @ U with U = Vs - y, so the KKT
-    system is [[U U^T, 1], [1^T, 0]] [w; mu] = e_{k+1}, which ``solve``
-    takes.  The minor cycles never pass it more than m + 1 vertices; a
-    larger support would be affinely dependent, so the system singular,
-    and it is guarded straight to ``lstsq``'s minimum-norm solution.  So
-    is a smaller system on which ``solve`` raises or returns non-finite
-    values.  ``solve`` need not raise on an exactly singular system
-    (repeated vertices): LU can leave a tiny pivot in place of a zero
-    and return finite weights, which are then kept.
-    """
-    k, m = Vs.shape
-    U = Vs - y
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = U @ U.T
-    kkt[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    if k <= m + 1:
+
+class _Support:
+    """Wolfe's support ("corral") for one target ``y``: the first ``k``
+    rows of preallocated (m + 2)-row buffers hold its vertex indices
+    ``idx``, vertex rows ``vs``, rows ``aug`` = (1, v - y) and weights
+    ``lam``.  While ``factored``, ``q[:k, :k]`` is upper triangular with
+    Q Q^T = M^{-1} = (aug aug^T)^{-1}, ``t[:k]`` is Q^T 1, and ``trace``
+    and ``inv_trace`` are the traces of M and M^{-1} (module docstring).
+    The strictly lower triangle of ``q`` stays zero."""
+
+    def __init__(self, y: np.ndarray):
+        m = y.size
+        self.y = y
+        self.idx = np.empty(m + 2, dtype=np.intp)
+        self.vs = np.empty((m + 2, m))
+        self.aug = np.ones((m + 2, m + 1))
+        self.lam = np.empty(m + 2)
+        self.q = np.zeros((m + 2, m + 2))
+        self.t = np.empty(m + 2)
+        self.k = 0
+        self.factored = True
+        self.trace = self.inv_trace = 0.0
+
+    def append(self, i: int, v: np.ndarray, weight: float = 0.0) -> None:
+        """Add vertex ``i`` (row ``v``) with ``weight``, and one column to
+        the factor; a dependent pivot leaves the support unfactored."""
+        k = self.k
+        self.idx[k] = i
+        self.vs[k] = v
+        np.subtract(v, self.y, out=self.aug[k, 1:])
+        self.lam[k] = weight
+        self.k = k + 1
+        m = self.y.size
+        if not self.factored or k > m:
+            self.factored = False
+            return
+        a = self.aug[k]
+        diagonal = float(a @ a)
+        q = self.q[:k, :k]
+        r = (self.aug[:k] @ a) @ q
+        pivot = diagonal - float(r @ r)
+        if not pivot > _pivot_floor(self.trace * self.inv_trace, m) * diagonal:
+            self.factored = False
+            return
+        rho = math.sqrt(pivot)
+        col = q @ r
+        col /= -rho
+        self.q[:k, k] = col
+        self.q[k, k] = 1.0 / rho
+        self.t[k] = (1.0 - float(r @ self.t[:k])) / rho
+        self.trace += diagonal
+        self.inv_trace += float(col @ col) + 1.0 / pivot
+
+    def refactor(self) -> None:
+        """Factor the support afresh from the Cholesky factor of M,
+        testing each pivot as ``append`` would."""
+        k, m = self.k, self.y.size
+        aug = self.aug[:k]
+        gram = aug @ aug.T
+        self.factored = False
+        if k > m + 1:
+            return
         try:
-            sol = np.linalg.solve(kkt, rhs)
-            if np.isfinite(sol).all():
-                return sol[:k]
+            low = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            pass
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:k]
+            return
+        q = np.triu(np.linalg.inv(low).T)
+        trace = inv_trace = 0.0
+        for pivot, diagonal, col in zip((np.diagonal(low) ** 2).tolist(),
+                                        np.diagonal(gram).tolist(),
+                                        (q * q).sum(axis=0).tolist()):
+            kappa = trace * inv_trace
+            if not pivot > _pivot_floor(kappa, m) * diagonal:
+                return
+            trace += diagonal
+            inv_trace += col
+        self.q[:k, :k] = q
+        self.t[:k] = q.sum(axis=0)
+        self.trace, self.inv_trace = trace, inv_trace
+        self.factored = True
 
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the vertices ``mask`` selects, in order, and refactor."""
+        k = int(np.count_nonzero(mask))
+        for buf in (self.idx, self.vs, self.aug, self.lam):
+            buf[:k] = buf[:self.k][mask]
+        self.k = k
+        self.refactor()
 
-def _minor_cycles(w: np.ndarray, support: np.ndarray, V: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
-    """Wolfe's minor cycles on ``support`` (row indices of ``V``, which
-    may carry zero weight in ``w``): jump to the support's affine
-    optimum once it is feasible; until then step from ``w`` towards it
-    as far as the simplex allows and drop the vertices that reach zero.
-    Each step keeps the weights on the simplex and drops at least one
-    vertex, so the loop ends.  Never increases the objective.  A vertex
-    listed twice gets the sum of its weights."""
-    ws = w[support]
-    while True:
-        lam = _affine_least_squares(V[support], y)
-        if bool((lam >= 0.0).all()):
-            ws = lam
-            break
-        neg = np.flatnonzero(lam < 0)
-        ratios = ws[neg] / (ws[neg] - lam[neg])
-        ws = ws + float(ratios.min()) * (lam - ws)
-        ws[neg[ratios.argmin()]] = 0.0
-        keep = ws >= 1e-15
-        support, ws = support[keep], ws[keep]
-    return np.bincount(support, ws / ws.sum(), minlength=w.size)
+    def affine_optimum(self) -> np.ndarray:
+        """Weights minimising ||lam @ U_S|| subject to sum(lam) = 1 only:
+        Q t scaled to sum 1 from the factor, or on a dependent support the
+        minimum-norm solution of [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1}
+        (``lstsq``), scaled the same way."""
+        k = self.k
+        if self.factored:
+            lam = self.q[:k, :k] @ self.t[:k]
+        else:
+            us = self.aug[:k, 1:]
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = us @ us.T
+            kkt[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        lam /= lam.sum()
+        return lam
+
+    def minor_cycles(self) -> None:
+        """Jump to the support's affine optimum once it is feasible; until
+        then step from ``lam`` towards it as far as the simplex allows and
+        drop the vertices that reach zero.  Each step keeps the weights on
+        the simplex and drops at least one vertex, so the loop ends.
+        Never increases the objective.  Ends on at most m + 1 vertices."""
+        while True:
+            aff = self.affine_optimum()
+            ws = self.lam[:self.k]
+            if aff.min() >= 0.0:
+                ws[:] = aff
+                break
+            neg = np.flatnonzero(aff < 0)
+            ratios = ws[neg] / (ws[neg] - aff[neg])
+            j = int(ratios.argmin())
+            ws += float(ratios[j]) * (aff - ws)
+            ws[neg[j]] = 0.0
+            self.keep(ws >= 1e-15)
+        if self.k > self.y.size + 1:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        """Caratheodory step on m + 2 vertices: move the weights along
+        their affine dependence d (d @ aug = 0, so sum(d) = 0 and the
+        point stays) until one reaches zero, and drop it."""
+        k = self.k
+        d = np.linalg.svd(self.aug[:k])[0][:, -1]
+        if d.min() >= 0.0:
+            d = -d
+        ws = self.lam[:k]
+        neg = np.flatnonzero(d < 0)
+        ratios = ws[neg] / -d[neg]
+        j = int(ratios.argmin())
+        ws += float(ratios[j]) * d
+        ws[neg[j]] = 0.0
+        self.keep(ws >= 1e-15)
+        ws = self.lam[:self.k]
+        ws /= ws.sum()
+
+    def point(self) -> np.ndarray:
+        """The iterate, lam @ V_S."""
+        return self.lam[:self.k] @ self.vs[:self.k]
 
 
 @dataclass
 class ProjectionResult:
-    """Projection output: the point, its sparse convex weights over the
-    vertex list, iteration count, final gap, and certificate flag."""
+    """Projection output: the point, its convex weights ``coef`` over the
+    vertex rows ``support`` (sorted, distinct, all weights positive),
+    iteration count, final gap, and certificate flag."""
 
     point: np.ndarray
-    weights: dict[int, float]
+    support: np.ndarray
+    coef: np.ndarray
     iterations: int
     gap: float
     certified: bool
+
+    @property
+    def weights(self) -> dict[int, float]:
+        """``{vertex index: weight}`` over the support."""
+        return dict(zip(self.support.tolist(), self.coef.tolist()))
 
 
 def one_point_projection(vertices: np.ndarray) -> ProjectionResult | None:
@@ -106,8 +259,9 @@ def one_point_projection(vertices: np.ndarray) -> ProjectionResult | None:
     None when the hull has more than one point."""
     if not bool((vertices == vertices[0]).all()):
         return None
-    return ProjectionResult(point=vertices[0].copy(), weights={0: 1.0},
-                            iterations=0, gap=0.0, certified=True)
+    return ProjectionResult(point=vertices[0].copy(), support=np.zeros(1, int),
+                            coef=np.ones(1), iterations=0, gap=0.0,
+                            certified=True)
 
 
 def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
@@ -145,9 +299,9 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     if single is not None:
         return single
 
-    w = np.zeros(n)
+    support = _Support(y)
     start = int(((V - y) ** 2).sum(axis=1).argmin())
-    w[start] = 1.0
+    support.append(start, V[start], 1.0)
     p = V[start].copy()
 
     iterations = 0
@@ -159,14 +313,19 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
         resid = math.sqrt(float(r @ r))
         if gap <= TOL * resid * sqrt_m + gap_floor:
             break
-        w = _minor_cycles(w, np.append(np.flatnonzero(w > 0), fw), V, y)
-        p = w @ V
+        support.append(fw, V[fw])
+        support.minor_cycles()
+        p = support.point()
 
     # Recompute the certificate at the reported point.
     r = y - p
     final_gap = float((V @ r).max() - p @ r)
     resid = math.sqrt(float(r @ r))
     certified = final_gap <= TOL * resid * sqrt_m + gap_floor
-    weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0)}
-    return ProjectionResult(point=p, weights=weights, iterations=iterations,
-                            gap=final_gap, certified=certified)
+    k = support.k
+    live = support.lam[:k] > 0
+    idx, where = np.unique(support.idx[:k][live], return_inverse=True)
+    return ProjectionResult(point=p, support=idx,
+                            coef=np.bincount(where, support.lam[:k][live]),
+                            iterations=iterations, gap=final_gap,
+                            certified=certified)

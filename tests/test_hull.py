@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meanpoint import geometry, harness
-from meanpoint.hull import (GAP_FLOOR, TOL, _affine_least_squares,
-                            _minor_cycles, project_onto_hull)
+from meanpoint.hull import (GAP_FLOOR, PIVOT_FLOOR, TOL, _Support,
+                            one_point_projection, project_onto_hull)
 
 
 def simplex_project_rows(lam):
@@ -101,6 +102,24 @@ class TestProjectOntoHull:
                 w[i] = v
             assert sum(res.weights.values()) == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.norm(w @ V - res.point) <= 1e-8 * math.sqrt(V.shape[1])
+
+    def test_result_keeps_support_and_coefficients(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            y, V = random_instance(rng, m=int(rng.integers(1, 6)),
+                                   n_vertices=int(rng.integers(2, 12)))
+            res = project_onto_hull(y, V)
+            assert res.weights == dict(zip(res.support.tolist(),
+                                           res.coef.tolist()))
+            assert res.weights == res.weights
+            assert sum(res.weights.values()) == pytest.approx(1.0, abs=1e-12)
+            assert len(res.weights) <= V.shape[1] + 1
+            moved = dataclasses.replace(res, point=res.point + 1.0)
+            assert np.array_equal(moved.point, res.point + 1.0)
+            assert moved.weights == res.weights
+            assert (moved.iterations, moved.gap, moved.certified) == \
+                (res.iterations, res.gap, res.certified)
+        assert one_point_projection(np.ones((3, 2))).weights == {0: 1.0}
 
     def test_agrees_with_pgd_oracle(self):
         # smaller step count than the acceptance run, still well converged
@@ -227,18 +246,37 @@ def counting_lstsq(monkeypatch):
     return calls
 
 
+def kkt_weights(us):
+    """Affine optimum of the centred rows ``us`` from a fresh ``solve``
+    of [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1}."""
+    k = len(us)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = us @ us.T
+    kkt[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    return np.linalg.solve(kkt, rhs)[:k]
+
+
+def support_of(y, V, w):
+    """A ``_Support`` for ``y`` over the rows of ``V``, appended in order
+    with weights ``w``."""
+    s = _Support(y)
+    for i, (v, wi) in enumerate(zip(V, w)):
+        s.append(i, v, wi)
+    return s
+
+
 class TestMinorCycle:
     def test_dependent_support_falls_back_and_never_increases(
             self, monkeypatch):
         # Supports drawn with a repeated vertex, some within m + 1 rows
-        # and some beyond: every KKT system over the whole support is
-        # singular.  Beyond m + 1 rows the first minor cycle goes straight
-        # to lstsq.  Within, it does so when solve raises; LU's rounding
-        # can instead leave a tiny pivot, and solve then returns one of
-        # the equivalent affine optima.
+        # and some beyond: every one is affinely dependent.  Appending
+        # the repeat leaves a pivot under the floor, and so does
+        # refactoring the whole support, so every first minor cycle goes
+        # to lstsq; the cycles end on an independent, factored support.
         calls = counting_lstsq(monkeypatch)
         rng = np.random.default_rng(8)
-        within = []
         for _ in range(200):
             m, base = int(rng.integers(1, 4)), int(rng.integers(1, 5))
             B = rng.integers(0, 2, size=(base, m)).astype(float) \
@@ -248,46 +286,59 @@ class TestMinorCycle:
             V = B[rows]
             y = rng.random(m) * 3.0 - 1.0
             w = rng.dirichlet(np.ones(len(V)))
+            if len(V) > m + 2:
+                # A support holds at most m + 2 rows: keep the first m + 1
+                # and the repeat, which takes the weight of the rest.
+                V = np.vstack((V[:m + 1], V[-1:]))
+                w = np.append(w[:m + 1], w[m + 1:].sum())
             before = np.linalg.norm(w @ V - y)
+            s = support_of(y, V, w)
+            assert not s.factored
+            s.refactor()
+            assert not s.factored
             calls[0] = 0
-            after = _minor_cycles(w, np.arange(len(V)), V, y)
-            if len(V) > m + 1:
-                assert calls[0] >= 1
-            else:
-                within.append(calls[0] >= 1)
+            s.minor_cycles()
+            assert calls[0] >= 1
+            assert s.k <= m + 1
+            after = np.bincount(s.idx[:s.k], s.lam[:s.k], minlength=len(V))
             assert after.min() >= 0.0
             assert after.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(after @ V - y) <= before + 1e-12
             assert project_onto_hull(y, V).certified
-        assert sum(within) >= len(within) / 2
 
     def test_singular_small_system_raises_and_falls_back(self, monkeypatch):
         # Two equal vertices of three in R^3: the support fits in m + 1,
-        # but its KKT system is exactly singular, and solve must say so.
+        # but its M = 1 1^T + U U^T is exactly singular, and the factor
+        # must say so: Cholesky raises, or leaves a pivot under the floor.
         Vs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         y = np.array([0.2, 0.3, 0.1])
-        kkt = np.ones((4, 4))
-        kkt[:3, :3] = (Vs - y) @ (Vs - y).T
-        kkt[3, 3] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(kkt, np.array([0.0, 0.0, 0.0, 1.0]))
+        gram = (Vs - y) @ (Vs - y).T + 1.0
+        try:
+            low = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            assert low[1, 1] ** 2 <= PIVOT_FLOOR * 5 * gram[1, 1]
+        s = support_of(y, Vs, np.full(3, 1 / 3))
+        s.refactor()
+        assert not s.factored
         calls = counting_lstsq(monkeypatch)
-        lam = _affine_least_squares(Vs, y)
+        lam = s.affine_optimum()
         assert calls[0] == 1
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         # The affine optimum on the line through the two distinct points.
         assert lam[2] == pytest.approx(0.55, abs=1e-12)
 
-    def test_marginal_level_projections_use_solve(self, monkeypatch):
+    def test_marginal_level_projections_never_reach_lstsq(self, monkeypatch):
         # A live level of the marginals2(8) chaining split (220 rows, 156
         # distinct, m = 28): neither the interior mean of its distinct
-        # rows nor noisy means outside its hull grow a support past
-        # m + 1 vertices, so no minor cycle reaches lstsq.
+        # rows nor noisy means outside its hull grow a support the factor
+        # finds affinely dependent, so no minor cycle reaches lstsq.
         level = geometry.chaining_decomposition(
             harness.gen_marginals2(8), 0.1).levels[1]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("lstsq ran on a non-singular support")
+            raise AssertionError("lstsq ran on a marginals2(8) level")
 
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         inside = np.unique(level, axis=0).mean(axis=0)
@@ -299,6 +350,47 @@ class TestMinorCycle:
             mean = level[rng.integers(0, len(level), 50)].mean(axis=0)
             y = mean + rng.normal(0.0, 0.2, size=level.shape[1])
             assert project_onto_hull(y, level).certified
+
+
+class TestFactor:
+    @pytest.mark.parametrize("case", range(13))
+    def test_factor_weights_match_a_fresh_solve(self, case):
+        # Grow a support one vertex at a time, in a random order, and now
+        # and then drop one and refactor.  After every append the factor
+        # either refuses the support (then the vertex is dropped again)
+        # or gives the affine optimum a fresh KKT solve gives.
+        rng = np.random.default_rng(case)
+        if case == 0:
+            V = geometry.chaining_decomposition(
+                harness.gen_marginals2(8), 0.1).levels[1]
+            y = V[rng.integers(0, len(V), 50)].mean(axis=0) \
+                + rng.normal(0.0, 0.2, size=V.shape[1])
+        else:
+            m = int(rng.integers(1, 12))
+            V = rng.random((3 * m + 3, m)) * 4.0 - 2.0
+            if case % 2:
+                V = np.round(V)
+            y = rng.random(m) * 8.0 - 4.0
+        m = V.shape[1]
+        s = _Support(y)
+
+        def check():
+            lam = s.affine_optimum()
+            ref = kkt_weights(s.aug[:s.k, 1:])
+            assert np.linalg.norm(lam - ref) <= 1e-10 * np.linalg.norm(ref)
+
+        for i in rng.permutation(len(V)):
+            s.append(i, V[i])
+            if not s.factored:
+                s.keep(np.arange(s.k) < s.k - 1)
+                assert s.factored
+            check()
+            if s.k > 1 and rng.random() < 0.3:
+                s.keep(np.arange(s.k) != rng.integers(0, s.k))
+                assert s.factored
+                check()
+            if s.k == m + 1:
+                break
 
 
 # Vertex sets of up to 12 points in [-2, 2]^m, m <= 5, with two targets
