@@ -115,16 +115,19 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     over n) at the requested zCDP level; the projection step is pure
     post-processing.
 
-    A universe whose rows all equal the first (a chaining split's
-    one-point levels) has that row as its hull: the release is that row,
-    from ``hull.one_point_projection``, with the trace a projection onto
-    it gives.  It draws no noise and reads no data.
+    A universe of L2 diameter 0 (a chaining split's one-point levels;
+    the memoised diameter also sets the noise) is one point, and so is
+    its hull: the release is that point, with iterations 0, gap 0.0 and
+    a certificate.  It draws no noise and reads no data.
     """
     u = d.universe
     sensitivity = privacy.mean_sensitivity(u, d.n)
     sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
-    proj = hull.one_point_projection(u.points)
-    if proj is None:
+    if sensitivity == 0.0:
+        proj = hull.ProjectionResult(
+            point=u.points[0].copy(), support=np.zeros(1, int),
+            coef=np.ones(1), iterations=0, gap=0.0, certified=True)
+    else:
         rng = np.random.default_rng(seed)
         noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
         proj = hull.project_onto_hull(noisy, u.points)

@@ -5,7 +5,8 @@ mechanisms.  Uses Wolfe's min-norm-point algorithm (Math. Programming
 11, 1976) over the vertex list.  Each major cycle adds the Frank-Wolfe
 vertex (the best improving one) to the support; minor cycles then jump
 to the support's affine optimum, stepping back to the feasible boundary
-and dropping vertices while a weight would go negative.
+and dropping vertices while a weight would go negative.  A one-point
+hull needs no special case: the first major cycle certifies its vertex.
 
 The affine optimum of a support S minimises ||lam @ U_S|| subject to
 sum(lam) = 1, where U_S = V_S - y holds the support's rows centred on
@@ -253,17 +254,6 @@ class ProjectionResult:
         return dict(zip(self.support.tolist(), self.coef.tolist()))
 
 
-def one_point_projection(vertices: np.ndarray) -> ProjectionResult | None:
-    """The projection of every target when all rows of ``vertices`` (an
-    (n, m) matrix) equal the first: that row, certified with gap 0.
-    None when the hull has more than one point."""
-    if not bool((vertices == vertices[0]).all()):
-        return None
-    return ProjectionResult(point=vertices[0].copy(), support=np.zeros(1, int),
-                            coef=np.ones(1), iterations=0, gap=0.0,
-                            certified=True)
-
-
 def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     """Closest point to ``y`` in the convex hull of ``vertices``.
 
@@ -294,10 +284,6 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
     gap_floor = GAP_FLOOR * m * scale * scale
-
-    single = one_point_projection(V)
-    if single is not None:
-        return single
 
     support = _Support(y)
     start = int(((V - y) ** 2).sum(axis=1).argmin())

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from meanpoint import geometry, harness
 from meanpoint.hull import (GAP_FLOOR, PIVOT_FLOOR, TOL, _Support,
-                            one_point_projection, project_onto_hull)
+                            project_onto_hull)
 
 
 def simplex_project_rows(lam):
@@ -119,7 +119,23 @@ class TestProjectOntoHull:
             assert moved.weights == res.weights
             assert (moved.iterations, moved.gap, moved.certified) == \
                 (res.iterations, res.gap, res.certified)
-        assert one_point_projection(np.ones((3, 2))).weights == {0: 1.0}
+
+    @pytest.mark.parametrize("m", [1, 3, 28])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_point_hull_is_certified_by_the_first_cycle(self, n, m):
+        # Every row equal: Wolfe's first major cycle certifies the row it
+        # starts from, whether the target is on it, near it or far away.
+        rng = np.random.default_rng(10 * n + m)
+        row = rng.random(m) * 2.0 - 0.5
+        away = rng.standard_normal(m)
+        away /= np.linalg.norm(away)
+        for y in (row.copy(), row + 1e-3 * away, row + 1e6 * away):
+            res = project_onto_hull(y, np.tile(row, (n, 1)))
+            assert res.point.tobytes() == row.tobytes()
+            assert res.certified and res.iterations == 1
+            assert res.support.tolist() == [0]
+            assert res.coef.tolist() == [1.0]
+            assert res.weights == {0: 1.0}
 
     def test_agrees_with_pgd_oracle(self):
         # smaller step count than the acceptance run, still well converged

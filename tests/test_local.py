@@ -30,6 +30,25 @@ def test_trace_carries_each_level_certificate(protocol):
         assert isinstance(level["projection_gap"], float)
 
 
+def test_one_point_levels_release_their_row(monkeypatch):
+    # lcm at alpha 0.1 on marginals2(8): the rows of levels 3 and 4 are all
+    # one point, and the server's projection there returns that row.
+    real, seen = hull.project_onto_hull, []
+
+    def record(y, vertices):
+        seen.append((vertices, real(y, vertices)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hull, "project_onto_hull", record)
+    d = harness.gen_dataset(harness.gen_marginals2(8), 50, seed=0)
+    spec = {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.1}
+    harness.make_mechanism(spec)(d, 3)
+    assert [j for j, (v, _) in enumerate(seen) if (v == v[0]).all()] == [3, 4]
+    for v, res in seen[3:]:
+        assert res.point.tobytes() == v[0].tobytes()
+        assert res.certified and res.iterations == 1
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_uncertified_server_projection_is_reported(protocol, monkeypatch):
     real = hull.project_onto_hull
