@@ -15,16 +15,18 @@ M = 1 1^T + U_S U_S^T, the Gram matrix of the rows a_i = (1, u_i), which
 is positive definite exactly when S is affinely independent.  As in
 Wolfe's original, the support keeps a factor instead of solving afresh:
 an upper-triangular Q with Q Q^T = M^{-1} and t = Q^T 1, so that
-lam = Q t / (t . t).  Appending the Frank-Wolfe vertex's centred row u
-adds one column: with b = 1 + U_S u, r = Q^T b and pivot
+lam = Q t / (t . t).  Appending a vertex's centred row u adds one
+column: with b = 1 + U_S u, r = Q^T b and pivot
 rho^2 = 1 + ||u||^2 - ||r||^2, the column is (-Q r / rho, 1 / rho) and t
-gains (1 - r . t) / rho.  A minor cycle that drops vertices refactors
-the reduced support once, from ``np.linalg.cholesky`` of its M.
+gains (1 - r . t) / rho.  That step is the only one that builds the
+factor.  A column depends only on its row and the rows before it, so a
+minor cycle that drops vertices keeps the columns before the first
+dropped one and repeats the step over the kept rows after it: after any
+drop, the factor is the one that growing the support in order gives.
 
-A pivot (rho^2, or a squared diagonal entry of the Cholesky factor) is
-the squared distance of a row a = (1, u) from the span of the rows
-before it, computed as the diagonal entry 1 + ||u||^2 less a sum of
-squares.  If a = sum_i c_i a_i lies in that span, rounding in the factor
+A pivot rho^2 is the squared distance of a row a = (1, u) from the span
+of the rows before it, computed as the diagonal entry 1 + ||u||^2 less
+a sum of squares.  If a = sum_i c_i a_i lies in that span, rounding in the factor
 acts as a perturbation E of M_S, with ||E|| about eps * (m + 2) * ||M_S||
 for sums of at most m + 2 terms, and the pivot computes to about
 c^T E c instead of 0.  As ||c||^2 <= (1 + ||u||^2) / lambda_min(M_S), that
@@ -39,7 +41,8 @@ the factor's weights carry a forward error of about eps * cond(M), so a
 thin support (an in-hull target on an edge of a sliver triangle, say)
 would lose the point's accuracy that a backward-stable solve keeps.  A
 support so marked takes the minimum-norm solution of its KKT system
-from ``lstsq`` until a drop lets it factor again; one of m + 2
+from ``lstsq`` until a drop at or before the refused row lets it factor
+again; one of m + 2
 vertices, which has an exact affine dependence, is cut back to m + 1 by
 a Caratheodory step that keeps the point.  So every major cycle starts
 from at most m + 1 vertices.
@@ -78,20 +81,17 @@ PIVOT_FLOOR = 8 * sys.float_info.epsilon
 KAPPA_MAX = 1e8
 
 
-def _pivot_floor(kappa: float, m: int) -> float:
-    """Pivot, per unit of its diagonal entry, at or below which a row
-    counts as dependent on rows whose M has condition bound ``kappa``."""
-    return max(PIVOT_FLOOR * (m + 2) * kappa, 1.0 / KAPPA_MAX)
-
-
 class _Support:
     """Wolfe's support ("corral") for one target ``y``: the first ``k``
     rows of preallocated (m + 2)-row buffers hold its vertex indices
     ``idx``, vertex rows ``vs``, rows ``aug`` = (1, v - y) and weights
-    ``lam``.  While ``factored``, ``q[:k, :k]`` is upper triangular with
-    Q Q^T = M^{-1} = (aug aug^T)^{-1}, ``t[:k]`` is Q^T 1, and ``trace``
-    and ``inv_trace`` are the traces of M and M^{-1} (module docstring).
-    The strictly lower triangle of ``q`` stays zero."""
+    ``lam``.  The factor covers the first ``f`` rows: ``q[:f, :f]`` is
+    upper triangular with Q Q^T = M^{-1} = (aug aug^T)^{-1} over them,
+    ``t[:f]`` is Q^T 1, and ``trace[i]`` and ``inv_trace[i]`` are the
+    traces of M and M^{-1} over the first i rows (module docstring).  The
+    support is factored when f == k; the factor only ever grows by
+    ``append``'s step, so it is always the one that growing the support
+    in order gives.  The strictly lower triangle of ``q`` stays zero."""
 
     def __init__(self, y: np.ndarray):
         m = y.size
@@ -102,13 +102,14 @@ class _Support:
         self.lam = np.empty(m + 2)
         self.q = np.zeros((m + 2, m + 2))
         self.t = np.empty(m + 2)
-        self.k = 0
-        self.factored = True
-        self.trace = self.inv_trace = 0.0
+        self.k = self.f = 0
+        self.trace = [0.0] * (m + 2)
+        self.inv_trace = [0.0] * (m + 2)
 
     def append(self, i: int, v: np.ndarray, weight: float = 0.0) -> None:
-        """Add vertex ``i`` (row ``v``) with ``weight``, and one column to
-        the factor; a dependent pivot leaves the support unfactored."""
+        """Add vertex ``i`` (row ``v``) with ``weight``, and its row to the
+        factor if every row before it is factored, it is at most the
+        (m + 1)-th, and its pivot passes."""
         k = self.k
         self.idx[k] = i
         self.vs[k] = v
@@ -116,16 +117,17 @@ class _Support:
         self.lam[k] = weight
         self.k = k + 1
         m = self.y.size
-        if not self.factored or k > m:
-            self.factored = False
+        if self.f < k or k > m:
             return
         a = self.aug[k]
         diagonal = float(a @ a)
         q = self.q[:k, :k]
         r = (self.aug[:k] @ a) @ q
         pivot = diagonal - float(r @ r)
-        if not pivot > _pivot_floor(self.trace * self.inv_trace, m) * diagonal:
-            self.factored = False
+        trace, inv_trace = self.trace[k], self.inv_trace[k]
+        kappa = trace * inv_trace
+        if not pivot > max(PIVOT_FLOOR * (m + 2) * kappa,
+                           1.0 / KAPPA_MAX) * diagonal:
             return
         rho = math.sqrt(pivot)
         col = q @ r
@@ -133,44 +135,22 @@ class _Support:
         self.q[:k, k] = col
         self.q[k, k] = 1.0 / rho
         self.t[k] = (1.0 - float(r @ self.t[:k])) / rho
-        self.trace += diagonal
-        self.inv_trace += float(col @ col) + 1.0 / pivot
-
-    def refactor(self) -> None:
-        """Factor the support afresh from the Cholesky factor of M,
-        testing each pivot as ``append`` would."""
-        k, m = self.k, self.y.size
-        aug = self.aug[:k]
-        gram = aug @ aug.T
-        self.factored = False
-        if k > m + 1:
-            return
-        try:
-            low = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            return
-        q = np.triu(np.linalg.inv(low).T)
-        trace = inv_trace = 0.0
-        for pivot, diagonal, col in zip((np.diagonal(low) ** 2).tolist(),
-                                        np.diagonal(gram).tolist(),
-                                        (q * q).sum(axis=0).tolist()):
-            kappa = trace * inv_trace
-            if not pivot > _pivot_floor(kappa, m) * diagonal:
-                return
-            trace += diagonal
-            inv_trace += col
-        self.q[:k, :k] = q
-        self.t[:k] = q.sum(axis=0)
-        self.trace, self.inv_trace = trace, inv_trace
-        self.factored = True
+        self.trace[k + 1] = trace + diagonal
+        self.inv_trace[k + 1] = inv_trace + (float(col @ col) + 1.0 / pivot)
+        self.f = k + 1
 
     def keep(self, mask: np.ndarray) -> None:
-        """Keep the vertices ``mask`` selects, in order, and refactor."""
+        """Keep the vertices ``mask`` selects, in order.  The factor's
+        columns before the first dropped row stand (all of them, if it
+        stops earlier), and ``append`` extends it over the kept rows
+        after them."""
         k = int(np.count_nonzero(mask))
+        head = min(int(np.argmin(mask)), self.f)
         for buf in (self.idx, self.vs, self.aug, self.lam):
             buf[:k] = buf[:self.k][mask]
-        self.k = k
-        self.refactor()
+        self.k = self.f = head
+        for i in range(head, k):
+            self.append(self.idx[i], self.vs[i], self.lam[i])
 
     def affine_optimum(self) -> np.ndarray:
         """Weights minimising ||lam @ U_S|| subject to sum(lam) = 1 only:
@@ -178,7 +158,7 @@ class _Support:
         minimum-norm solution of [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1}
         (``lstsq``), scaled the same way."""
         k = self.k
-        if self.factored:
+        if self.f == k:
             lam = self.q[:k, :k] @ self.t[:k]
         else:
             us = self.aug[:k, 1:]

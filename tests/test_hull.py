@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meanpoint import geometry, harness
-from meanpoint.hull import (GAP_FLOOR, PIVOT_FLOOR, TOL, _Support,
-                            project_onto_hull)
+from meanpoint.hull import GAP_FLOOR, TOL, _Support, project_onto_hull
 
 
 def simplex_project_rows(lam):
@@ -288,9 +287,9 @@ class TestMinorCycle:
             self, monkeypatch):
         # Supports drawn with a repeated vertex, some within m + 1 rows
         # and some beyond: every one is affinely dependent.  Appending
-        # the repeat leaves a pivot under the floor, and so does
-        # refactoring the whole support, so every first minor cycle goes
-        # to lstsq; the cycles end on at most m + 1 vertices.
+        # the repeat leaves a pivot under the floor, and so does a keep
+        # that re-extends the factor over it, so every first minor cycle
+        # goes to lstsq; the cycles end on at most m + 1 vertices.
         calls = counting_lstsq(monkeypatch)
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -309,9 +308,17 @@ class TestMinorCycle:
                 w = np.append(w[:m + 1], w[m + 1:].sum())
             before = np.linalg.norm(w @ V - y)
             s = support_of(y, V, w)
-            assert not s.factored
-            s.refactor()
-            assert not s.factored
+            assert s.f < s.k
+            if len(V) <= m + 1:
+                # Lead with a vertex off every row and drop it: the factor
+                # is rebuilt from its first row and refuses the repeat as
+                # growing V in order did.
+                z = np.vstack((B.max(axis=0) + 1.0, V))
+                again = support_of(y, z, np.append(0.0, w))
+                again.keep(np.arange(len(z)) > 0)
+                assert (again.k, again.f) == (s.k, s.f)
+                assert again.q[:s.f, :s.f].tobytes() == \
+                    s.q[:s.f, :s.f].tobytes()
             calls[0] = 0
             s.minor_cycles()
             assert calls[0] >= 1
@@ -322,22 +329,14 @@ class TestMinorCycle:
             assert np.linalg.norm(after @ V - y) <= before + 1e-12
             assert project_onto_hull(y, V).certified
 
-    def test_singular_small_system_raises_and_falls_back(self, monkeypatch):
+    def test_singular_small_system_falls_back(self, monkeypatch):
         # Two equal vertices of three in R^3: the support fits in m + 1,
         # but its M = 1 1^T + U U^T is exactly singular, and the factor
-        # must say so: Cholesky raises, or leaves a pivot under the floor.
+        # must say so: the pivot test refuses the second equal vertex.
         Vs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         y = np.array([0.2, 0.3, 0.1])
-        gram = (Vs - y) @ (Vs - y).T + 1.0
-        try:
-            low = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            assert low[1, 1] ** 2 <= PIVOT_FLOOR * 5 * gram[1, 1]
         s = support_of(y, Vs, np.full(3, 1 / 3))
-        s.refactor()
-        assert not s.factored
+        assert (s.k, s.f) == (3, 1)
         calls = counting_lstsq(monkeypatch)
         lam = s.affine_optimum()
         assert calls[0] == 1
@@ -372,9 +371,11 @@ class TestFactor:
     @pytest.mark.parametrize("case", range(13))
     def test_factor_weights_match_a_fresh_solve(self, case):
         # Grow a support one vertex at a time, in a random order, and now
-        # and then drop one and refactor.  After every append the factor
-        # either refuses the support (then the vertex is dropped again)
-        # or gives the affine optimum a fresh KKT solve gives.
+        # and then drop one.  After every append the factor either refuses
+        # the support (then the vertex is dropped again) or gives the
+        # affine optimum a fresh KKT solve gives.  A drop at position j
+        # leaves the factor's first j columns as they were and rebuilds
+        # the rest: the factor of growing the kept rows in order.
         rng = np.random.default_rng(case)
         if case == 0:
             V = geometry.chaining_decomposition(
@@ -397,13 +398,20 @@ class TestFactor:
 
         for i in rng.permutation(len(V)):
             s.append(i, V[i])
-            if not s.factored:
+            if s.f < s.k:
                 s.keep(np.arange(s.k) < s.k - 1)
-                assert s.factored
+                assert s.f == s.k
             check()
             if s.k > 1 and rng.random() < 0.3:
-                s.keep(np.arange(s.k) != rng.integers(0, s.k))
-                assert s.factored
+                j = int(rng.integers(0, s.k))
+                q, t = s.q[:j, :j].tobytes(), s.t[:j].tobytes()
+                s.keep(np.arange(s.k) != j)
+                assert s.f == s.k
+                assert (s.q[:j, :j].tobytes(), s.t[:j].tobytes()) == (q, t)
+                grown = support_of(y, s.vs[:s.k], s.lam[:s.k])
+                assert grown.q[:s.k, :s.k].tobytes() == \
+                    s.q[:s.k, :s.k].tobytes()
+                assert grown.t[:s.k].tobytes() == s.t[:s.k].tobytes()
                 check()
             if s.k == m + 1:
                 break
