@@ -26,11 +26,12 @@ drop, the factor is the one that growing the support in order gives.
 
 A pivot rho^2 is the squared distance of a row a = (1, u) from the span
 of the rows before it, computed as the diagonal entry 1 + ||u||^2 less
-a sum of squares.  If a = sum_i c_i a_i lies in that span, rounding in the factor
-acts as a perturbation E of M_S, with ||E|| about eps * (m + 2) * ||M_S||
-for sums of at most m + 2 terms, and the pivot computes to about
-c^T E c instead of 0.  As ||c||^2 <= (1 + ||u||^2) / lambda_min(M_S), that
-is at most eps * (m + 2) * kappa * (1 + ||u||^2), where kappa =
+a sum of squares.  If a = sum_i c_i a_i lies in that span, rounding in
+the factor acts as a perturbation E of M_S, with ||E|| about
+eps * (m + 2) * ||M_S|| for sums of at most m + 2 terms, and the pivot
+computes to about c^T E c instead of 0.  As
+||c||^2 <= (1 + ||u||^2) / lambda_min(M_S), that is at most
+eps * (m + 2) * kappa * (1 + ||u||^2), where kappa =
 trace(M_S) * trace(M_S^{-1}) bounds the condition number of M_S and
 trace(M_S^{-1}) = ||Q||_F^2 grows with the factor.  So a pivot at or
 below ``PIVOT_FLOOR * (m + 2) * kappa * (1 + ||u||^2)`` marks the support
@@ -42,10 +43,9 @@ thin support (an in-hull target on an edge of a sliver triangle, say)
 would lose the point's accuracy that a backward-stable solve keeps.  A
 support so marked takes the minimum-norm solution of its KKT system
 from ``lstsq`` until a drop at or before the refused row lets it factor
-again; one of m + 2
-vertices, which has an exact affine dependence, is cut back to m + 1 by
-a Caratheodory step that keeps the point.  So every major cycle starts
-from at most m + 1 vertices.
+again; one of m + 2 vertices, which has an exact affine dependence, is
+cut back to m + 1 by a Caratheodory step that keeps the point.  So
+every major cycle starts from at most m + 1 vertices.
 
 The iterate ``p = lam @ V_S`` is an explicit convex combination of
 vertex rows, never ``y + lam @ U_S``: the latter leaves rounding (such
@@ -89,9 +89,8 @@ class _Support:
     upper triangular with Q Q^T = M^{-1} = (aug aug^T)^{-1} over them,
     ``t[:f]`` is Q^T 1, and ``trace[i]`` and ``inv_trace[i]`` are the
     traces of M and M^{-1} over the first i rows (module docstring).  The
-    support is factored when f == k; the factor only ever grows by
-    ``append``'s step, so it is always the one that growing the support
-    in order gives.  The strictly lower triangle of ``q`` stays zero."""
+    support is factored when f == k.  The strictly lower triangle of
+    ``q`` stays zero."""
 
     def __init__(self, y: np.ndarray):
         m = y.size
