@@ -14,15 +14,22 @@ the target.  It is lam = M^{-1} 1 / (1^T M^{-1} 1) with
 M = 1 1^T + U_S U_S^T, the Gram matrix of the rows a_i = (1, u_i), which
 is positive definite exactly when S is affinely independent.  As in
 Wolfe's original, the support keeps a factor instead of solving afresh:
-an upper-triangular Q with Q Q^T = M^{-1} and t = Q^T 1, so that
-lam = Q t / (t . t).  Appending a vertex's centred row u adds one
-column: with b = 1 + U_S u, r = Q^T b and pivot
-rho^2 = 1 + ||u||^2 - ||r||^2, the column is (-Q r / rho, 1 / rho) and t
-gains (1 - r . t) / rho.  That step is the only one that builds the
-factor.  A column depends only on its row and the rows before it, so a
-minor cycle that drops vertices keeps the columns before the first
-dropped one and repeats the step over the kept rows after it: after any
-drop, the factor is the one that growing the support in order gives.
+a lower-triangular P with P^T P = M^{-1} (so P^{-1} is M's Cholesky
+factor) and t = P 1, so that lam = P^T t / (t . t).  Appending a
+vertex's centred row u adds one row, written contiguously: with
+b = 1 + U_S u, r = P b and pivot rho^2 = 1 + ||u||^2 - ||r||^2, the row
+is (-P^T r / rho, 1 / rho) and t gains (1 - r . t) / rho.  That step is
+the only one that grows the factor.  Dropping the vertex of column j
+shrinks it in place by a downdate: Givens rotations of adjacent rows
+(c, c + 1), c = j, ..., f - 2, zero column j in every row but the last,
+which leaves P^T P unchanged; deleting that last row and column j then
+leaves a lower-triangular factor of M with row and column j deleted,
+and t, rotated along, is still P 1.  Rows before j stand.  A removal
+needs no pivot test: a principal submatrix of M is no worse conditioned
+than M (Cauchy interlacing).  The traces of M and M^{-1} are kept as two
+scalars: an append adds the new diagonal entry and the new row's
+squared norm, and a drop takes off the dropped diagonal entry and the
+deleted row's squared norm.
 
 A pivot rho^2 is the squared distance of a row a = (1, u) from the span
 of the rows before it, computed as the diagonal entry 1 + ||u||^2 less
@@ -33,7 +40,7 @@ computes to about c^T E c instead of 0.  As
 ||c||^2 <= (1 + ||u||^2) / lambda_min(M_S), that is at most
 eps * (m + 2) * kappa * (1 + ||u||^2), where kappa =
 trace(M_S) * trace(M_S^{-1}) bounds the condition number of M_S and
-trace(M_S^{-1}) = ||Q||_F^2 grows with the factor.  So a pivot at or
+trace(M_S^{-1}) = ||P||_F^2 grows with the factor.  So a pivot at or
 below ``PIVOT_FLOOR * (m + 2) * kappa * (1 + ||u||^2)`` marks the support
 as affinely dependent, and so does any support of more than m + 1
 vertices.  A pivot at or below ``(1 + ||u||^2) / KAPPA_MAX`` is treated
@@ -85,12 +92,11 @@ class _Support:
     """Wolfe's support ("corral") for one target ``y``: the first ``k``
     rows of preallocated (m + 2)-row buffers hold its vertex indices
     ``idx``, vertex rows ``vs``, rows ``aug`` = (1, v - y) and weights
-    ``lam``.  The factor covers the first ``f`` rows: ``q[:f, :f]`` is
-    upper triangular with Q Q^T = M^{-1} = (aug aug^T)^{-1} over them,
-    ``t[:f]`` is Q^T 1, and ``trace[i]`` and ``inv_trace[i]`` are the
-    traces of M and M^{-1} over the first i rows (module docstring).  The
-    support is factored when f == k.  The strictly lower triangle of
-    ``q`` stays zero."""
+    ``lam``.  The factor covers the first ``f`` rows: ``factor[:f, :f]``
+    is a lower-triangular P with P^T P = M^{-1} = (aug aug^T)^{-1} over
+    them, ``t[:f]`` is P 1, and ``trace`` and ``inv_trace`` are the traces
+    of M and M^{-1} over them (module docstring).  The support is factored
+    when f == k.  The strictly upper triangle of ``factor`` stays zero."""
 
     def __init__(self, y: np.ndarray):
         m = y.size
@@ -99,66 +105,99 @@ class _Support:
         self.vs = np.empty((m + 2, m))
         self.aug = np.ones((m + 2, m + 1))
         self.lam = np.empty(m + 2)
-        self.q = np.zeros((m + 2, m + 2))
+        self.factor = np.zeros((m + 2, m + 2))
         self.t = np.empty(m + 2)
         self.k = self.f = 0
-        self.trace = [0.0] * (m + 2)
-        self.inv_trace = [0.0] * (m + 2)
+        self.trace = self.inv_trace = 0.0
 
     def append(self, i: int, v: np.ndarray, weight: float = 0.0) -> None:
-        """Add vertex ``i`` (row ``v``) with ``weight``, and its row to the
-        factor if every row before it is factored, it is at most the
-        (m + 1)-th, and its pivot passes."""
+        """Add vertex ``i`` (row ``v``) with ``weight``, and ``extend``."""
         k = self.k
         self.idx[k] = i
         self.vs[k] = v
         np.subtract(v, self.y, out=self.aug[k, 1:])
         self.lam[k] = weight
         self.k = k + 1
-        m = self.y.size
-        if self.f < k or k > m:
-            return
-        a = self.aug[k]
+        self.extend()
+
+    def extend(self) -> None:
+        """Add rows to the factor, in order, while the next row is at
+        most the (m + 1)-th and its pivot passes."""
+        while self.f < min(self.k, self.y.size + 1) and self.append_step():
+            pass
+
+    def append_step(self) -> bool:
+        """Add row f to the factor if its pivot passes; say whether it
+        did.  The only step that grows the factor."""
+        f = self.f
+        a = self.aug[f]
         diagonal = float(a.dot(a))
-        q = self.q[:k, :k]
-        r = self.aug[:k].dot(a).dot(q)
+        p = self.factor[:f, :f]
+        r = p.dot(self.aug[:f].dot(a))
         pivot = diagonal - float(r.dot(r))
-        trace, inv_trace = self.trace[k], self.inv_trace[k]
-        kappa = trace * inv_trace
-        if not pivot > max(PIVOT_FLOOR * (m + 2) * kappa,
+        kappa = self.trace * self.inv_trace
+        if not pivot > max(PIVOT_FLOOR * (self.y.size + 2) * kappa,
                            1.0 / KAPPA_MAX) * diagonal:
-            return
+            return False
         rho = math.sqrt(pivot)
-        col = q.dot(r)
-        col /= -rho
-        self.q[:k, k] = col
-        self.q[k, k] = 1.0 / rho
-        self.t[k] = (1.0 - float(r.dot(self.t[:k]))) / rho
-        self.trace[k + 1] = trace + diagonal
-        self.inv_trace[k + 1] = inv_trace + (float(col.dot(col)) + 1.0 / pivot)
-        self.f = k + 1
+        row = self.factor[f, :f]
+        r.dot(p, row)
+        row /= -rho
+        self.factor[f, f] = 1.0 / rho
+        self.t[f] = (1.0 - float(r.dot(self.t[:f]))) / rho
+        self.trace += diagonal
+        self.inv_trace += float(row.dot(row)) + 1.0 / pivot
+        self.f = f + 1
+        return True
+
+    def downdate(self, j: int) -> None:
+        """Remove the factored vertex at position ``j``, column j of P,
+        from the factor.  Givens rotations of rows (c, c + 1),
+        c = j, ..., f - 2, push column j into P's last row; that row and
+        column j are then deleted.  Rows before j stand.  A removal takes
+        no pivot test: M's principal submatrix is no worse conditioned
+        than M."""
+        f = self.f
+        p, t = self.factor, self.t
+        for c in range(j, f - 1):
+            x, z = float(p[c, j]), float(p[c + 1, j])
+            h = math.hypot(x, z)
+            cos, sin = z / h, x / h
+            rows = p[c:c + 2, :c + 2]
+            rows[:] = np.array(((cos, -sin), (sin, cos))).dot(rows)
+            p[c, j], p[c + 1, j] = 0.0, h
+            tc, td = float(t[c]), float(t[c + 1])
+            t[c], t[c + 1] = cos * tc - sin * td, sin * tc + cos * td
+        last = p[f - 1, :f]
+        a = self.aug[j]
+        self.trace -= float(a.dot(a))
+        self.inv_trace -= float(last.dot(last))
+        last[:] = 0.0
+        p[j:f - 1, j:f - 1] = p[j:f - 1, j + 1:f]
+        p[j:f - 1, f - 1] = 0.0
+        self.f = f - 1
 
     def keep(self, mask: np.ndarray) -> None:
-        """Keep the vertices ``mask`` selects, in order.  The factor's
-        columns before the first dropped row stand (all of them, if it
-        stops earlier), and ``append`` extends it over the kept rows
-        after them."""
+        """Keep the vertices ``mask`` selects, in order.  Each dropped
+        factored vertex leaves the factor by a ``downdate``, from the last
+        one back; then ``extend`` tries the unfactored rows."""
+        for j in np.flatnonzero(~mask[:self.f])[::-1].tolist():
+            self.downdate(j)
         k = int(np.count_nonzero(mask))
-        head = min(int(np.argmin(mask)), self.f)
         for buf in (self.idx, self.vs, self.aug, self.lam):
             buf[:k] = buf[:self.k][mask]
-        self.k = self.f = head
-        for i in range(head, k):
-            self.append(self.idx[i], self.vs[i], self.lam[i])
+        self.k = k
+        self.extend()
 
     def affine_optimum(self) -> np.ndarray:
         """Weights minimising ||lam @ U_S|| subject to sum(lam) = 1 only:
-        Q t scaled to sum 1 from the factor, or on a dependent support the
-        minimum-norm solution of [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1}
-        (``lstsq``), scaled the same way."""
+        P^T t scaled to sum 1 from the factor, or on a dependent support
+        the minimum-norm solution of
+        [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1} (``lstsq``), scaled the
+        same way."""
         k = self.k
         if self.f == k:
-            lam = self.q[:k, :k].dot(self.t[:k])
+            lam = self.t[:k].dot(self.factor[:k, :k])
         else:
             us = self.aug[:k, 1:]
             kkt = np.ones((k + 1, k + 1))
@@ -167,7 +206,7 @@ class _Support:
             rhs = np.zeros(k + 1)
             rhs[k] = 1.0
             lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        lam /= lam.sum()
+        lam /= math.fsum(lam.tolist())
         return lam
 
     def minor_cycles(self) -> None:
@@ -179,7 +218,7 @@ class _Support:
         while True:
             aff = self.affine_optimum()
             ws = self.lam[:self.k]
-            if aff.min() >= 0.0:
+            if min(aff.tolist()) >= 0.0:
                 ws[:] = aff
                 break
             neg = np.flatnonzero(aff < 0)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meanpoint import geometry, harness
+from meanpoint import geometry, harness, hull
 from meanpoint.hull import GAP_FLOOR, TOL, _Support, project_onto_hull
 
 
@@ -282,14 +282,34 @@ def support_of(y, V, w):
     return s
 
 
+def check_factor(s):
+    """The factor over the first ``f`` rows is lower triangular with
+    P^T P M = I, t = P 1 and its two traces, to rounding: eps * (m + 2)
+    times the condition bound kappa for the inverse, and per row of t
+    8 * eps * (m + 2) times the row's absolute sum."""
+    f, m = s.f, s.y.size
+    p = s.factor[:f, :f]
+    a = s.aug[:f]
+    gram = a @ a.T
+    eps = np.finfo(float).eps
+    assert not np.triu(s.factor, 1).any()
+    kappa = s.trace * s.inv_trace
+    assert np.abs(p.T @ p @ gram - np.eye(f)).max() <= eps * (m + 2) * kappa
+    assert np.all(np.abs(s.t[:f] - p.sum(axis=1))
+                  <= 8 * eps * (m + 2) * np.abs(p).sum(axis=1))
+    assert s.trace == pytest.approx(np.trace(gram), rel=1e-12)
+    assert s.inv_trace == pytest.approx(float((p * p).sum()), rel=1e-9)
+
+
 class TestMinorCycle:
     def test_dependent_support_falls_back_and_never_increases(
             self, monkeypatch):
         # Supports drawn with a repeated vertex, some within m + 1 rows
         # and some beyond: every one is affinely dependent.  Appending
         # the repeat leaves a pivot under the floor, and so does a keep
-        # that re-extends the factor over it, so every first minor cycle
-        # goes to lstsq; the cycles end on at most m + 1 vertices.
+        # that downdates the factor and extends it over the repeat again,
+        # so every first minor cycle goes to lstsq; the cycles end on at
+        # most m + 1 vertices.
         calls = counting_lstsq(monkeypatch)
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -311,14 +331,14 @@ class TestMinorCycle:
             assert s.f < s.k
             if len(V) <= m + 1:
                 # Lead with a vertex off every row and drop it: the factor
-                # is rebuilt from its first row and refuses the repeat as
-                # growing V in order did.
+                # is downdated from its first row, stays a factor of the
+                # kept rows, and refuses the repeat as growing V in order
+                # did.
                 z = np.vstack((B.max(axis=0) + 1.0, V))
                 again = support_of(y, z, np.append(0.0, w))
                 again.keep(np.arange(len(z)) > 0)
                 assert (again.k, again.f) == (s.k, s.f)
-                assert again.q[:s.f, :s.f].tobytes() == \
-                    s.q[:s.f, :s.f].tobytes()
+                check_factor(again)
             calls[0] = 0
             s.minor_cycles()
             assert calls[0] >= 1
@@ -374,8 +394,8 @@ class TestFactor:
         # and then drop one.  After every append the factor either refuses
         # the support (then the vertex is dropped again) or gives the
         # affine optimum a fresh KKT solve gives.  A drop at position j
-        # leaves the factor's first j columns as they were and rebuilds
-        # the rest: the factor of growing the kept rows in order.
+        # downdates the factor: its first j rows and t[:j] stand bit for
+        # bit, and the rest is still a factor of the kept rows.
         rng = np.random.default_rng(case)
         if case == 0:
             V = geometry.chaining_decomposition(
@@ -392,6 +412,7 @@ class TestFactor:
         s = _Support(y)
 
         def check():
+            check_factor(s)
             lam = s.affine_optimum()
             ref = kkt_weights(s.aug[:s.k, 1:])
             assert np.linalg.norm(lam - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -404,17 +425,86 @@ class TestFactor:
             check()
             if s.k > 1 and rng.random() < 0.3:
                 j = int(rng.integers(0, s.k))
-                q, t = s.q[:j, :j].tobytes(), s.t[:j].tobytes()
+                p, t = s.factor[:j, :j].tobytes(), s.t[:j].tobytes()
                 s.keep(np.arange(s.k) != j)
                 assert s.f == s.k
-                assert (s.q[:j, :j].tobytes(), s.t[:j].tobytes()) == (q, t)
-                grown = support_of(y, s.vs[:s.k], s.lam[:s.k])
-                assert grown.q[:s.k, :s.k].tobytes() == \
-                    s.q[:s.k, :s.k].tobytes()
-                assert grown.t[:s.k].tobytes() == s.t[:s.k].tobytes()
+                assert (s.factor[:j, :j].tobytes(), s.t[:j].tobytes()) == \
+                    (p, t)
                 check()
             if s.k == m + 1:
                 break
+
+    def test_a_drop_from_a_factored_support_takes_no_append_step(
+            self, monkeypatch):
+        # The downdate removes a factored row in place: dropping any
+        # vertex, or several, of a fully factored support runs the append
+        # step 0 times, and the factor still serves the kept rows.
+        steps = [0]
+        step = _Support.append_step
+
+        def counted(self):
+            steps[0] += 1
+            return step(self)
+
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            m = int(rng.integers(2, 9))
+            V = rng.random((m + 1, m)) * 4.0 - 2.0
+            y = rng.random(m) * 8.0 - 4.0
+            s = support_of(y, V, np.full(m + 1, 1.0 / (m + 1)))
+            assert s.f == s.k == m + 1
+            monkeypatch.setattr(_Support, "append_step", counted)
+            steps[0] = 0
+            mask = np.ones(m + 1, dtype=bool)
+            mask[rng.choice(m + 1, int(rng.integers(1, m + 1)),
+                            replace=False)] = False
+            s.keep(mask)
+            assert steps[0] == 0
+            assert s.f == s.k
+            monkeypatch.setattr(_Support, "append_step", step)
+            check_factor(s)
+            lam = s.affine_optimum()
+            ref = kkt_weights(s.aug[:s.k, 1:])
+            assert np.linalg.norm(lam - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestCertificate:
+    def fresh_gap(self, y, V, res):
+        r = y - res.point
+        return float(V.dot(r).max() - res.point.dot(r))
+
+    def test_reported_gap_is_the_gap_at_the_point(self):
+        # The loop's last gap is reported without being recomputed: it
+        # must equal, bit for bit, a fresh gap at the returned point.
+        rng = np.random.default_rng(13)
+        level = geometry.chaining_decomposition(
+            harness.gen_marginals2(8), 0.1).levels[1]
+        cases = [random_instance(rng, m=int(rng.integers(1, 6)),
+                                 n_vertices=int(rng.integers(1, 12)))
+                 for _ in range(40)]
+        cases += [(level[rng.integers(0, len(level), 50)].mean(axis=0)
+                   + rng.normal(0.0, 0.2, size=level.shape[1]), level)
+                  for _ in range(4)]
+        for y, V in cases:
+            res = project_onto_hull(y, V)
+            assert res.certified
+            assert res.gap == self.fresh_gap(y, V, res)
+
+    def test_exhausted_cap_recomputes_the_certificate(self, monkeypatch):
+        # With a negative tolerance and floor no gap passes, so every
+        # projection runs its 50 * n cycles; the certificate is then taken
+        # afresh at the returned point, and it fails.
+        monkeypatch.setattr(hull, "TOL", -1.0)
+        monkeypatch.setattr(hull, "GAP_FLOOR", -1.0)
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            y, V = random_instance(rng, m=int(rng.integers(1, 5)),
+                                   n_vertices=int(rng.integers(1, 7)))
+            res = project_onto_hull(y, V)
+            assert res.iterations == 50 * len(V)
+            assert not res.certified
+            assert res.gap == self.fresh_gap(y, V, res)
+            assert sum(res.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 # Vertex sets of up to 12 points in [-2, 2]^m, m <= 5, with two targets
