@@ -111,14 +111,16 @@ class _Support:
         self.trace = self.inv_trace = 0.0
 
     def append(self, i: int, v: np.ndarray, weight: float = 0.0) -> None:
-        """Add vertex ``i`` (row ``v``) with ``weight``, and ``extend``."""
+        """Add vertex ``i`` (row ``v``) with ``weight``, and ``extend``
+        the factor over it if every row before it is factored."""
         k = self.k
         self.idx[k] = i
         self.vs[k] = v
         np.subtract(v, self.y, out=self.aug[k, 1:])
         self.lam[k] = weight
         self.k = k + 1
-        self.extend()
+        if self.f == k:
+            self.extend()
 
     def extend(self) -> None:
         """Add rows to the factor, in order, while the next row is at
