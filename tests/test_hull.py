@@ -446,6 +446,7 @@ class TestFactor:
             steps[0] += 1
             return step(self)
 
+        monkeypatch.setattr(_Support, "append_step", counted)
         rng = np.random.default_rng(12)
         for _ in range(40):
             m = int(rng.integers(2, 9))
@@ -453,7 +454,6 @@ class TestFactor:
             y = rng.random(m) * 8.0 - 4.0
             s = support_of(y, V, np.full(m + 1, 1.0 / (m + 1)))
             assert s.f == s.k == m + 1
-            monkeypatch.setattr(_Support, "append_step", counted)
             steps[0] = 0
             mask = np.ones(m + 1, dtype=bool)
             mask[rng.choice(m + 1, int(rng.integers(1, m + 1)),
@@ -461,7 +461,6 @@ class TestFactor:
             s.keep(mask)
             assert steps[0] == 0
             assert s.f == s.k
-            monkeypatch.setattr(_Support, "append_step", step)
             check_factor(s)
             lam = s.affine_optimum()
             ref = kkt_weights(s.aug[:s.k, 1:])
@@ -493,9 +492,15 @@ class TestCertificate:
     def test_exhausted_cap_recomputes_the_certificate(self, monkeypatch):
         # With a negative tolerance and floor no gap passes, so every
         # projection runs its 50 * n cycles; the certificate is then taken
-        # afresh at the returned point, and it fails.
+        # afresh at the returned point, and it fails.  Each iterate is
+        # nudged by a growing offset, so the last cycle moves the point
+        # and the gap of the cycle before it would be stale.
         monkeypatch.setattr(hull, "TOL", -1.0)
         monkeypatch.setattr(hull, "GAP_FLOOR", -1.0)
+        nudges = itertools.count(1)
+        point = _Support.point
+        monkeypatch.setattr(_Support, "point", lambda self: point(self)
+                            + 1e-9 * next(nudges))
         rng = np.random.default_rng(14)
         for _ in range(10):
             y, V = random_instance(rng, m=int(rng.integers(1, 5)),
