@@ -240,13 +240,6 @@ def greedy_separated_set(u: Universe, t: float,
     return _greedy_cover(u.points, [t * norm.unit(u.dim)], norm)[0]
 
 
-def _pairwise_matrix(pts: np.ndarray, norm: Norm) -> np.ndarray:
-    out = np.empty((pts.shape[0], pts.shape[0]))
-    for rows, d in _distance_blocks(pts, pts, norm):
-        out[rows] = d
-    return out
-
-
 def _mis_size(adj: list[int], n: int, lower: int = 0) -> int:
     """Maximum independent set size by branch and bound on bitmasks."""
     best = lower
@@ -277,15 +270,12 @@ def packing_number(u: Universe, t: float, norm: Norm = Norm.L2) -> int:
     if n > EXACT_PACKING_CAP:
         raise ValueError(f"exact packing capped at {EXACT_PACKING_CAP} "
                          f"points (universe has {n})")
-    dmat = _pairwise_matrix(u.points, norm)
-    conflict = dmat <= t * norm.unit(u.dim)
+    raw_t = t * norm.unit(u.dim)
     adj = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if j != i and conflict[i, j]:
-                mask |= 1 << j
-        adj.append(mask)
+    for rows, d in _distance_blocks(u.points, u.points, norm):
+        np.fill_diagonal(d[:, rows], np.inf)
+        adj.extend(sum(1 << j for j in np.flatnonzero(row).tolist())
+                   for row in d <= raw_t)
     lower = greedy_separated_set(u, t, norm).size
     return _mis_size(adj, n, lower=lower)
 
@@ -472,15 +462,14 @@ def verify_decomposition(u: Universe, dec: Decomposition) -> None:
             raise ValueError(
                 f"level {j} radius {r:.3e} exceeds {dec.level_radii[j]:.3e}")
     for j, g in enumerate(dec.generator_indices):
-        if g.size <= 1:
-            continue
         sub = u.points[g]
-        dmat = _pairwise_matrix(sub, dec.norm)
-        off = dmat[~np.eye(g.size, dtype=bool)]
         raw_t = dec.scales[j]
-        if not bool((off > raw_t).all()):
-            raise ValueError(f"generating set {j} is not strictly "
-                             f"{raw_t:.3e}-separated")
+        for rows, d in _distance_blocks(sub, sub, dec.norm):
+            # Only each row's own entry is exempt: a repeated row fails.
+            np.fill_diagonal(d[:, rows], np.inf)
+            if not bool((d > raw_t).all()):
+                raise ValueError(f"generating set {j} is not strictly "
+                                 f"{raw_t:.3e}-separated")
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
