@@ -223,30 +223,30 @@ class _Support:
             if min(aff.tolist()) >= 0.0:
                 ws[:] = aff
                 break
-            neg = np.flatnonzero(aff < 0)
-            ratios = ws[neg] / (ws[neg] - aff[neg])
-            j = int(ratios.argmin())
-            ws += float(ratios[j]) * (aff - ws)
-            ws[neg[j]] = 0.0
-            self.keep(ws >= 1e-15)
+            self._step(aff - ws, aff < 0)
         if self.k > self.y.size + 1:
             self._reduce()
 
-    def _reduce(self) -> None:
-        """Caratheodory step on m + 2 vertices: move the weights along
-        their affine dependence d (d @ aug = 0, so sum(d) = 0 and the
-        point stays) until one reaches zero, and drop it."""
-        k = self.k
-        d = np.linalg.svd(self.aug[:k])[0][:, -1]
-        if d.min() >= 0.0:
-            d = -d
-        ws = self.lam[:k]
-        neg = np.flatnonzero(d < 0)
+    def _step(self, d: np.ndarray, neg: np.ndarray) -> None:
+        """Move ``lam`` along ``d`` until the first of the rows ``neg``
+        selects (where d < 0) reaches zero, zero that weight, and drop
+        the vertices whose weight is then below 1e-15."""
+        ws = self.lam[:self.k]
+        neg = np.flatnonzero(neg)
         ratios = ws[neg] / -d[neg]
         j = int(ratios.argmin())
         ws += float(ratios[j]) * d
         ws[neg[j]] = 0.0
         self.keep(ws >= 1e-15)
+
+    def _reduce(self) -> None:
+        """Caratheodory step on m + 2 vertices: move the weights along
+        their affine dependence d (d @ aug = 0, so sum(d) = 0 and the
+        point stays) until one reaches zero, and drop it."""
+        d = np.linalg.svd(self.aug[:self.k])[0][:, -1]
+        if d.min() >= 0.0:
+            d = -d
+        self._step(d, d < 0)
         ws = self.lam[:self.k]
         ws /= ws.sum()
 
