@@ -48,11 +48,15 @@ the same way: it would make M's condition number exceed KAPPA_MAX, and
 the factor's weights carry a forward error of about eps * cond(M), so a
 thin support (an in-hull target on an edge of a sliver triangle, say)
 would lose the point's accuracy that a backward-stable solve keeps.  A
-support so marked takes the minimum-norm solution of its KKT system
-from ``lstsq`` until a drop at or before the refused row lets it factor
-again; one of m + 2 vertices, which has an exact affine dependence, is
-cut back to m + 1 by a Caratheodory step that keeps the point.  So
-every major cycle starts from at most m + 1 vertices.
+support so marked takes its weights from ``lstsq`` until a drop at or
+before the refused row lets it factor again: the minimum-norm
+least-squares solution of A^T lam = e_0 = (1, 0, ..., 0), where A holds
+the support's own rows a_i = (1, u_i).  Its normal equations are
+M lam = 1, so lam is proportional to M^+ 1, the weights above, solved
+from a matrix of condition cond(A) rather than cond(M) = cond(A)^2.
+One of m + 2 vertices, which has an exact affine dependence, is cut
+back to m + 1 by a Caratheodory step that keeps the point.  So every
+major cycle starts from at most m + 1 vertices.
 
 The iterate ``p = lam @ V_S`` is an explicit convex combination of
 vertex rows, never ``y + lam @ U_S``: the latter leaves rounding (such
@@ -194,20 +198,15 @@ class _Support:
     def affine_optimum(self) -> np.ndarray:
         """Weights minimising ||lam @ U_S|| subject to sum(lam) = 1 only:
         P^T t scaled to sum 1 from the factor, or on a dependent support
-        the minimum-norm solution of
-        [[U U^T, 1], [1^T, 0]] [lam; mu] = e_{k+1} (``lstsq``), scaled the
-        same way."""
+        the minimum-norm least-squares solution of aug^T lam = e_0 over
+        the support's own rows (``lstsq``), scaled the same way."""
         k = self.k
         if self.f == k:
             lam = self.t[:k].dot(self.factor[:k, :k])
         else:
-            us = self.aug[:k, 1:]
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = us @ us.T
-            kkt[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            e0 = np.zeros(self.y.size + 1)
+            e0[0] = 1.0
+            lam = np.linalg.lstsq(self.aug[:k].T, e0, rcond=None)[0]
         lam /= math.fsum(lam.tolist())
         return lam
 

@@ -147,8 +147,9 @@ class TestProjectOntoHull:
 
     def test_rank_deficient_marginal_vertices(self):
         # The 16 vertices of gen_marginals2(4) span an affine space of
-        # rank 7 in R^6, so every KKT system over more than 7 of them is
-        # singular.  Two of the interior targets reach supports of 8.
+        # rank 7 in R^6, so every support of more than 7 of them is
+        # affinely dependent.  Two of the interior targets reach supports
+        # of 8.
         V = harness.gen_marginals2(4).points
         rng = np.random.default_rng(3)
         inside = [rng.dirichlet(np.ones(len(V))) @ V for _ in range(4)]
