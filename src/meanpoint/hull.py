@@ -302,6 +302,10 @@ def project_onto_hull(y: np.ndarray, vertices: np.ndarray) -> ProjectionResult:
         raise ValueError("vertices must be finite")
     sqrt_m = math.sqrt(m)
     scale = max(1.0, float(np.abs(V).max()), float(np.abs(y).max()))
+    # A gap is a difference of inner products of size up to 2 m scale^2.
+    if not math.isfinite(4.0 * m * scale * scale):
+        raise ValueError(f"coordinates up to {scale:.3g} overflow the "
+                         f"inner products of the duality gap")
     gap_floor = GAP_FLOOR * m * scale * scale
 
     support = _Support(y)

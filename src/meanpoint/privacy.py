@@ -17,6 +17,7 @@ of representable outputs can depend on the input.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,15 +33,17 @@ def as_fraction(x) -> Fraction:
     """Exact rational from a number, reading floats in decimal form.
 
     Reading the decimal repr (rather than the binary expansion) keeps
-    budget arithmetic like 0.3 + 0.7 == 1.0 exact.
+    budget arithmetic like 0.3 + 0.7 == 1.0 exact.  Integers and other
+    reals include numpy's scalars, which register with ``numbers``;
+    booleans (Python's and numpy's) are refused.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("budget parameters must be numeric")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, numbers.Real):
         if not math.isfinite(x):
             raise ValueError("budget parameters must be finite")
         return Fraction(str(x))

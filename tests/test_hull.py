@@ -247,6 +247,16 @@ class TestProjectOntoHull:
             with pytest.raises(ValueError, match="vertices"):
                 project_onto_hull(np.array([0.5, 0.5]),
                                   np.array([[0.0, 0.0], [bad, 0.0]]))
+        # scale^2 overflows, so the gap floor would be inf and certify
+        # any iterate; scaled by 1e-150 the same problem projects to
+        # (0, 3e9).
+        V = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 1e160]])
+        y = np.array([-1e159, 3e159])
+        with pytest.raises(ValueError, match="overflow"):
+            project_onto_hull(y, V)
+        res = project_onto_hull(y * 1e-150, V * 1e-150)
+        assert res.certified
+        assert res.point.tolist() == pytest.approx([0.0, 3e9])
 
 
 def counting_lstsq(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from meanpoint import harness
 from meanpoint.geometry import Universe
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,25 @@ class TestBudgets:
         assert as_fraction(0.1) == Fraction(1, 10)
         assert as_fraction(3) == Fraction(3)
         assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
+
+    def test_numpy_scalars_read_like_python_numbers(self):
+        assert as_fraction(np.int64(1)) == Fraction(1)
+        assert as_fraction(np.uint8(3)) == Fraction(3)
+        assert as_fraction(np.float32(0.5)) == Fraction(1, 2)
+        assert as_fraction(np.float64(0.1)) == Fraction(1, 10)
+        for bad in (np.float64(math.nan), np.float32(math.inf)):
+            with pytest.raises(ValueError):
+                as_fraction(bad)
+        for bad in (True, np.bool_(True), "0.5", None):
+            with pytest.raises(TypeError):
+                as_fraction(bad)
+
+    def test_numpy_rho_runs_like_its_python_value(self):
+        d = harness.gen_dataset(harness.gen_thresholds(8), 20, seed=1)
+        got, want = (harness.measure_error(
+            d, {"mechanism": "projection", "rho": rho}, trials=2, seed=3)
+            for rho in (np.int64(1), 1))
+        assert got.per_trial_sq_err == want.per_trial_sq_err
 
     def test_validation(self):
         with pytest.raises(ValueError):
