@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meanpoint import bounds, harness
+from meanpoint import bounds, geometry, harness
 from meanpoint.geometry import (Norm, Universe, _nearest, _row_norms,
                                 chaining_decomposition, coarse_decomposition,
                                 diameter,
@@ -176,6 +178,20 @@ class TestPackingNumber:
         vals = [packing_number(u, t) for t in ts]
         assert vals == sorted(vals, reverse=True)
 
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_exact_is_the_same_in_small_blocks(self, monkeypatch,
+                                               rows_per_block):
+        # The conflict masks are read block by block: with one or two
+        # rows per block, pairs in different blocks still conflict.
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            pts = rng.random((int(rng.integers(2, 9)), 2))
+            monkeypatch.setattr(geometry, "BLOCK_ENTRIES",
+                                rows_per_block * pts.size)
+            for t in (0.1, 0.3, 0.5):
+                assert packing_number(Universe(points=pts), t) == \
+                    brute_force_max_packing(pts, t, Norm.L2)
+
     def test_exact_cap_enforced(self):
         u = Universe(points=np.random.default_rng(7).random((30, 2)))
         with pytest.raises(ValueError):
@@ -256,6 +272,74 @@ class TestChainingDecomposition:
         u = Universe(points=np.array([[5.0, 0.0]]))
         with pytest.raises(ValueError):
             chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
+
+
+class TestVerifyDecomposition:
+    """``verify_decomposition`` refuses each broken invariant."""
+
+    @staticmethod
+    def grid_and_decomposition():
+        # A 4x4 grid, all of it in the finest generating set, and row 16
+        # within 1e-3 of row 0, so it is no generator and has a remainder.
+        g = np.linspace(0.0, 1.0, 4)
+        pts = np.array([[a, b] for a in g for b in g] + [[1e-3, 0.0]])
+        u = Universe(points=pts)
+        dec = chaining_decomposition(u, 0.25, Norm.L2)
+        assert 16 not in dec.generator_indices[-1]
+        return u, dec
+
+    @staticmethod
+    def with_finest_generator(dec, row):
+        gen = list(dec.generator_indices)
+        gen[-1] = np.append(gen[-1], row)
+        return dataclasses.replace(dec, generator_indices=gen)
+
+    def test_repeated_generator_row_is_refused(self):
+        u, dec = self.grid_and_decomposition()
+        verify_decomposition(u, dec)
+        bad = self.with_finest_generator(dec, dec.generator_indices[-1][0])
+        with pytest.raises(ValueError, match="generating set 2"):
+            verify_decomposition(u, bad)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_close_rows_in_different_blocks_are_refused(self, monkeypatch,
+                                                        rows_per_block):
+        u, dec = self.grid_and_decomposition()
+        bad = self.with_finest_generator(dec, 16)
+        rows = bad.generator_indices[-1]
+        assert rows[0] == 0 and rows.size == 17
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES",
+                            rows_per_block * rows.size * u.dim)
+        verify_decomposition(u, dec)
+        with pytest.raises(ValueError, match="generating set 2"):
+            verify_decomposition(u, bad)
+
+    def test_level_past_its_radius_is_refused(self):
+        u, dec = self.grid_and_decomposition()
+        radii = list(dec.level_radii)
+        radii[0] *= 0.5
+        with pytest.raises(ValueError, match="level 0 radius"):
+            verify_decomposition(u, dataclasses.replace(dec,
+                                                        level_radii=radii))
+
+    def test_remainder_past_its_radius_is_refused(self):
+        u, dec = self.grid_and_decomposition()
+        with pytest.raises(ValueError, match="reconstruction remainder"):
+            verify_decomposition(u, dataclasses.replace(
+                dec, remainder_radius=5e-4))
+
+    def test_memory_stays_blocked(self):
+        # Generating sets of 969 to 1,014 rows at m = 45: a pairwise
+        # matrix per set would peak near 25 MB.
+        u = harness.gen_marginals2(10)
+        dec = chaining_decomposition(u, 0.1)
+        tracemalloc.start()
+        try:
+            verify_decomposition(u, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def full_table_levels(u, dec):
