@@ -48,15 +48,14 @@ the same way: it would make M's condition number exceed KAPPA_MAX, and
 the factor's weights carry a forward error of about eps * cond(M), so a
 thin support (an in-hull target on an edge of a sliver triangle, say)
 would lose the point's accuracy that a backward-stable solve keeps.  A
-support so marked takes its weights from ``lstsq`` until a drop at or
-before the refused row lets it factor again: the minimum-norm
-least-squares solution of A^T lam = e_0 = (1, 0, ..., 0), where A holds
-the support's own rows a_i = (1, u_i).  Its normal equations are
-M lam = 1, so lam is proportional to M^+ 1, the weights above, solved
-from a matrix of condition cond(A) rather than cond(M) = cond(A)^2.
-One of m + 2 vertices, which has an exact affine dependence, is cut
-back to m + 1 by a Caratheodory step that keeps the point.  So every
-major cycle starts from at most m + 1 vertices.
+support so marked takes the minimum-norm least-squares solution of
+A^T lam = e_0 = (1, 0, ..., 0) from ``lstsq``, A holding its rows
+a_i = (1, u_i), until a drop at or before the refused row lets it
+factor again.  The normal equations are M lam = 1, so lam is M^+ 1, the
+weights above up to scale, solved from a matrix of condition cond(A)
+rather than cond(A)^2.  One of m + 2 vertices, which has an exact affine
+dependence, is cut back to m + 1 by a Caratheodory step that keeps the
+point.  So every major cycle starts from at most m + 1 vertices.
 
 The iterate ``p = lam @ V_S`` is an explicit convex combination of
 vertex rows, never ``y + lam @ U_S``: the latter leaves rounding (such
