@@ -49,7 +49,7 @@ def test_coarse_beats_projection_on_the_cone(cone, data_seed, n):
 
 
 @pytest.mark.parametrize("name", ["thresholds64", "cone"])
-def test_chaining_errs_by_the_point_masss_remainder(cone, name):
+def test_chaining_errs_on_a_point_mass_by_its_remainder(cone, name):
     # At rho = 1e30 the noise is negligible, every level projects back to
     # the row's own component, and only the remainder is left.
     u = harness.gen_thresholds(64) if name == "thresholds64" else cone
