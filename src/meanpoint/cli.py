@@ -9,6 +9,7 @@ one trial.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,16 +30,18 @@ BENCH_HEADER = ("universe,mechanism,n,rho_or_eps,alpha,err2_mean,err2_sd,"
                 "errinf_mean,bound_ub,bound_lb,seed")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path``, which no other file
-    can name, with the mode ``open`` gives, then rename it to ``path``."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file open for writing beside ``path``, which no other file
+    can name, with the mode ``open`` gives.  It is renamed to ``path``
+    when the block ends, and removed if the block or the rename fails."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     umask = os.umask(0)
     os.umask(umask)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             os.chmod(tmp, 0o666 & ~umask)
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -47,7 +50,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        with _atomic_file(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -248,10 +252,12 @@ def _run(args) -> int:
         # Trial 0's seed is the first child of the run seed.
         protocol = harness.level_protocol(d, spec)
         trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
-        release, _ = local.simulate_protocol(protocol, seed=trial0)
-        _atomic_write(args.transcript, "".join(
-            json.dumps({"party": i, "payload": release[:, i].tolist()}) + "\n"
-            for i in range(release.shape[1])))
+        with _atomic_file(args.transcript) as fh:
+            def write(first, releases):
+                fh.writelines(json.dumps({"party": first + t, "payload":
+                                          releases[:, t].tolist()}) + "\n"
+                              for t in range(releases.shape[1]))
+            local.simulate_protocol(protocol, trial0, sink=write)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return _report_exit(report)
 

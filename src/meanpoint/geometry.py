@@ -162,15 +162,30 @@ class Decomposition:
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
-    """Distances from the rows of ``a`` to every row of ``b``, in blocks.
+    """Distances from the rows of ``a`` to the rows of ``b``, in tiles.
 
-    Yields ``(rows, d)`` with ``d[r, j]`` the distance from ``a[rows][r]``
-    to ``b[j]``; each temporary holds about ``BLOCK_ENTRIES`` floats.
+    Yields ``(rows, cols, d)``, two slices and ``d[r, c]`` the distance
+    from ``a[rows][r]`` to ``b[cols][c]``, with the tiles of a row block
+    in column order.  A tile spans all of ``b`` when one row of it fits
+    ``BLOCK_ENTRIES``; each temporary holds at most ``BLOCK_ENTRIES``
+    floats, or one row's m if that is more.  Every entry is the float
+    the untiled computation gives.
     """
-    block = max(1, BLOCK_ENTRIES // max(1, b.shape[0] * b.shape[1]))
-    for i0 in range(0, a.shape[0], block):
-        rows = slice(i0, i0 + block)
-        yield rows, _row_norms(a[rows, None, :] - b[None, :, :], norm)
+    (na, m), nb = a.shape, b.shape[0]
+    width = min(nb, max(1, BLOCK_ENTRIES // max(1, m)))
+    height = max(1, BLOCK_ENTRIES // max(1, width * m))
+    for i0 in range(0, na, height):
+        rows = slice(i0, min(i0 + height, na))
+        for j0 in range(0, nb, width):
+            cols = slice(j0, min(j0 + width, nb))
+            yield rows, cols, _row_norms(a[rows, None, :] - b[None, cols, :],
+                                         norm)
+
+
+def _diagonal(rows: slice, cols: slice) -> tuple:
+    """Positions in a ``(rows, cols)`` tile of the pairs (i, i)."""
+    i = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    return i - rows.start, i - cols.start
 
 
 def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
@@ -185,7 +200,7 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
         if norm is Norm.LINF:
             return float(np.ptp(u.points, axis=0).max())
         return max(float(d.max())
-                   for _, d in _distance_blocks(u.points, u.points, norm))
+                   for _, _, d in _distance_blocks(u.points, u.points, norm))
 
     return _memo(u, ("diameter", norm), build)
 
@@ -271,11 +286,12 @@ def packing_number(u: Universe, t: float, norm: Norm = Norm.L2) -> int:
         raise ValueError(f"exact packing capped at {EXACT_PACKING_CAP} "
                          f"points (universe has {n})")
     raw_t = t * norm.unit(u.dim)
-    adj = []
-    for rows, d in _distance_blocks(u.points, u.points, norm):
-        np.fill_diagonal(d[:, rows], np.inf)
-        adj.extend(sum(1 << j for j in np.flatnonzero(row).tolist())
-                   for row in d <= raw_t)
+    adj = [0] * n
+    for rows, cols, d in _distance_blocks(u.points, u.points, norm):
+        d[_diagonal(rows, cols)] = np.inf
+        for i, row in enumerate(d <= raw_t, rows.start):
+            adj[i] |= sum(1 << j for j in
+                          (np.flatnonzero(row) + cols.start).tolist())
     lower = greedy_separated_set(u, t, norm).size
     return _mis_size(adj, n, lower=lower)
 
@@ -323,9 +339,15 @@ def packing_profile(u: Universe, ts: np.ndarray,
 def _nearest(points: np.ndarray, centers: np.ndarray,
              norm: Norm) -> np.ndarray:
     """Row of the nearest center for every point, ties to the lowest."""
-    idx = np.empty(points.shape[0], dtype=int)
-    for rows, d in _distance_blocks(points, centers, norm):
-        idx[rows] = d.argmin(axis=1)
+    idx = np.zeros(points.shape[0], dtype=int)
+    best = np.full(points.shape[0], np.inf)
+    for rows, cols, d in _distance_blocks(points, centers, norm):
+        j = d.argmin(axis=1)
+        dj = d[np.arange(j.size), j]
+        # Strictly nearer only: a tie keeps the earlier tile's centre.
+        nearer = dj < best[rows]
+        idx[rows] = np.where(nearer, j + cols.start, idx[rows])
+        best[rows] = np.where(nearer, dj, best[rows])
     return idx
 
 
@@ -464,9 +486,9 @@ def verify_decomposition(u: Universe, dec: Decomposition) -> None:
     for j, g in enumerate(dec.generator_indices):
         sub = u.points[g]
         raw_t = dec.scales[j]
-        for rows, d in _distance_blocks(sub, sub, dec.norm):
+        for rows, cols, d in _distance_blocks(sub, sub, dec.norm):
             # Only each row's own entry is exempt: a repeated row fails.
-            np.fill_diagonal(d[:, rows], np.inf)
+            d[_diagonal(rows, cols)] = np.inf
             if not bool((d > raw_t).all()):
                 raise ValueError(f"generating set {j} is not strictly "
                                  f"{raw_t:.3e}-separated")

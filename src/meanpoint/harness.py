@@ -260,7 +260,7 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     def run(d: Dataset, seed) -> MechanismOutput:
         dec = row.split(d.universe, alpha)
         if row.level is None:
-            _, out = local.simulate_protocol(level_protocol(d, spec), seed)
+            out = local.simulate_protocol(level_protocol(d, spec), seed)
         else:
             target = None if alpha is None else (alpha - dec.alpha / 2) / dec.k
             out = central.decompose_and_run(

@@ -9,21 +9,25 @@ its row of every level through the signed-Gaussian channel with
 epsilon/k, spending epsilon in total by pure-DP composition.  The server
 projects each level's mean release onto that level's hull and sums.
 
-The channel draws, then decides.  Party i only draws, from its own
-generator on child i of the run seed: per level one uniform, m normals
-into its row of the one (k, n, m) release array, and one uniform.  A
-uniform is drawn as the raw 64-bit word under it, and all the words
-become coins in one pass, ``(word >> 11) * 2**-53``: for PCG64 that is
-the float ``Generator.random()`` makes of the word.  The library
-computes ``SeedSequence.spawn``'s child states for all parties in one
-vectorised pass.  The rest is public given a party's row, so each
-level tables its rows once, with its release scale (its largest row
-norm), decides every party's signs from the dot a lone party's channel
-takes, in blocks of parties, and scales the array in place.
+The channel runs in blocks of parties, and within a block it draws,
+then decides.  Party i only draws, from its own generator on child i of
+the run seed: per level one uniform, m normals into its row of the
+block's (k, b, m) buffer, and one uniform.  A uniform is drawn as the
+raw 64-bit word under it, and a block's words become coins in one pass,
+``(word >> 11) * 2**-53``: for PCG64 that is the float
+``Generator.random()`` makes of the word.  The library computes
+``SeedSequence.spawn``'s child states for all parties in one vectorised
+pass.  The rest is public given a party's row, so each level tables its
+rows once, with its release scale (its largest row norm), decides the
+block's signs from the dot a lone party's channel takes, and scales the
+block in place.  Each level then adds the block into a running-sum row,
+so a release holds one block of messages, not all n; the server divides
+the level sums by n.
 Privacy holds per party: only a pair of signs depends on the input, and
 the released sign's bias of eps/3 gives a density ratio of at most
 (1 + eps/3) / (1 - eps/3) <= e^eps between inputs.  A transcript is
-NDJSON, one ``{"party": i, "payload": [...]}`` line per party.
+NDJSON, one ``{"party": i, "payload": [...]}`` line per party, which a
+sink on ``simulate_protocol`` can write block by block.
 """
 
 from __future__ import annotations
@@ -165,34 +169,56 @@ def _row_table(points: np.ndarray, scale: float) -> tuple:
     return units, p_plus
 
 
-def _channel(rngs, tables: list, epsilon: float, m: int) -> np.ndarray:
-    """Every party's release of every level with ``epsilon`` each, as one
-    (k, n, m) array: party i draws from ``rngs[i]``, then each level j
-    decides all signs from ``_dots``, party i holding row ``rows[i]`` of
-    ``(units, p_plus, rows, scale) = tables[j]``."""
+def _channel(rngs, tables: list, epsilon: float, m: int,
+             sink=None) -> np.ndarray:
+    """Every level's sum of every party's release with ``epsilon`` each,
+    as a (k, m) array: party i draws from the i-th of ``rngs``, then each
+    level j decides its signs from ``_dots``, party i holding row
+    ``rows[i]`` of ``(units, p_plus, rows, scale) = tables[j]``.
+
+    Parties run in blocks of ``BLOCK_ENTRIES // (k m)``, through one
+    (k, block + 1, m) buffer whose row 0 of each level holds the sum of
+    the parties before the block.  ``sink(first, releases)``, if given,
+    sees each block's (k, b, m) releases before they are summed.  An
+    axis-0 reduce of a C-contiguous block with m >= 2 adds its rows in
+    order, so the sums are the floats ``np.add.reduce`` of all n
+    releases gives; at m = 1 numpy sums one contiguous column pairwise,
+    so past one block the last bits may differ."""
     if not 0 < epsilon <= EPSILON_BIAS_LIMIT:
         raise ValueError(f"epsilon {epsilon} is not in (0, "
                          f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
                          "leave [0, 1/2]")
     k, n = len(tables), len(tables[0][2])
-    release, words = np.empty((k, n, m)), []
-    for rng, party in zip(rngs, release.transpose(1, 0, 2)):
-        raw, normal = rng.bit_generator.random_raw, rng.standard_normal
-        for row in party:
-            words.append(raw())
-            normal(out=row)
-            words.append(raw())
-    # The coins PCG64's Generator.random() makes of the same words.
-    coins = (np.array(words, np.uint64) >> 11).reshape(n, k, 2).transpose(
-        2, 1, 0) * 2.0 ** -53
-    for (units, p_plus, rows, scale), first, z, last in zip(
-            tables, coins[0], release, coins[1]):
-        dots = _dots(z, units, rows)
-        u_sign = np.where(first < p_plus[rows], 1.0, -1.0)
-        bias = (epsilon / 3.0) * np.sign(dots) * u_sign
-        s = np.where(last < (1.0 + bias) / 2.0, 1.0, -1.0)
-        z *= (3.0 / (epsilon * _SIGNED_GAUSSIAN_MEAN) * scale) * s[:, None]
-    return release
+    block = min(n, max(1, geometry.BLOCK_ENTRIES // (k * m)))
+    buf, rngs = np.empty((k, block + 1, m)), iter(rngs)
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        release, words = buf[:, 1:b + 1], []
+        # zip takes a party's row before its generator, so a block's end
+        # draws no generator of the next block.
+        for party, rng in zip(release.transpose(1, 0, 2), rngs):
+            raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+            for row in party:
+                words.append(raw())
+                normal(out=row)
+                words.append(raw())
+        # The coins PCG64's Generator.random() makes of the same words.
+        coins = (np.array(words, np.uint64) >> 11).reshape(
+            b, k, 2).transpose(2, 1, 0) * 2.0 ** -53
+        for (units, p_plus, rows, scale), first, z, last in zip(
+                tables, coins[0], release, coins[1]):
+            rows = rows[start:start + b]
+            dots = _dots(z, units, rows)
+            u_sign = np.where(first < p_plus[rows], 1.0, -1.0)
+            bias = (epsilon / 3.0) * np.sign(dots) * u_sign
+            s = np.where(last < (1.0 + bias) / 2.0, 1.0, -1.0)
+            z *= (3.0 / (epsilon * _SIGNED_GAUSSIAN_MEAN) * scale) * s[:, None]
+        if sink is not None:
+            sink(start, release)
+        for level in buf:
+            level[0] = np.add.reduce(level[0 if start else 1:b + 1],
+                                     axis=0)
+    return buf[:, 0].copy()
 
 
 def local_release(x: np.ndarray, epsilon: float, scale: float,
@@ -209,7 +235,7 @@ def local_release(x: np.ndarray, epsilon: float, scale: float,
                          "the channel's raw-word coins would differ from it")
     x = np.asarray(x, dtype=float).reshape(1, -1)
     table = (*_row_table(x, scale), [0], scale)
-    return _channel([rng], [table], epsilon, x.shape[1])[0, 0]
+    return _channel([rng], [table], epsilon, x.shape[1])[0]
 
 
 @dataclass(eq=False)
@@ -233,14 +259,15 @@ class LevelProtocol:
             scale = float(np.linalg.norm(lvl, axis=1).max()) or 1.0
             self.tables.append((*_row_table(lvl, scale), rows, scale))
 
-    def server(self, release: np.ndarray) -> MechanismOutput:
+    def server(self, sums: np.ndarray) -> MechanismOutput:
         """The sum over levels of each level mean's projection onto that
-        level's hull, with each level's certificate; each party spends
-        pure-DP epsilon in total."""
+        level's hull, with each level's certificate; ``sums[j]`` is the
+        sum of level j's releases, so its mean is ``sums[j] / n``, the
+        float ``np.mean`` gives.  Each party spends pure-DP epsilon in
+        total."""
         estimate, certificates = np.zeros(self.levels[0].shape[1]), []
-        for lvl, level_release in zip(self.levels, release):
-            mean = np.mean(level_release, axis=0)
-            proj = hull.project_onto_hull(mean, lvl)
+        for lvl, level_sum in zip(self.levels, sums):
+            proj = hull.project_onto_hull(level_sum / len(self.rows), lvl)
             certificates.append({"projection_iterations": proj.iterations,
                                  "projection_gap": proj.gap,
                                  "projection_certified": proj.certified})
@@ -250,15 +277,16 @@ class LevelProtocol:
                                trace={"levels": certificates})
 
 
-def simulate_protocol(protocol: LevelProtocol,
-                      seed=None) -> tuple[np.ndarray, MechanismOutput]:
-    """``(release, output)``: the transcript, one (k, n, m) array whose
-    ``release[j, i]`` is party i's level-j message, and the server's
-    output.  Party i draws from child i of the run seed, per level one
-    uniform, m normals and one uniform, so transcripts replay
-    bit-identically and parties could run concurrently.  The children's
-    generator states are computed in one vectorised pass."""
-    release = _channel(_party_generators(seed, len(protocol.rows)),
-                       protocol.tables, protocol.part,
-                       protocol.levels[0].shape[1])
-    return release, protocol.server(release)
+def simulate_protocol(protocol: LevelProtocol, seed=None,
+                      sink=None) -> MechanismOutput:
+    """The server's output on every party's messages.  Party i draws from
+    child i of the run seed, per level one uniform, m normals and one
+    uniform, so transcripts replay bit-identically and parties could run
+    concurrently; the children's generator states are computed in one
+    vectorised pass.  Parties run in blocks, and ``sink(first, releases)``,
+    if given, is called on each block: ``releases[j, t]`` is party
+    ``first + t``'s level-j message, valid only during the call."""
+    sums = _channel(_party_generators(seed, len(protocol.rows)),
+                    protocol.tables, protocol.part,
+                    protocol.levels[0].shape[1], sink)
+    return protocol.server(sums)

@@ -709,7 +709,7 @@ def direct_release(name, d, budget, alpha, seed):
         return pmw_mechanism(d, budget, alpha, seed=seed)
     protocol = local.LevelProtocol([d.universe.points], d.indices[:, None],
                                    budget)
-    return local.simulate_protocol(protocol, seed)[1]
+    return local.simulate_protocol(protocol, seed)
 
 
 class TestIdentitySplit:

@@ -242,5 +242,14 @@ def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError):
-        cli._atomic_write(str(tmp_path / "out.json"), "{}")
+        cli._emit("{}", str(tmp_path / "out.json"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_failing_part_way_leaves_no_file(tmp_path):
+    # A transcript is written block by block inside the atomic file.
+    with pytest.raises(RuntimeError):
+        with cli._atomic_file(str(tmp_path / "t.ndjson")) as fh:
+            fh.write("{}\n")
+            raise RuntimeError("the channel failed")
     assert os.listdir(tmp_path) == []

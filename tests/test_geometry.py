@@ -178,16 +178,17 @@ class TestPackingNumber:
         vals = [packing_number(u, t) for t in ts]
         assert vals == sorted(vals, reverse=True)
 
-    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 0.5, 0.25])
     def test_exact_is_the_same_in_small_blocks(self, monkeypatch,
                                                rows_per_block):
-        # The conflict masks are read block by block: with one or two
-        # rows per block, pairs in different blocks still conflict.
+        # The conflict masks are read tile by tile: with one or two rows
+        # per tile, or part of a row, pairs in different tiles still
+        # conflict and only each row's own entry is exempt.
         rng = np.random.default_rng(9)
         for _ in range(6):
             pts = rng.random((int(rng.integers(2, 9)), 2))
             monkeypatch.setattr(geometry, "BLOCK_ENTRIES",
-                                rows_per_block * pts.size)
+                                int(rows_per_block * pts.size))
             for t in (0.1, 0.3, 0.5):
                 assert packing_number(Universe(points=pts), t) == \
                     brute_force_max_packing(pts, t, Norm.L2)
@@ -301,7 +302,9 @@ class TestVerifyDecomposition:
         with pytest.raises(ValueError, match="generating set 2"):
             verify_decomposition(u, bad)
 
-    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    # Less than one row per block: the close pair at positions 0 and 16
+    # falls in different column tiles of row 0.
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 0.5, 0.1])
     def test_close_rows_in_different_blocks_are_refused(self, monkeypatch,
                                                         rows_per_block):
         u, dec = self.grid_and_decomposition()
@@ -309,7 +312,7 @@ class TestVerifyDecomposition:
         rows = bad.generator_indices[-1]
         assert rows[0] == 0 and rows.size == 17
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES",
-                            rows_per_block * rows.size * u.dim)
+                            int(rows_per_block * rows.size * u.dim))
         verify_decomposition(u, dec)
         with pytest.raises(ValueError, match="generating set 2"):
             verify_decomposition(u, bad)
@@ -340,6 +343,32 @@ class TestVerifyDecomposition:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+@BOTH_NORMS
+@pytest.mark.parametrize("entries", [1, 7, 60, 200, 10_000])
+def test_distance_tiles_keep_the_entry_budget(monkeypatch, norm, entries):
+    """Tiles cover the distance matrix once with its untiled floats, and
+    each temporary holds at most BLOCK_ENTRIES floats, or one row's m;
+    the tiled nearest centres and diameter are the untiled ones, a tie
+    across tiles going to the lowest centre."""
+    rng = np.random.default_rng(3)
+    a, b, c = rng.random((13, 5)), rng.random((11, 5)), rng.random((9, 5))
+    b[7] = b[2]  # equal centres, in different tiles once tiles are narrow
+    a[[0, 5]] = b[2]
+    full = _row_norms(a[:, None, :] - b[None, :, :], norm)
+    within = _row_norms(c[:, None, :] - c[None, :, :], norm)
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+    got = np.full(full.shape, np.nan)
+    for rows, cols, d in geometry._distance_blocks(a, b, norm):
+        assert d.size * a.shape[1] <= max(entries, a.shape[1])
+        assert np.isnan(got[rows, cols]).all()
+        got[rows, cols] = d
+    assert got.tobytes() == full.tobytes()
+    nearest = _nearest(a, b, norm)
+    assert nearest.tolist() == full.argmin(axis=1).tolist()
+    assert nearest[[0, 5]].tolist() == [2, 2]
+    assert diameter(Universe(points=c), norm) == float(within.max())
 
 
 def full_table_levels(u, dec):

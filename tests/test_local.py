@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from meanpoint import central, cli, geometry, harness, hull, local, privacy
-from meanpoint.privacy import PrivacyBudget
+from meanpoint.privacy import PrivacyBudget, as_fraction
 
 PROTOCOLS = ["lpm", "lcpm", "lcm"]
 
@@ -103,26 +103,77 @@ def _scalar_channel(x, scale, eps, first, z, last):
     return 3.0 / (eps * math.sqrt(2.0 / math.pi)) * scale * z * s
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_transcript_follows_the_per_party_seed_contract(protocol):
-    """Party i draws from child i of the run seed, per level one uniform,
-    m normals and one uniform, and releases through the channel."""
-    d = harness.gen_dataset(harness.gen_marginals2(4), 25, seed=1)
-    p = harness.level_protocol(d, _spec(protocol))
-    release, _ = local.simulate_protocol(p, seed=9)
-    k, (n, m) = len(p.levels), (d.n, d.universe.dim)
-    eps = float(Fraction(1) / k)
+def _collect(k, n, m):
+    """A ``(k, n, m)`` array and a sink that copies each block into it,
+    checking that the blocks arrive in party order; ``sink.sizes`` lists
+    the blocks' party counts."""
+    out = np.full((k, n, m), np.nan)
+
+    def sink(first, releases):
+        assert first == sum(sink.sizes) and releases.shape[::2] == (k, m)
+        sink.sizes.append(releases.shape[1])
+        out[:, first:first + releases.shape[1]] = releases
+    sink.sizes = []
+    return out, sink
+
+
+def _seed_contract_oracle(p, seed):
+    """Every party's messages drawn one scalar at a time: party i from
+    child i of the run seed, per level one uniform, m normals and one
+    uniform, released through the documented channel."""
+    k, n, m = len(p.levels), len(p.rows), p.levels[0].shape[1]
+    eps = float(as_fraction(p.epsilon) / k)
     # A level of zero rows releases at scale 1.
     scales = [float(np.sqrt((lv ** 2).sum(axis=1)).max()) or 1.0
               for lv in p.levels]
     oracle = np.empty((k, n, m))
-    for i, child in enumerate(np.random.SeedSequence(9).spawn(n)):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
         for j, level in enumerate(p.levels):
             first, z, last = rng.random(), rng.standard_normal(m), rng.random()
             oracle[j, i] = _scalar_channel(level[p.rows[i, j]], scales[j], eps,
                                            first, z, last)
-    assert release.tobytes() == oracle.tobytes()
+    return oracle
+
+
+@pytest.mark.parametrize("parties", [1, 2, 7, 25])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_transcript_follows_the_per_party_seed_contract(protocol, parties,
+                                                        monkeypatch):
+    """Party i draws from child i of the run seed, per level one uniform,
+    m normals and one uniform, and releases through the channel.  In
+    blocks of 1, 2, 7 or all 25 parties, the running sums give the
+    server the floats ``np.mean`` of all messages gives."""
+    d = harness.gen_dataset(harness.gen_marginals2(4), 25, seed=1)
+    p = harness.level_protocol(d, _spec(protocol))
+    k, m = len(p.levels), d.universe.dim
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", parties * k * m)
+    transcript, sink = _collect(k, d.n, m)
+    out = local.simulate_protocol(p, seed=9, sink=sink)
+    assert sink.sizes == [parties] * (25 // parties) + [25 % parties] * (
+        25 % parties > 0)
+    assert transcript.tobytes() == _seed_contract_oracle(p, 9).tobytes()
+    estimate = np.zeros(m)
+    for level, messages in zip(p.levels, transcript):
+        estimate = estimate + hull.project_onto_hull(
+            np.mean(messages, axis=0), level).point
+    assert out.estimate.tobytes() == estimate.tobytes()
+
+
+def test_a_release_holds_one_block_of_messages():
+    # lcm on thresholds(64): k = 4 levels at m = 64, so 512 parties a
+    # block; the (k, n, m) messages alone would take 16 MiB.
+    d = harness.gen_dataset(harness.gen_thresholds(64), 8000, seed=0)
+    spec = {"mechanism": "lcm", "epsilon": 1.0, "alpha": 0.2}
+    release = harness.make_mechanism(spec)
+    release(d, 0)  # builds and memoises the decomposition
+    tracemalloc.start()
+    try:
+        release(d, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("spawn_key", [(), (0,), (3,), (1, 2), (2 ** 33,)])
@@ -194,8 +245,8 @@ class _Scripted:
 
 
 # m of the tests, of marginals2(8) and of thresholds(64); at m = 64 the
-# rows outnumber BLOCK_ENTRIES // 64 = 2048, so the channel's dots cross
-# a block boundary inside the level.
+# rows outnumber BLOCK_ENTRIES // 64 = 2048, so the channel's party
+# blocks and its dots cross a block boundary inside the level.
 @pytest.mark.parametrize("m, draws, blocks", [(3, 40, 1), (28, 40, 1),
                                               (64, 400, 2)])
 def test_sign_step_ties_take_the_scalar_sign(m, draws, blocks):
@@ -231,11 +282,12 @@ def test_sign_step_ties_take_the_scalar_sign(m, draws, blocks):
     # With u = +1, last = 0.5 tells a positive sign from the rest, and
     # last = (1 - eps/3) / 2 a negative sign from the rest.
     for last in (0.5, (1.0 - 1.2 / 3.0) / 2.0):
-        got = local._channel([_Scripted(0.0, z, last) for z in zs], [table],
-                             1.2, m)[0]
+        got, sink = _collect(1, len(zs), m)
+        local._channel([_Scripted(0.0, z, last) for z in zs], [table], 1.2,
+                       m, sink)
         for i, (t, z) in enumerate(zip(rows, zs)):
             want = _scalar_channel(points[t], 1.0, 1.2, 0.0, z, last)
-            assert got[i].tobytes() == want.tobytes(), (t, z)
+            assert got[0, i].tobytes() == want.tobytes(), (t, z)
 
 
 @pytest.mark.parametrize("universe", [harness.gen_thresholds(8),
