@@ -225,7 +225,13 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     ``normal(0, sigma')`` call per round.  The multiplicative updates
     exp(+-eta * pts[:, c]) are public given the universe and alpha, so
     they are one read-only ``_tilt_table`` cached on the universe under
-    eta; a round only reads a row of it.  A universe of zero rows (a
+    eta; a round only reads a row of it.  A round is a few numpy calls
+    on short vectors, mostly call overhead, so they write into kept
+    buffers through callees bound before the loop: the synthetic mean
+    is one ``ndarray.dot`` and the renormalising sum one
+    ``np.add.reduce`` into a 0-d array, the floats of ``weights @ pts``
+    and ``weights.sum()`` without their wrappers (measured beside
+    ``hull.project_onto_hull``'s loop).  A universe of zero rows (a
     zero offset level of a sup-norm split) draws nothing: its estimate
     is exactly zero whatever the noise, so the rounds are skipped while
     the trace and the budget stay those of the full schedule.
@@ -252,6 +258,8 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
         geometry.diameter(u, Norm.LINF) / d.n, rho_answer)
 
     weights = np.full(size, 1.0 / size)
+    # The bound dot reads this array, so weights only change in place.
+    weigh = weights.dot
     if coord_bound > 0.0:
         target = d.mean()
         noise = np.random.default_rng(seed).standard_normal(
@@ -261,19 +269,22 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
         truth = target.tolist()
         tilt = geometry._memo(u, ("pmw_tilt", eta),
                               lambda: _tilt_table(pts, eta))
-        scores = np.empty(2 * m)
+        synthetic, scores, norm = np.empty(m), np.empty(2 * m), np.empty(())
         up, down = scores[:m], scores[m:]
-        for t in range(rounds):
-            synthetic = weights @ pts
-            np.subtract(target, synthetic, out=up)
-            np.negative(up, out=down)
-            scores += select[t]
+        subtract, negative, divide = np.subtract, np.negative, np.divide
+        total = np.add.reduce
+        for select_noise, answer_noise in zip(select, answers):
+            weigh(pts, synthetic)
+            subtract(target, synthetic, up)
+            negative(up, down)
+            scores += select_noise
             coord = int(scores.argmax()) % m
-            shift = (truth[coord] + answers[t]) - float(synthetic[coord])
+            shift = (truth[coord] + answer_noise) - synthetic.item(coord)
             if shift != 0.0:
                 weights *= tilt[coord if shift > 0.0 else coord + m]
-                weights /= weights.sum()
-    estimate = weights @ pts
+                total(weights, 0, None, norm)
+                divide(weights, norm, weights)
+    estimate = weigh(pts)
     trace = {
         "mechanism": "pmw",
         "rounds": rounds,

@@ -16,9 +16,9 @@ block's (k, b, m) buffer, and one uniform.  A uniform is drawn as the
 raw 64-bit word under it, and a block's words become coins in one pass,
 ``(word >> 11) * 2**-53``: for PCG64 that is the float
 ``Generator.random()`` makes of the word.  The library computes
-``SeedSequence.spawn``'s child states for all parties in one vectorised
-pass.  The rest is public given a party's row, so each level tables its
-rows once, with its release scale (its largest row norm), decides the
+``SeedSequence.spawn``'s child states in vectorised chunks of parties.
+The rest is public given a party's row, so each level tables its rows
+once, with its release scale (its largest row norm), decides the
 block's signs from the dot a lone party's channel takes, and scales the
 block in place.  Each level then adds the block into a running-sum row,
 so a release holds one block of messages, not all n; the server divides
@@ -100,23 +100,12 @@ class _Words(ISeedSequence):
         return self.state
 
 
-def _party_generators(seed, n: int):
-    """Party i's generator for i < n, drawing exactly as ``default_rng``
-    of child i of ``as_seed_sequence(seed).spawn(n)``, made lazily.
-
-    SeedSequence hashes child i's entropy (the run entropy's words,
-    zero-padded to the pool size, the spawn key's words and i), then
-    ``generate_state(4, uint64)`` seeds PCG64.  Only i differs between
-    children, so the shared words are one-element arrays and every step
-    runs once, broadcast over the uint32 array of all i."""
-    if n >= 2 ** 32:
-        raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
-    parent = as_seed_sequence(seed)
-    run = _uint32_words(parent.entropy)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.array([w], dtype=np.uint32)
-               for w in run + _uint32_words(parent.spawn_key)]
-    entropy.append(np.arange(n, dtype=np.uint32))
+def _child_states(shared: list, index: np.ndarray) -> np.ndarray:
+    """The four uint64 PCG64 state words of child i for each i in
+    ``index``: SeedSequence hashes the shared words (one-element
+    arrays) and then i, and ``generate_state(4, uint64)`` reads the
+    pool.  Every step is broadcast over the uint32 array ``index``."""
+    entropy = [*shared, index]
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -129,9 +118,30 @@ def _party_generators(seed, n: int):
     hashmix = _hasher(_INIT_B, _MULT_B)
     words = np.stack([hashmix(pool[t % _POOL_SIZE]) for t in range(8)],
                      axis=1)
-    states = words.astype("<u4").view("<u8").astype(np.uint64)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _party_generators(seed, n: int):
+    """Party i's generator for i < n, drawing exactly as ``default_rng``
+    of child i of ``as_seed_sequence(seed).spawn(n)``, made lazily.
+
+    Child i's entropy is the run entropy's words, zero-padded to the
+    pool size, the spawn key's words and i.  Only i differs between
+    children, so ``_child_states`` hashes the children in chunks of
+    ``BLOCK_ENTRIES // 4`` indices, each when the first of its
+    generators is asked for: child i's words depend on i alone."""
+    if n >= 2 ** 32:
+        raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
+    parent = as_seed_sequence(seed)
+    run = _uint32_words(parent.entropy)
+    run += [0] * (_POOL_SIZE - len(run))
+    shared = [np.array([w], dtype=np.uint32)
+              for w in run + _uint32_words(parent.spawn_key)]
+    chunk = max(1, geometry.BLOCK_ENTRIES // 4)
     return (np.random.Generator(np.random.PCG64(_Words(row)))
-            for row in states)
+            for start in range(0, n, chunk)
+            for row in _child_states(shared, np.arange(
+                start, min(n, start + chunk), dtype=np.uint32)))
 
 
 def _dots(a: np.ndarray, b: np.ndarray, rows) -> np.ndarray:
@@ -282,10 +292,11 @@ def simulate_protocol(protocol: LevelProtocol, seed=None,
     """The server's output on every party's messages.  Party i draws from
     child i of the run seed, per level one uniform, m normals and one
     uniform, so transcripts replay bit-identically and parties could run
-    concurrently; the children's generator states are computed in one
-    vectorised pass.  Parties run in blocks, and ``sink(first, releases)``,
-    if given, is called on each block: ``releases[j, t]`` is party
-    ``first + t``'s level-j message, valid only during the call."""
+    concurrently; the children's generator states are computed in
+    vectorised chunks.  Parties run in blocks, and ``sink(first,
+    releases)``, if given, is called on each block: ``releases[j, t]``
+    is party ``first + t``'s level-j message, valid only during the
+    call."""
     sums = _channel(_party_generators(seed, len(protocol.rows)),
                     protocol.tables, protocol.part,
                     protocol.levels[0].shape[1], sink)

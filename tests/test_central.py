@@ -578,13 +578,19 @@ class TestPMW:
     @pytest.mark.parametrize("universe", ["thresholds64", "marginals2_8"])
     def test_report_hash_matches_the_per_round_reference(
             self, name, universe, monkeypatch):
-        d = harness.gen_dataset(ORACLE_UNIVERSES[universe](), 100,
-                                mode="mixture", seed=35)
+        # Besides a mixture, the linf_thresholds benchmark's uniform data
+        # at its smallest and largest n.
+        u = ORACLE_UNIVERSES[universe]()
         spec = {"mechanism": name, "rho": 0.5, "alpha": 0.1}
-        fast = harness.measure_error(d, spec, trials=3, seed=36)
-        monkeypatch.setattr(central, "pmw_mechanism", pmw_reference)
-        slow = harness.measure_error(d, spec, trials=3, seed=36)
-        assert fast.determinism_hash() == slow.determinism_hash()
+        for mode, n in (("mixture", 100), ("uniform", 100),
+                        ("uniform", 10_000)):
+            d = harness.gen_dataset(u, n, mode=mode, seed=35)
+            with monkeypatch.context() as patch:
+                fast = harness.measure_error(d, spec, trials=3, seed=36)
+                patch.setattr(central, "pmw_mechanism", pmw_reference)
+                slow = harness.measure_error(d, spec, trials=3, seed=36)
+            assert fast.determinism_hash() == slow.determinism_hash(), (
+                mode, n)
 
     def test_tilt_table_is_cached_per_learning_rate(self):
         # Alternating alphas on one universe object: a table cached under

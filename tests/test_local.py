@@ -182,18 +182,33 @@ def test_a_release_holds_one_block_of_messages():
     0x9A3F5C1E7B2D48E6A0C4F18B3D5E7092,  # 128 bits, as SeedSequence() draws
     [1, 2, 3], [7, 0, 2 ** 32 - 1, 11, 2 ** 31, 4]])
 def test_party_generators_equal_default_rng_of_each_spawned_child(
-        entropy, spawn_key):
-    parent = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-    want = map(np.random.default_rng, np.random.SeedSequence(
-        entropy, spawn_key=spawn_key).spawn(50))
-    got = list(local._party_generators(parent, 50))
-    assert len(got) == 50
-
+        entropy, spawn_key, monkeypatch):
+    """In one chunk of all 50 children and in chunks of 16 and of 1
+    (monkeypatched ``BLOCK_ENTRIES``): child i's words depend on i
+    alone."""
     def draws(rng):
         return (rng.random(3).tobytes(), rng.standard_normal(4).tobytes(),
                 rng.random().hex())
-    for i, (a, b) in enumerate(zip(want, got)):
-        assert draws(a) == draws(b), i
+    for entries in (geometry.BLOCK_ENTRIES, 64, 4):
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+        parent = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        want = map(np.random.default_rng, np.random.SeedSequence(
+            entropy, spawn_key=spawn_key).spawn(50))
+        got = list(local._party_generators(parent, 50))
+        assert len(got) == 50
+        for i, (a, b) in enumerate(zip(want, got)):
+            assert draws(a) == draws(b), (entries, i)
+
+
+def test_first_party_generator_hashes_one_chunk():
+    # All 10**6 children at once would take over 100 MiB.
+    tracemalloc.start()
+    try:
+        next(local._party_generators(0, 10 ** 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("source", ["party", "PCG64", "PCG64DXSM",
