@@ -13,7 +13,8 @@ Every mechanism owns one RNG stream derived from its seed; identical
 seeds and inputs give bit-identical outputs.  Level mechanisms get
 independent child streams derived from the run seed by level index
 (a single level passes the stream through unchanged, so a one-level run
-matches the direct mechanism call).
+matches the direct mechanism call).  A level whose rows are all one
+point is public, and the combinator releases it without a mechanism.
 """
 
 from __future__ import annotations
@@ -99,11 +100,6 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _level_seeds(seed, k: int) -> list:
-    # One level reuses the run stream: an identity split is the direct call.
-    return [seed] if k == 1 else list(as_seed_sequence(seed).spawn(k))
-
-
 # ---------------------------------------------------------------------------
 # projection mechanism
 
@@ -114,23 +110,13 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
     Noise is calibrated to the exact mean sensitivity (universe diameter
     over n) at the requested zCDP level; the projection step is pure
     post-processing.
-
-    A universe of L2 diameter 0 (a chaining split's one-point levels;
-    the memoised diameter also sets the noise) is one point, and so is
-    its hull: the release is that point, with iterations 0, gap 0.0 and
-    a certificate.  It draws no noise and reads no data.
     """
     u = d.universe
     sensitivity = privacy.mean_sensitivity(u, d.n)
     sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
-    if sensitivity == 0.0:
-        proj = hull.ProjectionResult(
-            point=u.points[0].copy(), support=np.zeros(1, int),
-            coef=np.ones(1), iterations=0, gap=0.0, certified=True)
-    else:
-        rng = np.random.default_rng(seed)
-        noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
-        proj = hull.project_onto_hull(noisy, u.points)
+    rng = np.random.default_rng(seed)
+    noisy = d.mean() + rng.normal(0.0, sigma, size=u.dim)
+    proj = hull.project_onto_hull(noisy, u.points)
     trace = {
         "mechanism": "projection",
         "sigma": sigma,
@@ -163,9 +149,12 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
                       release: Callable[[Dataset, Fraction, object],
                                         MechanismOutput],
                       rho, seed=None) -> MechanismOutput:
-    """Run ``release(level_dataset, rho / k, level_seed)`` on each of the
-    decomposition's k levels and add the outputs.
+    """Run ``release(level_dataset, rho / k, level_seed)`` on each live
+    level of the decomposition and add the k level outputs in order.
 
+    A level that is not live (``Decomposition.live``) has its row as its
+    mean for every dataset: its output is that row, charged rho / k, with
+    the trace ``{"mechanism": "public", "sigma": 0.0, "sensitivity": 0.0}``.
     Both error measures in use are subadditive, so the summed release
     inherits the per-level error bounds, and ``privacy.compose`` adds
     the per-level budgets.  The remainder term is handled by the (free)
@@ -175,8 +164,18 @@ def decompose_and_run(d: Dataset, dec: Decomposition,
     rho_part = as_fraction(rho) / k
     estimate = np.zeros(d.universe.dim)
     outputs = []
-    for j, level_seed in enumerate(_level_seeds(seed, k)):
-        out = release(level_dataset(d, dec, j), rho_part, level_seed)
+    # Live level j draws from spawn(k)[j], built alone; one level reuses
+    # the run stream, so an identity split is the direct mechanism call.
+    root = as_seed_sequence(seed) if k > 1 else None
+    for j, live in enumerate(dec.live):
+        if live:
+            level_seed = seed if root is None else np.random.SeedSequence(
+                root.entropy, spawn_key=(*root.spawn_key, j))
+            out = release(level_dataset(d, dec, j), rho_part, level_seed)
+        else:
+            out = MechanismOutput(
+                dec.levels[j][0], PrivacyBudget.zcdp(rho_part),
+                {"mechanism": "public", "sigma": 0.0, "sensitivity": 0.0})
         outputs.append(out)
         estimate = estimate + out.estimate
     return MechanismOutput(
@@ -231,10 +230,7 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     is one ``ndarray.dot`` and the renormalising sum one
     ``np.add.reduce`` into a 0-d array, the floats of ``weights @ pts``
     and ``weights.sum()`` without their wrappers (measured beside
-    ``hull.project_onto_hull``'s loop).  A universe of zero rows (a
-    zero offset level of a sup-norm split) draws nothing: its estimate
-    is exactly zero whatever the noise, so the rounds are skipped while
-    the trace and the budget stay those of the full schedule.
+    ``hull.project_onto_hull``'s loop).
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
@@ -260,30 +256,27 @@ def pmw_mechanism(d: Dataset, rho, alpha: float, seed=None) -> MechanismOutput:
     weights = np.full(size, 1.0 / size)
     # The bound dot reads this array, so weights only change in place.
     weigh = weights.dot
-    if coord_bound > 0.0:
-        target = d.mean()
-        noise = np.random.default_rng(seed).standard_normal(
-            (rounds, 2 * m + 1))
-        select = select_sigma * noise[:, :-1]
-        answers = (answer_sigma * noise[:, -1]).tolist()
-        truth = target.tolist()
-        tilt = geometry._memo(u, ("pmw_tilt", eta),
-                              lambda: _tilt_table(pts, eta))
-        synthetic, scores, norm = np.empty(m), np.empty(2 * m), np.empty(())
-        up, down = scores[:m], scores[m:]
-        subtract, negative, divide = np.subtract, np.negative, np.divide
-        total = np.add.reduce
-        for select_noise, answer_noise in zip(select, answers):
-            weigh(pts, synthetic)
-            subtract(target, synthetic, up)
-            negative(up, down)
-            scores += select_noise
-            coord = int(scores.argmax()) % m
-            shift = (truth[coord] + answer_noise) - synthetic.item(coord)
-            if shift != 0.0:
-                weights *= tilt[coord if shift > 0.0 else coord + m]
-                total(weights, 0, None, norm)
-                divide(weights, norm, weights)
+    target = d.mean()
+    noise = np.random.default_rng(seed).standard_normal((rounds, 2 * m + 1))
+    select = select_sigma * noise[:, :-1]
+    answers = (answer_sigma * noise[:, -1]).tolist()
+    truth = target.tolist()
+    tilt = geometry._memo(u, ("pmw_tilt", eta), lambda: _tilt_table(pts, eta))
+    synthetic, scores, norm = np.empty(m), np.empty(2 * m), np.empty(())
+    up, down = scores[:m], scores[m:]
+    subtract, negative, divide = np.subtract, np.negative, np.divide
+    total = np.add.reduce
+    for select_noise, answer_noise in zip(select, answers):
+        weigh(pts, synthetic)
+        subtract(target, synthetic, up)
+        negative(up, down)
+        scores += select_noise
+        coord = int(scores.argmax()) % m
+        shift = (truth[coord] + answer_noise) - synthetic.item(coord)
+        if shift != 0.0:
+            weights *= tilt[coord if shift > 0.0 else coord + m]
+            total(weights, 0, None, norm)
+            divide(weights, norm, weights)
     estimate = weigh(pts)
     trace = {
         "mechanism": "pmw",

@@ -156,6 +156,11 @@ class Decomposition:
         """One universe per level, holding that level's components."""
         return [Universe(points=lvl) for lvl in self.levels]
 
+    @cached_property
+    def live(self) -> list[bool]:
+        """Per level, whether its rows are not all equal."""
+        return [bool((lvl != lvl[0]).any()) for lvl in self.levels]
+
 
 # ---------------------------------------------------------------------------
 # distances

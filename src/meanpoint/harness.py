@@ -253,6 +253,8 @@ def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
     setting of the mechanism follows from those two.  Every row runs
     over its split, a local row as its ``level_protocol``, and writes
     one trace: ``{"mechanism", "k", "levels", "alpha", "remainder_radius"}``.
+    A central row's public level (``Decomposition.live`` false) has the
+    level trace ``{"mechanism": "public", "sigma": 0.0, "sensitivity": 0.0}``.
     """
     row = _row(spec)
     name, alpha = spec["mechanism"], spec.get("alpha")

@@ -58,8 +58,8 @@ def pmw_error_shape(u, n, rho):
 
 def pmw_reference(d, rho, alpha, seed=None):
     """Multiplicative weights as a plain per-round loop, two
-    ``rng.normal`` calls a round and no zero-universe shortcut:
-    ``pmw_mechanism`` must match it bit for bit."""
+    ``rng.normal`` calls a round: ``pmw_mechanism`` must match it bit
+    for bit, and so must a public level's fold."""
     u = d.universe
     pts = u.points
     size, m = pts.shape
@@ -101,8 +101,8 @@ def pmw_reference(d, rho, alpha, seed=None):
 
 
 def projection_reference(d, rho, seed=None):
-    """The projection mechanism with no one-point shortcut: it always
-    draws its noise and calls the hull."""
+    """The projection mechanism as a plain sequence that always draws
+    its noise and calls the hull, also on a one-point universe."""
     u = d.universe
     sensitivity = privacy.mean_sensitivity(u, d.n)
     sigma = privacy.gaussian_sigma_for_zcdp(sensitivity, rho)
@@ -123,6 +123,16 @@ def assert_same_release(out, ref):
     assert out.estimate.tobytes() == ref.estimate.tobytes()
     assert out.trace == ref.trace
     assert out.budget_consumed == ref.budget_consumed
+
+
+# The level trace of a level whose rows are all one point.
+PUBLIC_TRACE = {"mechanism": "public", "sigma": 0.0, "sensitivity": 0.0}
+
+
+def force_live(patch):
+    """Make every split level live, so each runs its level mechanism."""
+    patch.setattr(geometry.Decomposition, "live",
+                  property(lambda dec: [True] * dec.k))
 
 
 # Universes of the reference grid: 0/1 rows with and without zero
@@ -164,11 +174,13 @@ INTEGER_VALUED = {"thresholds64", "marginals2_8"}
 
 def gathered_release(name, d, rho, alpha, seed):
     """A split row's release over level datasets gathered row by row
-    (``assignments[indices, j]``), the O(n) form the counts replaced."""
+    (``assignments[indices, j]``), the O(n) form the counts replaced,
+    with a release call on every level, public or not."""
     row = harness.MECHANISMS[name]
     dec = row.split(d.universe, alpha)
     estimate = np.zeros(d.universe.dim)
-    for j, s in enumerate(central._level_seeds(seed, dec.k)):
+    seeds = [seed] if dec.k == 1 else as_seed_sequence(seed).spawn(dec.k)
+    for j, s in enumerate(seeds):
         e = Dataset(universe=dec.level_universes[j],
                     indices=dec.assignments[d.indices, j])
         out = row.level(e, as_fraction(rho) / dec.k, alpha / (2.0 * dec.k), s)
@@ -294,30 +306,6 @@ class TestProjectionMechanism:
         assert a.budget_consumed == b.budget_consumed
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("rows", [1, 5])
-    def test_one_point_universe_draws_nothing(self, rows, monkeypatch):
-        u = Universe(points=np.tile([0.25, 0.75, 1.0], (rows, 1)))
-        d = Dataset(universe=u, indices=np.arange(4) % rows)
-        ref = projection_reference(d, 0.5, seed=38)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a one-point universe must not draw")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(Dataset, "mean", refuse)
-        monkeypatch.setattr(hull, "project_onto_hull", refuse)
-        out = projection_mechanism(d, 0.5, seed=38)
-        assert out.estimate.tobytes() == u.points[0].tobytes()
-        assert out.estimate.tobytes() == ref.estimate.tobytes()
-        assert out.budget_consumed == ref.budget_consumed
-        for key in ("sigma", "sensitivity"):
-            assert out.trace[key] == ref.trace[key]
-        # The reference's hull call takes one Wolfe cycle; the mechanism
-        # makes none.
-        assert out.trace["projection_iterations"] == 0
-        assert out.trace["projection_gap"] == 0.0
-        assert out.trace["projection_certified"] is True
-
     # Chaining at alpha 0.1 has one-point levels on all three universes
     # (the finest on each, and the coarsest on the sphere); coarse
     # rounding at alpha 1 leaves the sphere a single point.
@@ -334,6 +322,7 @@ class TestProjectionMechanism:
         fast = harness.measure_error(d, spec, trials=3, seed=40)
         monkeypatch.setattr(central, "projection_mechanism",
                             projection_reference)
+        force_live(monkeypatch)
         slow = harness.measure_error(d, spec, trials=3, seed=40)
         assert fast.determinism_hash() == slow.determinism_hash()
 
@@ -418,7 +407,12 @@ class TestChainingMechanism:
         # rather than run to its iteration cap.
         d = harness.gen_dataset(harness.gen_marginals2(8), 1000, seed=1)
         out = release("chaining", d, 0.5, 0.1, 0)
-        for level in out.trace["levels"]:
+        live = harness.MECHANISMS["chaining"].split(d.universe, 0.1).live
+        assert live == [True, True, True, False, False]
+        for on, level in zip(live, out.trace["levels"]):
+            if not on:
+                assert level == PUBLIC_TRACE
+                continue
             assert level["projection_certified"] is True
             assert level["projection_iterations"] < 200
 
@@ -467,11 +461,14 @@ class TestSensitivityAudit:
         dec = chaining_decomposition(dataset.universe, 0.25)
         levels = out.trace["levels"]
         assert len(levels) == dec.k
-        # A level with a single component has sensitivity 0 and never moves.
-        moves = [self.worst_move(lambda e: level_dataset(e, dec, j).mean(),
-                                 dataset, level["sensitivity"])
-                 for j, level in enumerate(levels)]
-        assert max(moves) > 0
+        # A public level's trace says sensitivity 0, and its mean never
+        # moves; every live level's mean does.
+        for j, level in enumerate(levels):
+            move = self.worst_move(lambda e: level_dataset(e, dec, j).mean(),
+                                   dataset, level["sensitivity"])
+            assert level["mechanism"] == ("projection" if dec.live[j]
+                                          else "public")
+            assert (move > 0) == dec.live[j]
 
 
 class TestDecomposeAndRun:
@@ -503,6 +500,96 @@ class TestDecomposeAndRun:
         se = (np.std(combined) + np.std(lvl[0]) + np.std(lvl[1])) \
             / math.sqrt(trials)
         assert rms(combined) <= rms(lvl[0]) + rms(lvl[1]) + 2 * se
+
+
+# Universes whose split levels are all one point: the identity rows fold
+# their one level and the chaining rows all of theirs.
+ONE_POINT_UNIVERSES = {
+    "point1": [[0.25, 0.75, 1.0]],
+    "point5": [[0.25, 0.75, 1.0]] * 5,
+    "zero5": [[0.0, 0.0, 0.0]] * 5,
+}
+
+# Splits with a public level before a live one, and the sup-norm split of
+# the linf_thresholds benchmark.
+SEED_CASES = {
+    "chaining-sphere": ("chaining", lambda: harness.gen_random_sphere(
+        20, 500, 1.0, seed=1), [False, True, True, False, False]),
+    "chaining_linf-thresholds64": ("chaining_linf",
+                                   lambda: harness.gen_thresholds(64),
+                                   [True, False, False, False, False]),
+}
+
+
+class TestPublicLevels:
+    """The combinator releases a level whose rows are all one point
+    itself: its row, charged rho / k, with no mechanism call."""
+
+    @pytest.mark.parametrize("name", ["projection", "pmw", "chaining",
+                                      "chaining_linf"])
+    @pytest.mark.parametrize("universe", sorted(ONE_POINT_UNIVERSES))
+    def test_one_point_universe_draws_nothing(self, name, universe,
+                                              monkeypatch):
+        u = Universe(points=np.array(ONE_POINT_UNIVERSES[universe]))
+        d = Dataset(universe=u, indices=np.arange(4) % u.size)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public level must not read data or draw")
+
+        for owner, attr in ((np.random, "default_rng"), (Dataset, "mean"),
+                            (hull, "project_onto_hull"),
+                            (central, "level_dataset")):
+            monkeypatch.setattr(owner, attr, refuse)
+        out = release(name, d, 0.5, 0.3, 38)
+        assert out.estimate.tobytes() == u.points[0].tobytes()
+        assert out.budget_consumed == PrivacyBudget.zcdp(0.5)
+        assert out.trace["levels"] == [PUBLIC_TRACE] * out.trace["k"]
+
+    @pytest.mark.parametrize("case", sorted(SEED_CASES))
+    def test_live_level_j_draws_child_j(self, case, monkeypatch):
+        # Each live level's release is the reference mechanism's on its
+        # level dataset with child j of the seed, however many public
+        # levels come before it; a public level builds no level dataset.
+        name, make, live = SEED_CASES[case]
+        d = harness.gen_dataset(make(), 300, mode="mixture", seed=50)
+        dec = harness.MECHANISMS[name].split(d.universe, 0.1)
+        assert dec.live == live
+        rho, seed = as_fraction(0.5) / dec.k, 51
+        target = (0.1 - dec.alpha / 2) / dec.k
+        mechanism = ("projection_mechanism" if name == "chaining"
+                     else "pmw_mechanism")
+        built, outputs = [], []
+        real_level, real_mechanism = level_dataset, getattr(central, mechanism)
+
+        def built_level(e, split, j):
+            built.append(j)
+            return real_level(e, split, j)
+
+        def kept(*args, **kwargs):
+            outputs.append(real_mechanism(*args, **kwargs))
+            return outputs[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(central, "level_dataset", built_level)
+            patch.setattr(central, mechanism, kept)
+            out = release(name, d, 0.5, 0.1, seed)
+        assert built == [j for j, on in enumerate(live) if on]
+        kids = as_seed_sequence(seed).spawn(dec.k)
+        estimate, mine = np.zeros(d.universe.dim), iter(outputs)
+        for j, level in enumerate(out.trace["levels"]):
+            if not live[j]:
+                assert level == PUBLIC_TRACE
+                estimate = estimate + dec.levels[j][0]
+                continue
+            e = level_dataset(d, dec, j)
+            ref = (projection_reference(e, rho, seed=kids[j])
+                   if name == "chaining"
+                   else pmw_reference(e, rho, target, seed=kids[j]))
+            assert_same_release(next(mine), ref)
+            assert level == ref.trace
+            estimate = estimate + ref.estimate
+        assert out.estimate.tobytes() == estimate.tobytes()
+        assert out.budget_consumed == PrivacyBudget.zcdp(0.5)
 
 
 class TestPMW:
@@ -588,6 +675,7 @@ class TestPMW:
             with monkeypatch.context() as patch:
                 fast = harness.measure_error(d, spec, trials=3, seed=36)
                 patch.setattr(central, "pmw_mechanism", pmw_reference)
+                force_live(patch)
                 slow = harness.measure_error(d, spec, trials=3, seed=36)
             assert fast.determinism_hash() == slow.determinism_hash(), (
                 mode, n)
@@ -603,21 +691,6 @@ class TestPMW:
         tables = [v for key, v in u._cache.items() if key[0] == "pmw_tilt"]
         assert len(tables) == 2
         assert not any(table.flags.writeable for table in tables)
-
-    @pytest.mark.parametrize("alpha", [0.1, 10.0])
-    def test_zero_universe_draws_nothing(self, alpha, monkeypatch):
-        d = Dataset(universe=Universe(points=np.zeros((5, 3))),
-                    indices=np.array([0, 2, 2, 4]))
-        ref = pmw_reference(d, 0.5, alpha, seed=37)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a zero universe must not draw")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        monkeypatch.setattr(Dataset, "mean", refuse)
-        out = pmw_mechanism(d, 0.5, alpha, seed=37)
-        assert out.estimate.tobytes() == np.zeros(3).tobytes()
-        assert_same_release(out, ref)
 
 
 class TestChainingLinf:
@@ -658,7 +731,7 @@ class TestChainingLinf:
     @pytest.mark.parametrize("universe", ["thresholds64", "marginals2_8"])
     def test_sup_norm_split_of_a_01_universe_is_four_zero_levels(
             self, universe):
-        # PMW on each of these levels draws nothing.
+        # The combinator releases each of these levels itself.
         dec = chaining_decomposition(ORACLE_UNIVERSES[universe](), 0.1,
                                      Norm.LINF)
         assert [not lvl.any() for lvl in dec.levels] \
@@ -821,5 +894,8 @@ class TestLedger:
         d = harness.gen_dataset(harness.gen_thresholds(16), 100, seed=43)
         out = release("chaining_linf", d, 0.7, 0.3, 44)
         assert out.trace["k"] == 3
-        assert len(sigma_calls) == 2 * 3
+        # Two calibrations per live level; the two public levels need none.
+        live = harness.MECHANISMS["chaining_linf"].split(d.universe, 0.3).live
+        assert live == [True, False, False]
+        assert len(sigma_calls) == 2 * sum(live)
         assert len(compose_calls) == 1

@@ -275,6 +275,50 @@ class TestChainingDecomposition:
             chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
 
 
+# The chaining levels whose rows are all one point, at alpha 0.1 unless
+# the id says otherwise (ROADMAP item 2's table).
+PUBLIC_LEVELS = {
+    "marginals2_8-L2": (lambda: harness.gen_marginals2(8), Norm.L2, 0.1,
+                        [3, 4]),
+    "marginals2_8-LINF": (lambda: harness.gen_marginals2(8), Norm.LINF, 0.1,
+                          [1, 2, 3, 4]),
+    "thresholds64-LINF": (lambda: harness.gen_thresholds(64), Norm.LINF, 0.1,
+                          [1, 2, 3, 4]),
+    "thresholds64-L2": (lambda: harness.gen_thresholds(64), Norm.L2, 0.1,
+                        [4]),
+    "thresholds64-L2-alpha0.2": (lambda: harness.gen_thresholds(64), Norm.L2,
+                                 0.2, []),
+    "sphere-L2": (lambda: harness.gen_random_sphere(20, 500, 1.0, seed=1),
+                  Norm.L2, 0.1, [0, 3, 4]),
+    "cone-L2": (lambda: harness.gen_cone(64, 0.05, seed=1), Norm.L2, 0.1, []),
+}
+
+
+class TestLive:
+    """``Decomposition.live``: a level is live when its rows are not all
+    equal."""
+
+    @pytest.mark.parametrize("case", sorted(PUBLIC_LEVELS))
+    def test_public_chaining_levels(self, case):
+        make, norm, alpha, public = PUBLIC_LEVELS[case]
+        dec = chaining_decomposition(make(), alpha, norm)
+        assert [j for j, live in enumerate(dec.live) if not live] == public
+        for live, lvl in zip(dec.live, dec.levels):
+            assert live == (len(np.unique(lvl, axis=0)) > 1)
+        assert dec.live is dec.live
+
+    @pytest.mark.parametrize("rows, live", [
+        ([[0.25, 0.75, 1.0]], False),
+        ([[0.25, 0.75, 1.0]] * 5, False),
+        ([[0.0, 0.0]] * 5, False),
+        ([[0.0, 0.0]] * 4 + [[0.0, 1e-300]], True),
+        ([[0.5]] * 3 + [[-0.5]], True),
+    ])
+    def test_identity_split_is_live_with_two_distinct_rows(self, rows, live):
+        u = Universe(points=np.array(rows))
+        assert harness.MECHANISMS["projection"].split(u, None).live == [live]
+
+
 class TestVerifyDecomposition:
     """``verify_decomposition`` refuses each broken invariant."""
 
@@ -416,6 +460,8 @@ class TestDecompositionProperties:
         dec = chaining_decomposition(u, alpha, norm)
         verify_decomposition(u, dec)
         assert dec.assignments.shape == (u.size, dec.k)
+        assert dec.live == [len(np.unique(lvl, axis=0)) > 1
+                            for lvl in dec.levels]
         coarse = coarse_decomposition(u, alpha)
         verify_decomposition(u, coarse)
         assert coarse.k == 1
