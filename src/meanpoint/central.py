@@ -7,8 +7,8 @@ of rho and adds the results.  Every central ``harness.MECHANISMS`` row
 is the combinator over its public split; projection and PMW alone are
 its one-level case, on the identity split.
 
-Every mechanism reads the private data only through the dataset's
-count vector over the universe, so a release costs the same at any n.
+A dataset is its count vector over the universe, all that a mechanism
+reads of the private data, so a release costs the same at any n.
 Every mechanism owns one RNG stream derived from its seed; identical
 seeds and inputs give bit-identical outputs.  Level mechanisms get
 independent child streams derived from the run seed by level index
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -36,32 +37,18 @@ from .privacy import PrivacyBudget, as_fraction
 class Dataset:
     """Multiset of universe rows; the estimation target is its mean.
 
-    Give either ``indices``, one universe row per element, or ``counts``
-    alone, how many elements sit on each universe row.  ``counts`` is
-    built once from the indices otherwise, and it is all a central
-    release reads: the mean is ``counts @ points / n``, O(|X| * m) at
-    any n.  The local protocols read ``indices``, one row per party.
+    ``counts`` says how many elements sit on each universe row, and it
+    is kept as a read-only copy.  It is all a central release reads: the
+    mean is ``counts @ points / n``, O(|X| * m) at any n.  The local
+    protocols read ``indices``, one row per party.
     """
 
     universe: Universe
-    indices: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    counts: np.ndarray = field(kw_only=True)
     n: int = field(init=False)
 
     def __post_init__(self):
-        if (self.indices is None) == (self.counts is None):
-            raise ValueError("a dataset takes exactly one of indices and counts")
-        if self.counts is None:
-            idx = np.asarray(self.indices).reshape(-1)
-            if idx.size < 1:
-                raise ValueError("dataset must contain at least one element")
-            if not np.issubdtype(idx.dtype, np.integer):
-                raise ValueError("dataset indices must be integers")
-            if idx.min() < 0 or idx.max() >= self.universe.size:
-                raise ValueError("dataset index out of universe range")
-            self.indices = idx
-            self.counts = np.bincount(idx, minlength=self.universe.size)
-        counts = np.asarray(self.counts)
+        counts = np.array(self.counts)
         if counts.shape != (self.universe.size,):
             raise ValueError("dataset counts need one entry per universe row")
         if counts.dtype.kind not in "iuf" or not (
@@ -71,8 +58,17 @@ class Dataset:
         total = counts.sum()
         if total < 1:
             raise ValueError("dataset must contain at least one element")
+        counts.setflags(write=False)
         self.counts = counts
         self.n = int(total)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Each element's universe row, grouped by row, built once and
+        read-only: the local protocols' party i holds row ``indices[i]``."""
+        idx = np.repeat(np.arange(self.universe.size), self.counts.astype(int))
+        idx.setflags(write=False)
+        return idx
 
     def mean(self) -> np.ndarray:
         return self.counts @ self.universe.points / self.n

@@ -109,31 +109,32 @@ def gen_random_sphere(m: int, size: int, radius: float,
 
 def gen_dataset(u: Universe, n: int, mode: str = "uniform",
                 seed: int | None = None, index: int | None = None) -> Dataset:
-    """Draw a dataset of n universe rows.
+    """Draw the counts of a dataset of n universe rows, in O(|X|) at any n.
 
-    Modes: "uniform" (iid uniform rows), "point_mass" (n copies of
-    ``index``), "mixture" (iid from a seeded Dirichlet distribution over
-    a few random rows).
+    Modes: "uniform" (multinomial over all rows), "point_mass" (n copies
+    of ``index``), "mixture" (multinomial over a seeded Dirichlet
+    distribution on a few random rows).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n < 2 ** 63:
+        raise ValueError("n must be at least 1 and fit an int64 count")
     rng = np.random.default_rng(seed)
+    counts = np.zeros(u.size, dtype=np.int64)
     if mode == "uniform":
-        idx = rng.integers(0, u.size, size=n)
+        counts = rng.multinomial(n, np.full(u.size, 1.0 / u.size))
     elif mode == "point_mass":
         if index is None:
             raise ValueError("point_mass mode needs an index")
         if not 0 <= index < u.size:
             raise ValueError("point index out of range")
-        idx = np.full(n, index, dtype=int)
+        counts[index] = n
     elif mode == "mixture":
         k = min(5, u.size)
         support = rng.choice(u.size, size=k, replace=False)
         probs = rng.dirichlet(np.ones(k))
-        idx = rng.choice(support, size=n, p=probs / probs.sum())
+        counts[support] = rng.multinomial(n, probs / probs.sum())
     else:
         raise ValueError(f"unknown dataset mode {mode!r}")
-    return Dataset(universe=u, indices=idx)
+    return Dataset(universe=u, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +234,12 @@ def _row(spec: dict) -> Mechanism:
 
 
 def level_protocol(d: Dataset, spec: dict) -> local.LevelProtocol:
-    """The ``local.LevelProtocol`` a local row's spec runs on ``d``."""
+    """The ``local.LevelProtocol`` a local row's spec runs on ``d``, party
+    i on row ``d.indices[i]``; too many parties are refused first."""
     row = _row(spec)
     if row.level is not None:
         raise ValueError(f"{spec['mechanism']} is not a local protocol")
-    if d.indices is None:
-        raise ValueError("a local protocol needs the dataset's indices, "
-                         "one row per party")
+    local._refuse_parties(d.n)
     dec = row.split(d.universe, spec.get("alpha"))
     return local.LevelProtocol(dec.levels, dec.assignments[d.indices],
                                spec["epsilon"])

@@ -121,6 +121,12 @@ def _child_states(shared: list, index: np.ndarray) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _refuse_parties(n: int) -> None:
+    """Party i's spawn key is i as one uint32 word, so n must be below 2**32."""
+    if n >= 2 ** 32:
+        raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
+
+
 def _party_generators(seed, n: int):
     """Party i's generator for i < n, drawing exactly as ``default_rng``
     of child i of ``as_seed_sequence(seed).spawn(n)``, made lazily.
@@ -130,8 +136,7 @@ def _party_generators(seed, n: int):
     children, so ``_child_states`` hashes the children in chunks of
     ``BLOCK_ENTRIES // 4`` indices, each when the first of its
     generators is asked for: child i's words depend on i alone."""
-    if n >= 2 ** 32:
-        raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
+    _refuse_parties(n)
     parent = as_seed_sequence(seed)
     run = _uint32_words(parent.entropy)
     run += [0] * (_POOL_SIZE - len(run))

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ def small_universe():
 @pytest.fixture
 def small_dataset(small_universe):
     return harness.gen_dataset(small_universe, 60, seed=1)
+
+
+def from_rows(u, rows):
+    """The dataset holding the universe rows ``rows``, as its counts."""
+    return Dataset(universe=u, counts=np.bincount(rows, minlength=u.size))
 
 
 def release(name, d, rho, alpha, seed):
@@ -147,18 +153,19 @@ ORACLE_UNIVERSES = {
 
 
 class TestDataset:
-    def test_validation(self, small_universe):
-        with pytest.raises(ValueError):
-            Dataset(universe=small_universe, indices=np.array([], dtype=int))
-        with pytest.raises(ValueError):
-            Dataset(universe=small_universe, indices=np.array([25]))
-        for indices in (np.array([0.7, 1.9]), np.array([0.0, 1.0]),
-                        np.array([True, False]), np.array(["1"])):
-            with pytest.raises(ValueError, match="integers"):
-                Dataset(universe=small_universe, indices=indices)
+    def test_counts_is_the_one_keyword_only_form(self, small_universe):
+        counts = np.ones(small_universe.size)
+        for kwargs in ({}, {"indices": np.arange(small_universe.size)},
+                       {"indices": np.arange(small_universe.size),
+                        "counts": counts}):
+            with pytest.raises(TypeError):
+                Dataset(universe=small_universe, **kwargs)
+        # One row per party, passed positionally, is not read as counts.
+        with pytest.raises(TypeError):
+            Dataset(small_universe, counts)
 
     def test_mean_is_average_of_rows(self, small_universe):
-        d = Dataset(universe=small_universe, indices=np.array([0, 0, 3]))
+        d = from_rows(small_universe, [0, 0, 3])
         expected = (2 * small_universe.points[0] + small_universe.points[3]) / 3
         assert np.allclose(d.mean(), expected)
 
@@ -181,8 +188,7 @@ def gathered_release(name, d, rho, alpha, seed):
     estimate = np.zeros(d.universe.dim)
     seeds = [seed] if dec.k == 1 else as_seed_sequence(seed).spawn(dec.k)
     for j, s in enumerate(seeds):
-        e = Dataset(universe=dec.level_universes[j],
-                    indices=dec.assignments[d.indices, j])
+        e = from_rows(dec.level_universes[j], dec.assignments[d.indices, j])
         out = row.level(e, as_fraction(rho) / dec.k, alpha / (2.0 * dec.k), s)
         estimate = estimate + out.estimate
     return estimate
@@ -216,16 +222,27 @@ class TestCountForm:
         for j in range(dec.k):
             level = level_dataset(d, dec, j)
             gathered = dec.assignments[d.indices, j]
-            assert level.indices is None and level.n == d.n
+            assert level.n == d.n
+            assert np.array_equal(level.indices, np.sort(gathered))
             assert np.array_equal(
                 level.counts,
                 np.bincount(gathered, minlength=dec.level_universes[j].size))
 
-    def test_counts_only_dataset(self, small_universe):
-        d = Dataset(universe=small_universe, indices=np.array([0, 0, 3]))
-        e = Dataset(universe=small_universe, counts=d.counts.astype(float))
-        assert e.n == 3 and e.indices is None
-        assert e.mean().tobytes() == d.mean().tobytes()
+    def test_indices_are_one_read_only_view_of_the_counts(
+            self, small_universe):
+        counts = np.bincount([3, 0, 0], minlength=small_universe.size)
+        d = Dataset(universe=small_universe, counts=counts)
+        e = Dataset(universe=small_universe, counts=counts.astype(float))
+        assert e.n == 3 and e.mean().tobytes() == d.mean().tobytes()
+        assert d.indices is d.indices
+        assert d.indices.tolist() == e.indices.tolist() == [0, 0, 3]
+        # The dataset keeps its own copy, so the view cannot go stale.
+        counts[5] = 4
+        assert d.n == 3 and d.counts[5] == 0
+        for a in (d.counts, d.indices):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_counts_validation(self, small_universe):
         size = small_universe.size
@@ -244,11 +261,6 @@ class TestCountForm:
         for c in bad.values():
             with pytest.raises(ValueError):
                 Dataset(universe=small_universe, counts=c)
-        with pytest.raises(ValueError, match="exactly one"):
-            Dataset(universe=small_universe)
-        with pytest.raises(ValueError, match="exactly one"):
-            Dataset(universe=small_universe, indices=np.array([2]),
-                    counts=counts)
 
     @pytest.mark.parametrize("name", ["coarse", "chaining", "chaining_linf"])
     @pytest.mark.parametrize("universe", sorted(INTEGER_VALUED))
@@ -262,6 +274,21 @@ class TestCountForm:
                 out = release(name, e, 0.5, 0.1, seed)
                 assert out.estimate.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("mode", ["uniform", "mixture", "point_mass"])
+    def test_gen_dataset_draws_counts_at_any_n(self, mode):
+        u = harness.gen_marginals2(8)
+        tracemalloc.start()
+        try:
+            d = harness.gen_dataset(u, 10 ** 12, mode=mode, seed=7, index=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == 10 ** 12 and d.counts.shape == (u.size,)
+        # One index per element would take 8 TB.
+        assert peak < 2 ** 16
+        with pytest.raises(ValueError, match="int64"):
+            harness.gen_dataset(u, 2 ** 63, mode=mode, seed=7, index=3)
+
     def test_chaining_at_a_million_rows(self):
         u = harness.gen_marginals2(8)
         d = harness.gen_dataset(u, 10 ** 6, mode="mixture", seed=7)
@@ -271,12 +298,21 @@ class TestCountForm:
         assert release("chaining", counted, 0.5, 0.1, 8).estimate.tobytes() \
             == out.estimate.tobytes()
 
-    def test_local_protocols_refuse_a_counts_only_dataset(self):
-        d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=9)
-        counted = Dataset(universe=d.universe, counts=d.counts)
-        spec = {"mechanism": "lpm", "epsilon": 1.0}
-        with pytest.raises(ValueError, match="indices"):
-            harness.make_mechanism(spec)(counted, 1)
+    @pytest.mark.parametrize("name", harness.LOCAL_PROTOCOLS)
+    def test_local_protocols_take_their_parties_in_row_order(self, name):
+        u = harness.gen_thresholds(8)
+        counts = np.array([0, 3, 0, 1, 5, 0, 0, 2])
+        d = Dataset(universe=u, counts=counts)
+        spec = {"mechanism": name, "epsilon": 1.0, "alpha": 0.3}
+        dec = harness.MECHANISMS[name].split(u, 0.3)
+        parties = np.repeat(np.arange(u.size), counts)
+        assert np.array_equal(d.indices, parties)
+        protocol = harness.level_protocol(d, spec)
+        assert np.array_equal(protocol.rows, dec.assignments[parties])
+        out = harness.make_mechanism(spec)(d, 1)
+        assert out.estimate.tobytes() == local.simulate_protocol(
+            local.LevelProtocol(dec.levels, dec.assignments[parties], 1.0),
+            1).estimate.tobytes()
 
 
 class TestProjectionMechanism:
@@ -285,7 +321,7 @@ class TestProjectionMechanism:
         assert norm_err(out, small_dataset) <= 1e-3
 
     def test_point_mass_recovered_exactly_in_the_limit(self, small_universe):
-        d = Dataset(universe=small_universe, indices=np.full(12, 7))
+        d = from_rows(small_universe, np.full(12, 7))
         out = projection_mechanism(d, 1e9, seed=3)
         assert np.linalg.norm(out.estimate - small_universe.points[7]) <= 1e-3
 
@@ -379,9 +415,8 @@ class TestChainingMechanism:
         # same budget, same seed, rounded dataset over the half-scale cover
         centers = u.points[sep]
         dist = np.linalg.norm(u.points[:, None, :] - centers[None], axis=2)
-        rounded = Dataset(
-            universe=Universe(points=centers),
-            indices=dist.argmin(axis=1)[small_dataset.indices])
+        rounded = from_rows(Universe(points=centers),
+                            dist.argmin(axis=1)[small_dataset.indices])
         direct = projection_mechanism(rounded, 1.5, seed=16)
         assert np.array_equal(out.estimate, direct.estimate)
 
@@ -440,7 +475,7 @@ class TestSensitivityAudit:
             for row in range(d.universe.size):
                 idx = d.indices.copy()
                 idx[i] = row
-                moved = mean_of(Dataset(universe=d.universe, indices=idx))
+                moved = mean_of(from_rows(d.universe, idx))
                 worst = max(worst, float(np.linalg.norm(moved - base)))
         assert worst <= sensitivity * (1 + 1e-9)
         return worst
@@ -531,7 +566,7 @@ class TestPublicLevels:
     def test_one_point_universe_draws_nothing(self, name, universe,
                                               monkeypatch):
         u = Universe(points=np.array(ONE_POINT_UNIVERSES[universe]))
-        d = Dataset(universe=u, indices=np.arange(4) % u.size)
+        d = from_rows(u, np.arange(4) % u.size)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a public level must not read data or draw")
@@ -595,7 +630,7 @@ class TestPublicLevels:
 class TestPMW:
     def test_fixed_point_with_zero_noise(self):
         u = harness.gen_thresholds(32)
-        d = Dataset(universe=u, indices=np.arange(32))
+        d = from_rows(u, np.arange(32))
         out = pmw_mechanism(d, 1e9, 0.3, seed=25)
         assert float(np.abs(out.estimate - d.mean()).max()) <= 1e-3
 
@@ -739,7 +774,7 @@ class TestChainingLinf:
 
     def test_requires_unit_box(self):
         u = Universe(points=np.array([[0.0, 1.4], [1.0, 0.2]]))
-        d = Dataset(universe=u, indices=np.array([0, 1]))
+        d = from_rows(u, [0, 1])
         with pytest.raises(ValueError):
             release("chaining_linf", d, 1.0, 0.5, 39)
 

@@ -102,6 +102,20 @@ def test_run_exits_0_when_every_projection_certifies(universe_file, tmp_path):
     assert code == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--mechanism", "chaining", "--rho", "0.5", "--alpha", "0.25"],
+     cli.EXIT_OK),
+    (["run", "--mechanism", "chaining_linf", "--rho", "0.5", "--alpha",
+      "0.25"], cli.EXIT_OK),
+    (["local", "--protocol", "lpm", "--epsilon", "1"], cli.EXIT_CONFIG),
+])
+def test_a_trillion_rows_run_centrally_and_are_refused_locally(
+        universe_file, tmp_path, argv, code):
+    assert cli.main(argv + ["--universe", universe_file, "--n",
+                            "1000000000000", "--trials", "1", "--out",
+                            str(tmp_path / "run.json")]) == code
+
+
 def test_flags_a_subcommand_ignores_are_refused(universe_file, capsys):
     code = cli.main(["run", "--universe", universe_file, "--mechanism",
                      "projection", "--rho", "0.5", "--n", "20",

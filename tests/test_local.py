@@ -243,6 +243,18 @@ def test_party_generators_refuse_more_parties_than_one_uint32_word():
     assert peak < 2 ** 16
 
 
+def test_level_protocol_refuses_too_many_parties_before_laying_them_out(
+        monkeypatch):
+    u = harness.gen_thresholds(8)
+    d = central.Dataset(universe=u, counts=[2 ** 32] + [0] * (u.size - 1))
+    # One row per party would take 32 GiB.
+    monkeypatch.setattr(central.Dataset, "indices", property(
+        lambda self: pytest.fail("the parties were laid out")))
+    for protocol in PROTOCOLS:
+        with pytest.raises(ValueError, match="uint32"):
+            harness.level_protocol(d, _spec(protocol))
+
+
 class _Scripted:
     """Stands in for a party's generator, handing out fixed draws.  The
     channel reads a uniform as the raw word w with coin (w >> 11) * 2**-53,
@@ -311,7 +323,7 @@ def test_sign_channel_ratio_is_at_most_e_eps_on_every_table_row(universe):
     """The released sign s has probability p (1 + s b) / 2 +
     (1 - p) (1 - s b) / 2, with p = p_plus and b = (eps/3) sign(z . unit);
     the output's density is proportional to it."""
-    d = central.Dataset(universe, np.arange(universe.size))
+    d = central.Dataset(universe, counts=np.ones(universe.size))
     tables = [table for protocol in PROTOCOLS for table in
               harness.level_protocol(d, _spec(protocol)).tables]
     p_plus = {Fraction(p) for _, column, _, _ in tables for p in column}
