@@ -222,14 +222,18 @@ LOCAL_PROTOCOLS = tuple(k for k, v in MECHANISMS.items()
 
 
 def _row(spec: dict) -> Mechanism:
-    """The spec's table row, once the spec holds every key it reads."""
+    """The spec's table row, once the spec holds every key it reads and
+    its privacy value and any alpha are finite and positive."""
     name = spec.get("mechanism")
     if name not in MECHANISMS:
         raise ValueError(f"unknown mechanism {name!r}")
     row = MECHANISMS[name]
-    for key in (row.privacy, "alpha")[:1 + row.needs_alpha]:
-        if spec.get(key) is None:
+    for key in (row.privacy, "alpha"):
+        value = spec.get(key)
+        if value is None and (key == row.privacy or row.needs_alpha):
             raise ValueError(f"{name} needs {key}")
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be finite and positive")
     return row
 
 

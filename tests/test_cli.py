@@ -67,6 +67,9 @@ def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
     ["--mechanisms", "projection,nope", "--rho", "0.5"],
     ["--mechanisms", "projection,chaining", "--rho", "0.5"],
     ["--mechanisms", "projection", "--rho", "0.5", "--n-grid", "50,-3"],
+    ["--mechanisms", "projection,chaining", "--rho", "0.5", "--alpha", "1.5"],
+    ["--mechanisms", "lpm,projection", "--rho", "0", "--epsilon", "1"],
+    ["--mechanisms", "projection,pmw", "--rho", "0.5", "--alpha", "nan"],
 ])
 def test_bench_refuses_before_any_cell_runs(universe_file, argv, capsys,
                                             monkeypatch):
