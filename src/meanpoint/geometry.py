@@ -16,6 +16,23 @@ same arguments return the same object, shared by every caller.  Cached
 values and the universe's points are read-only, so a cached value cannot
 go stale; two threads that miss at once both compute the value and one
 of the identical results is kept.
+
+L2 geometry is computed in Gram form and decided exactly.  A tile of
+squared distances g = |a|^2 + |b|^2 - 2 a.b comes from one matmul.  With
+u = eps / 2 and N = |a|^2 + |b|^2, in any summation order (so whatever
+the BLAS build or thread count) g is within (2m + 4) u N of the exact
+square D, and the square s that the diff form ``_row_norms(a - b)``
+roots is within (m + 2) u D <= (2m + 4) u N of D.  The band is beta * N,
+beta = (2m + 12) eps = (4m + 24) u: beyond |g - s| it leaves 16 u N,
+which pays for rounding g -/+ the band and then either for the root and
+the rounded square of a scale, or for two entries' roots to differ once
+rounded; m * tiny more covers underflow.  So a decision whose g clears
+the band, against a squared scale or against another entry, is the one
+the diff-form floats make.  Every entry inside the band, and every g
+that overflowed (it is NaN), is recomputed in diff form, so the
+diameter, nearest centres, greedy separated sets and the separation
+check return exactly the diff form's floats and indices.
+Sup-norm distances have no Gram form and are computed in diff form.
 """
 
 from __future__ import annotations
@@ -43,6 +60,10 @@ GRID_RATIO = 2.0 ** 0.25
 # computations.  The allocator keeps larger freed temporaries resident,
 # and the results do not depend on the blocking.
 BLOCK_ENTRIES = 131_072
+
+_EPS, _TINY, _MAX = (float(v) for v in (np.finfo(float).eps,
+                                        np.finfo(float).tiny,
+                                        np.finfo(float).max))
 
 
 class Norm(Enum):
@@ -173,8 +194,10 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
     from ``a[rows][r]`` to ``b[cols][c]``, with the tiles of a row block
     in column order.  A tile spans all of ``b`` when one row of it fits
     ``BLOCK_ENTRIES``; each temporary holds at most ``BLOCK_ENTRIES``
-    floats, or one row's m if that is more.  Every entry is the float
-    the untiled computation gives.
+    floats, or one row's m if that is more.  Every entry is the
+    diff-form float ``_row_norms(a[i] - b[j])`` the untiled computation
+    gives.  The L2 decisions read ``_gram_blocks`` instead and recompute
+    only the entries inside its band in this form, by ``_pair_norms``.
     """
     (na, m), nb = a.shape, b.shape[0]
     width = min(nb, max(1, BLOCK_ENTRIES // max(1, m)))
@@ -185,6 +208,76 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
             cols = slice(j0, min(j0 + width, nb))
             yield rows, cols, _row_norms(a[rows, None, :] - b[None, cols, :],
                                          norm)
+
+
+def _gram_blocks(a: np.ndarray, b: np.ndarray,
+                 rows: np.ndarray | None = None):
+    """Gram-form squared L2 distances from rows of ``a`` to the rows of
+    ``b``, in tiles, each with its rounding band.
+
+    Yields ``(tile, cols, g, band)``: ``tile`` slices ``rows`` (by
+    default every row of ``a``) and ``cols`` slices ``b``.  For x the
+    r-th row of ``a[rows][tile]`` and y the c-th of ``b[cols]``,
+    ``g[r, c]`` is |x|^2 + |y|^2 - 2 x.y, NaN if it overflowed.
+    ``band[r, 0]`` is beta * (|x|^2 + max |y|^2) + m * tiny, the module
+    docstring's band for every entry of row r (the last term covers
+    underflow).  A tile is at most isqrt(``BLOCK_ENTRIES``) columns
+    wide, so it spans all of ``b`` when ``b`` has no more rows, and
+    holds at most a quarter of ``BLOCK_ENTRIES`` entries, as does its
+    gather of rows of ``a`` (or one row's m if that is more): with the
+    few arrays of its size a caller derives, a tile stays within the
+    one ``BLOCK_ENTRIES`` temporary of the diff form.  ``g`` is the
+    caller's to modify.
+    """
+    m, nb = a.shape[1], b.shape[0]
+    n = a.shape[0] if rows is None else len(rows)
+    beta = (2 * m + 12) * _EPS
+    width = min(nb, max(1, math.isqrt(BLOCK_ENTRIES)))
+    height = max(1, BLOCK_ENTRIES // 4 // max(width, m))
+    sb = np.einsum("ij,ij->i", b, b)
+    sb_max = np.maximum.reduceat(sb, np.arange(0, nb, width))
+    b_band = beta * sb_max + m * _TINY
+    for i0 in range(0, n, height):
+        tile = slice(i0, min(i0 + height, n))
+        at = a[tile] if rows is None else a[rows[tile]]
+        sa = np.einsum("ij,ij->i", at, at)[:, None]
+        a_band = beta * sa
+        at = -2.0 * at
+        # Below this no partial sum of g can overflow.
+        safe = float(sa.max()) + float(sb_max.max()) < _MAX / 8
+        for j, j0 in enumerate(range(0, nb, width)):
+            cols = slice(j0, min(j0 + width, nb))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Scaling by -2 is exact, so a.b's error bound carries.
+                g = at @ b[cols].T
+                g += sa
+                g += sb[cols]
+                if not safe:
+                    g[~np.isfinite(g)] = np.nan
+            yield tile, cols, g, a_band + b_band[j]
+
+
+def _pair_norms(a: np.ndarray, b: np.ndarray, r: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+    """The diff-form L2 distance ``_row_norms(a[r] - b[c])`` of each pair
+    ``(r[i], c[i])``, in blocks of pairs whose two gathers together hold
+    at most ``BLOCK_ENTRIES`` floats."""
+    out = np.empty(len(r))
+    step = max(1, BLOCK_ENTRIES // (2 * a.shape[1]))
+    for i0 in range(0, len(r), step):
+        blk = slice(i0, i0 + step)
+        diff = a[r[blk]]
+        diff -= b[c[blk]]
+        out[blk] = _row_norms(diff, Norm.L2)
+    return out
+
+
+def _squared(t):
+    """``t * t``, an overflow clamped to the largest float.  A squared
+    distance that clears the band of that float is finite, so its root
+    is at most the scale, as when the square does not overflow."""
+    with np.errstate(over="ignore"):
+        return np.minimum(np.square(t), _MAX)
 
 
 def _diagonal(rows: slice, cols: slice) -> tuple:
@@ -199,13 +292,22 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
     Under the sup norm it is the widest coordinate range: the pair of
     extremes in that coordinate attains it, and float subtraction is
     monotone, so the range is the same float as the pairwise maximum.
+    Under L2 the pairs within the band of a tile's largest Gram entry
+    are recomputed in diff form, and the largest of those is returned.
     """
 
     def build() -> float:
+        pts = u.points
         if norm is Norm.LINF:
-            return float(np.ptp(u.points, axis=0).max())
-        return max(float(d.max())
-                   for _, _, d in _distance_blocks(u.points, u.points, norm))
+            return float(np.ptp(pts, axis=0).max())
+        best = 0.0
+        for tile, cols, g, band in _gram_blocks(pts, pts):
+            # Rounding is monotone, so this is the largest g - band.
+            low = float((g.max(axis=1, keepdims=True) - band).max())
+            r, c = np.nonzero(~(g + band < low))
+            best = max(best, float(_pair_norms(pts[tile], pts[cols], r,
+                                               c).max()))
+        return best
 
     return _memo(u, ("diameter", norm), build)
 
@@ -221,15 +323,57 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
     Rows are scanned in index order; at each scale a row joins when its
     distance to everything already selected exceeds the scale strictly.
     The selection carries over to the next, finer scale, where it stays
-    separated, so every scale gets an inclusion-maximal set.  ``near``
-    holds each live row's distance to the selection: the first row with
-    ``near`` above the scale joins, and one distance row from it updates
-    ``near``.  A row within the finest scale of the selection can never
-    join and leaves the scan, so no distance is computed twice.
+    separated, so every scale gets an inclusion-maximal set.  A row
+    within the finest scale of the selection can never join and leaves
+    the scan, so no distance is computed twice.
+
+    Under the sup norm ``near`` holds each live row's distance to the
+    selection: the first row with ``near`` above the scale joins, and
+    one distance row from it updates ``near``.  Under L2 only how a
+    row's distance compares with the scales matters, so each live row
+    keeps ``covered``, the number of scales its distance to the
+    selection is at most (always the coarsest ones), and is free at
+    scale k exactly when ``covered <= k``.  The free rows are
+    resolved a block at a time: the block's conflicts at the scale,
+    one matrix from ``_gram_blocks``, decide which rows join in index
+    order (``_first_fit``), and one kernel call from the joined rows
+    updates ``covered`` (``_scales_covering``).  Every decision is the
+    diff-form one (module docstring).
 
     Returns the final selection, in joining order, and its size after
     each scale.
     """
+    if norm is Norm.LINF:
+        return _greedy_cover_linf(pts, raw_ts)
+    ts = np.asarray(raw_ts, dtype=float)
+    ts2 = _squared(ts)
+    live = np.arange(pts.shape[0])
+    covered = np.zeros(live.size, dtype=int)
+    # One block's conflicts fill one tile of _gram_blocks.
+    block = max(1, min(math.isqrt(BLOCK_ENTRIES // 4),
+                       BLOCK_ENTRIES // 4 // pts.shape[1]))
+    sel: list[int] = []
+    sizes: list[int] = []
+    for k, raw_t in enumerate(ts):
+        rest, rest2 = ts[k:][::-1], ts2[k:][::-1]
+        free = np.flatnonzero(covered <= k)[:block]
+        while free.size:
+            cand = live[free]
+            joined = cand[_first_fit(_conflicts(pts[cand], raw_t, rest2[-1]))]
+            sel.extend(joined.tolist())
+            # Scales coarser than k no longer matter: a row free at k
+            # is free at every finer scale.
+            covered = np.maximum(covered, k + _scales_covering(
+                pts, live, pts[joined], rest, rest2))
+            keep = covered < ts.size
+            live, covered = live[keep], covered[keep]
+            free = np.flatnonzero(covered <= k)[:block]
+        sizes.append(len(sel))
+    return np.array(sel, dtype=int), sizes
+
+
+def _greedy_cover_linf(pts: np.ndarray, raw_ts: Sequence[float]
+                       ) -> tuple[np.ndarray, list[int]]:
     live = np.arange(pts.shape[0])
     near = np.full(live.size, np.inf)
     sel: list[int] = []
@@ -239,12 +383,74 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
         while free.any():
             i = int(live[free.argmax()])
             sel.append(i)
-            near = np.minimum(near, _row_norms(pts[live] - pts[i], norm))
+            near = np.minimum(near, _row_norms(pts[live] - pts[i], Norm.LINF))
             keep = near > raw_ts[-1]
             live, near = live[keep], near[keep]
             free = near > raw_t
         sizes.append(len(sel))
     return np.array(sel, dtype=int), sizes
+
+
+def _conflicts(c: np.ndarray, raw_t: float, t2: float) -> np.ndarray:
+    """``conflict[i, j]`` for j < i: whether rows i and j of ``c`` are
+    within L2 distance ``raw_t``, ``t2`` its square by ``_squared``.
+    Entries on and above the diagonal are not recomputed."""
+    out = np.empty((len(c), len(c)), dtype=bool)
+    for tile, cols, g, band in _gram_blocks(c, c):
+        near = g + band < t2
+        g -= band
+        r, s = np.nonzero(~near & ~(g > t2))
+        if r.size:
+            below = s + cols.start < r + tile.start
+            r, s = r[below], s[below]
+            near[r, s] = _pair_norms(c[tile], c[cols], r, s) <= raw_t
+        out[tile, cols] = near
+    return out
+
+
+def _first_fit(conflict: np.ndarray) -> list[int]:
+    """Rows that join when each row in order joins unless it conflicts
+    with an earlier joiner; a Python pass over bitmasks."""
+    n = len(conflict)
+    bits = np.packbits(conflict, axis=1, bitorder="little").tobytes()
+    w = len(bits) // n
+    mask, out = 0, []
+    for i in range(n):
+        if not int.from_bytes(bits[i * w:(i + 1) * w], "little") & mask:
+            mask |= 1 << i
+            out.append(i)
+    return out
+
+
+def _scales_covering(pts: np.ndarray, rows: np.ndarray, b: np.ndarray,
+                     ts: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+    """For each of ``pts[rows]``, how many of the ascending scales ``ts``
+    its L2 distance to the nearest row of ``b`` is at most.
+
+    ``b`` is at most isqrt(``BLOCK_ENTRIES``) rows, so each tile spans
+    it.  A row's nearest squared distance lies between the least lower
+    and the least upper end of its entries' bands; when no squared scale
+    ``t2s`` falls there, that count is the answer.  Otherwise the
+    entries whose band reaches below the least upper end, among them the
+    nearest, are recomputed in diff form."""
+    out = np.empty(len(rows), dtype=int)
+    for tile, _, g, band in _gram_blocks(pts, b, rows):
+        # Rounding is monotone, so hi and lo are each row's least g + band
+        # and least g - band; a row with an overflowed g has a NaN hi.
+        least = g.min(axis=1, keepdims=True)
+        hi, lo = (least + band)[:, 0], (least - band)[:, 0]
+        at = np.searchsorted(t2s, hi, "right")
+        out[tile] = ts.size - at
+        unsure = np.flatnonzero(np.isnan(hi)
+                                | (np.searchsorted(t2s, lo, "left") != at))
+        if unsure.size:
+            r, c = np.nonzero(~(g[unsure] - band[unsure] > hi[unsure, None]))
+            d = _pair_norms(pts, b, rows[tile][unsure][r], c)
+            dmin = np.minimum.reduceat(d, np.searchsorted(
+                r, np.arange(unsure.size)))
+            out[tile.start + unsure] = ts.size - np.searchsorted(ts, dmin,
+                                                                 "left")
+    return out
 
 
 def greedy_separated_set(u: Universe, t: float,
@@ -343,17 +549,33 @@ def packing_profile(u: Universe, ts: np.ndarray,
 
 def _nearest(points: np.ndarray, centers: np.ndarray,
              norm: Norm) -> np.ndarray:
-    """Row of the nearest center for every point, ties to the lowest."""
+    """Row of the nearest center for every point, ties to the lowest.
+
+    Under L2 the centres within the band of a row's least Gram upper
+    end are recomputed in diff form, and the nearest of those wins."""
     idx = np.zeros(points.shape[0], dtype=int)
     best = np.full(points.shape[0], np.inf)
-    for rows, cols, d in _distance_blocks(points, centers, norm):
-        j = d.argmin(axis=1)
-        dj = d[np.arange(j.size), j]
+    tiles = (((rows, cols, d.argmin(axis=1), d.min(axis=1))
+              for rows, cols, d in _distance_blocks(points, centers, norm))
+             if norm is Norm.LINF else _gram_nearest(points, centers))
+    for rows, cols, j, dj in tiles:
         # Strictly nearer only: a tie keeps the earlier tile's centre.
         nearer = dj < best[rows]
         idx[rows] = np.where(nearer, j + cols.start, idx[rows])
         best[rows] = np.where(nearer, dj, best[rows])
     return idx
+
+
+def _gram_nearest(points: np.ndarray, centers: np.ndarray):
+    """Per L2 tile, each row's nearest centre in the tile, the lowest on
+    a tie, and its diff-form distance."""
+    for rows, cols, g, band in _gram_blocks(points, centers):
+        top = g.min(axis=1, keepdims=True) + band
+        g -= band
+        r, c = np.nonzero(~(g > top))
+        d = _pair_norms(points[rows], centers[cols], r, c)
+        win = np.lexsort((c, d, r))[np.searchsorted(r, np.arange(len(top)))]
+        yield rows, cols, c[win], d[win]
 
 
 def _nearest_in_cover(pts: np.ndarray, rows: np.ndarray, cover: np.ndarray,
@@ -489,14 +711,31 @@ def verify_decomposition(u: Universe, dec: Decomposition) -> None:
             raise ValueError(
                 f"level {j} radius {r:.3e} exceeds {dec.level_radii[j]:.3e}")
     for j, g in enumerate(dec.generator_indices):
-        sub = u.points[g]
-        raw_t = dec.scales[j]
-        for rows, cols, d in _distance_blocks(sub, sub, dec.norm):
-            # Only each row's own entry is exempt: a repeated row fails.
+        if not _separated(u.points[g], dec.scales[j], dec.norm):
+            raise ValueError(f"generating set {j} is not strictly "
+                             f"{dec.scales[j]:.3e}-separated")
+
+
+def _separated(sub: np.ndarray, raw_t: float, norm: Norm) -> bool:
+    """Whether every two rows of ``sub`` are more than ``raw_t`` apart.
+    Only each row's own entry is exempt: a repeated row fails.  Under L2
+    only the pairs within the band of the scale are recomputed."""
+    if norm is Norm.LINF:
+        for rows, cols, d in _distance_blocks(sub, sub, norm):
             d[_diagonal(rows, cols)] = np.inf
             if not bool((d > raw_t).all()):
-                raise ValueError(f"generating set {j} is not strictly "
-                                 f"{raw_t:.3e}-separated")
+                return False
+        return True
+    t2 = _squared(raw_t)
+    for rows, cols, g, band in _gram_blocks(sub, sub):
+        g -= band
+        g[_diagonal(rows, cols)] = np.inf
+        if not g.min() > t2:
+            r, c = np.nonzero(~(g > t2))
+            if not bool((_pair_norms(sub[rows], sub[cols], r, c)
+                         > raw_t).all()):
+                return False
+    return True
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:

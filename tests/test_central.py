@@ -864,20 +864,21 @@ class TestIdentitySplit:
         assert not dec.remainders(u).any()
 
     def test_l2_diameter_is_built_once(self, monkeypatch):
+        # The L2 diameter is the only Gram-kernel call these rows make.
         builds = []
-        blocks = geometry._distance_blocks
+        blocks = geometry._gram_blocks
 
-        def counting(a, b, norm):
-            builds.append(norm)
-            return blocks(a, b, norm)
+        def counting(a, b, rows=None):
+            builds.append(a.shape)
+            return blocks(a, b, rows)
 
-        monkeypatch.setattr(geometry, "_distance_blocks", counting)
+        monkeypatch.setattr(geometry, "_gram_blocks", counting)
         u = harness.gen_thresholds(32)
         d = harness.gen_dataset(u, 200, seed=14)
         for seed in range(3):
             release("projection", d, 0.5, None, seed)
             release("pmw", d, 0.5, 0.3, seed)
-        assert builds == [Norm.L2]
+        assert builds == [u.points.shape]
         assert ("diameter", Norm.L2) in u._cache
 
 

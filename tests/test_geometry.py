@@ -415,6 +415,26 @@ def test_distance_tiles_keep_the_entry_budget(monkeypatch, norm, entries):
     assert diameter(Universe(points=c), norm) == float(within.max())
 
 
+@pytest.mark.parametrize("entries", [1, 7, 60, 200, 10_000])
+def test_gram_tiles_keep_the_entry_budget(monkeypatch, entries):
+    """Gram tiles cover the chosen rows' squared distances once, each
+    tile and its gather of rows within a quarter of BLOCK_ENTRIES floats
+    (or one row's m), and every entry within its band of the diff form."""
+    rng = np.random.default_rng(3)
+    a, b = rng.random((13, 5)), rng.random((11, 5))
+    rows = np.array([12, 0, 3, 3, 7, 1, 9, 4, 11])
+    square = _row_norms(a[rows, None, :] - b[None, :, :], Norm.L2) ** 2
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+    seen = np.zeros(square.shape, dtype=int)
+    for tile, cols, g, band in geometry._gram_blocks(a, b, rows):
+        height = tile.stop - tile.start
+        assert max(g.size, height * a.shape[1]) <= max(entries / 4,
+                                                       a.shape[1])
+        seen[tile, cols] += 1
+        assert (np.abs(g - square[tile, cols]) <= band).all()
+    assert (seen == 1).all()
+
+
 def full_table_levels(u, dec):
     """Levels and assignments from every universe row's nearest centre
     at every level, as the decomposition first computed them."""
@@ -648,3 +668,182 @@ class TestPreprocessingCache:
         for _ in range(2):
             with pytest.raises(ValueError):
                 chaining_decomposition(u, 0.5, Norm.L2, delta_cap=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Gram-form L2 kernels against their diff-form references
+
+
+def reference_diameter(pts):
+    """The diff-form L2 diameter: the largest ``_row_norms(a - b)``."""
+    return max(float(_row_norms(pts - row, Norm.L2).max()) for row in pts)
+
+
+def reference_nearest(points, centers):
+    """Diff-form nearest centres, ties to the lowest."""
+    return [int(_row_norms(centers - p, Norm.L2).argmin()) for p in points]
+
+
+def reference_greedy_cover(pts, raw_ts):
+    """The join-by-join diff-form scan the blocked L2 cover must match."""
+    live = np.arange(pts.shape[0])
+    near = np.full(live.size, np.inf)
+    sel, sizes = [], []
+    for raw_t in raw_ts:
+        free = near > raw_t
+        while free.any():
+            i = int(live[free.argmax()])
+            sel.append(i)
+            near = np.minimum(near, _row_norms(pts[live] - pts[i], Norm.L2))
+            keep = near > raw_ts[-1]
+            live, near = live[keep], near[keep]
+            free = near > raw_t
+        sizes.append(len(sel))
+    return sel, sizes
+
+
+def reference_separated(pts, raw_t):
+    return all(float(_row_norms(pts[i] - pts[j], Norm.L2)) > raw_t
+               for i, j in itertools.combinations(range(len(pts)), 2))
+
+
+def _tie_heavy_marginals():
+    # m = 28; t = 2^-j sqrt(28) puts pairs exactly at t^2 = 7 and 1.75.
+    u = harness.gen_marginals2(8)
+    return u.points, [2.0 ** -j * math.sqrt(28) for j in range(5)]
+
+
+def _thresholds_at_radius_4():
+    return harness.gen_thresholds(64).points, [8.0, 4.0, 2.0]
+
+
+def _duplicate_rows():
+    pts = np.random.default_rng(30).random((40, 3))
+    pts[[5, 17, 33]] = pts[2]
+    pts[20:26] = pts[8:14]
+    return pts, [0.4, 0.2, 0.1, 0.05]
+
+
+def _shifted_sphere():
+    # Norms near 1e6 make the band about 1e-3, so it holds many entries.
+    pts = harness.gen_random_sphere(6, 80, 1.0, seed=4).points + 1e6
+    return pts, [1.0, 0.5, 0.25]
+
+
+def _shifted_near_ties():
+    # Near 1e6 the Gram form errs by about 1e-3 in a squared distance, and
+    # these decisions are closer than that: rows 10 to 14 are midpoints of
+    # two close centres nudged by 1e-7, and the five antipodal pairs of
+    # rows 15 to 24 differ in length by parts in 1e9.
+    rng = np.random.default_rng(33)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    c = unit(rng.standard_normal((10, 6)))
+    c[1::2] = unit(c[0::2] + 0.2 * rng.standard_normal((5, 6)))
+    mids = (c[0::2] + c[1::2]) / 2 + 1e-7 * rng.standard_normal((5, 6))
+    poles = unit(rng.standard_normal((5, 6)))
+    far = -poles * (1 - 1e-9 * np.arange(5))[:, None]
+    pts = np.vstack([c, mids, poles, far]) + 1e6
+    return pts, [2.0, 1.0, 0.5, 0.25], pts[:10]
+
+
+def _huge():
+    # Every squared norm overflows, and some squared differences do.
+    pts = 1e154 * (1.0 + np.random.default_rng(31).random((30, 4)))
+    return pts, [2e154, 1e154, 5e153]
+
+
+GRAM_CASES = {"marginals2_8": _tie_heavy_marginals,
+              "thresholds64": _thresholds_at_radius_4,
+              "duplicates": _duplicate_rows, "shifted_sphere": _shifted_sphere,
+              "shifted_near_ties": _shifted_near_ties, "huge": _huge}
+
+
+@pytest.fixture(scope="module")
+def gram_references():
+    out = {}
+    for name, make in GRAM_CASES.items():
+        pts, ts, *centers = make()
+        centers = centers[0] if centers else pts[::3]
+        sep = pts[greedy_separated_set(Universe(points=pts),
+                                       ts[1] / math.sqrt(pts.shape[1]))]
+        # The set's least distance, and the float below it: a tie fails.
+        least = min(float(_row_norms(a - b, Norm.L2))
+                    for a, b in itertools.combinations(sep, 2))
+        sep_ts = [*ts, least, float(np.nextafter(least, 0))]
+        out[name] = dict(
+            pts=pts, ts=ts, centers=centers, sep=sep, sep_ts=sep_ts,
+            diameter=reference_diameter(pts),
+            nearest=reference_nearest(pts, centers),
+            covers=[reference_greedy_cover(pts, ts),
+                    reference_greedy_cover(pts, ts[1:2])],
+            separated=[reference_separated(sep, t) for t in sep_ts])
+    return out
+
+
+@pytest.mark.parametrize("entries", [1, 7, 60, 10_000])
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_gram_kernels_equal_the_diff_form(gram_references, monkeypatch,
+                                          name, entries):
+    ref = gram_references[name]
+    pts, ts = ref["pts"], ref["ts"]
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+    assert diameter(Universe(points=pts)) == ref["diameter"]
+    assert _nearest(pts, ref["centers"], Norm.L2).tolist() == ref["nearest"]
+    for want, scales in zip(ref["covers"], [ts, ts[1:2]]):
+        sel, sizes = geometry._greedy_cover(pts, scales, Norm.L2)
+        assert (sel.tolist(), sizes) == want
+    assert [geometry._separated(ref["sep"], t, Norm.L2)
+            for t in ref["sep_ts"]] == ref["separated"]
+
+
+@pytest.mark.parametrize("entries", [7, 10_000])
+def test_cover_decisions_at_exact_ties(monkeypatch, entries):
+    """At scales equal to diff-form distances between rows near 1e6,
+    where the Gram form errs by about 1e-3, the L2 cover's conflicts and
+    covered counts are the diff form's."""
+    pts = harness.gen_random_sphere(6, 40, 1.0, seed=5).points + 1e6
+    d = np.array([_row_norms(pts - row, Norm.L2) for row in pts])
+    below = np.tri(len(pts), k=-1, dtype=bool)
+    # The cover passes at most isqrt(BLOCK_ENTRIES) joined rows.
+    joined = min(5, math.isqrt(entries))
+    nearest = d[:, :joined].min(axis=1)
+    ts = np.unique(np.concatenate([d[below][::53], nearest[joined::4]]))
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
+    for t in ts:
+        got = geometry._conflicts(pts, t, geometry._squared(t))
+        assert (got[below] == (d <= t)[below]).all()
+    covered = geometry._scales_covering(pts, np.arange(len(pts)),
+                                        pts[:joined], ts,
+                                        geometry._squared(ts))
+    assert covered.tolist() == (nearest[:, None] <= ts).sum(axis=1).tolist()
+
+
+def _recomputed(monkeypatch, run):
+    """How many pairs ``run`` sends to the diff form."""
+    checked = []
+    real = geometry._pair_norms
+
+    def counting(a, b, r, c):
+        checked.append(len(r))
+        return real(a, b, r, c)
+
+    monkeypatch.setattr(geometry, "_pair_norms", counting)
+    run()
+    return sum(checked)
+
+
+def test_the_band_sends_entries_to_the_diff_form(monkeypatch):
+    """The greedy cover decides every pair of the unit sphere by its Gram
+    value, but shifted to norms near 1e6 the band holds some of them;
+    past overflow the diameter recomputes every pair."""
+    pts, ts = _shifted_sphere()
+    unit = harness.gen_random_sphere(6, 80, 1.0, seed=4).points
+    counts = [_recomputed(monkeypatch, lambda: geometry._greedy_cover(
+        p, ts, Norm.L2)) for p in (unit, pts)]
+    assert counts[0] == 0 and counts[1] > 0
+    pts, _ = _huge()
+    assert _recomputed(monkeypatch, lambda: diameter(
+        Universe(points=pts))) == len(pts) ** 2
