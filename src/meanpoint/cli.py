@@ -282,13 +282,16 @@ def _bench(args) -> int:
         raise ValueError("--n-grid must be comma-separated integers") from exc
     if not mechs or not n_grid:
         raise ValueError("need at least one mechanism and one n value")
-    # Refuse a bad mechanism, rate, split or n before the first cell runs
-    # (the cells reuse the memoised splits).  Only an epsilon / k past the
-    # sign channel's limit is refused later, at the row's first release.
+    # Refuse a bad mechanism, rate, split, level share or n before the
+    # first cell runs (the cells reuse the memoised splits); a local row's
+    # epsilon / k must suit the sign channel.
     specs = [_spec(mech, args) for mech in mechs]
     for spec in specs:
         harness.make_mechanism(spec)
-        harness.MECHANISMS[spec["mechanism"]].split(u, spec.get("alpha"))
+        row = harness.MECHANISMS[spec["mechanism"]]
+        dec = row.split(u, spec.get("alpha"))
+        if row.privacy == "epsilon":
+            local._refuse_epsilon(spec["epsilon"], dec.k)
     datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)
                 for n in n_grid]
     # csv writes None as an empty field and a float as its repr.

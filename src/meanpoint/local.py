@@ -127,6 +127,17 @@ def _refuse_parties(n: int) -> None:
         raise ValueError(f"{n} parties do not fit one uint32 spawn-key word")
 
 
+def _refuse_epsilon(epsilon, k: int = 1) -> float:
+    """Each of k levels' epsilon / k, as the float of the exact quotient;
+    refused when the sign bias, a third of it, would leave [0, 1/2]."""
+    part = float(as_fraction(epsilon) / k)
+    if not 0 < part <= EPSILON_BIAS_LIMIT:
+        raise ValueError(f"epsilon {part} is not in (0, "
+                         f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
+                         "leave [0, 1/2]")
+    return part
+
+
 def _party_generators(seed, n: int):
     """Party i's generator for i < n, drawing exactly as ``default_rng``
     of child i of ``as_seed_sequence(seed).spawn(n)``, made lazily.
@@ -199,10 +210,7 @@ def _channel(rngs, tables: list, epsilon: float, m: int,
     order, so the sums are the floats ``np.add.reduce`` of all n
     releases gives; at m = 1 numpy sums one contiguous column pairwise,
     so past one block the last bits may differ."""
-    if not 0 < epsilon <= EPSILON_BIAS_LIMIT:
-        raise ValueError(f"epsilon {epsilon} is not in (0, "
-                         f"{EPSILON_BIAS_LIMIT}]; the sign bias would "
-                         "leave [0, 1/2]")
+    _refuse_epsilon(epsilon)
     k, n = len(tables), len(tables[0][2])
     block = min(n, max(1, geometry.BLOCK_ENTRIES // (k * m)))
     buf, rngs = np.empty((k, block + 1, m)), iter(rngs)
@@ -268,7 +276,7 @@ class LevelProtocol:
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.levels) \
                 or len(self.rows) < 1:
             raise ValueError("need one row per level for each party")
-        self.part = float(as_fraction(self.epsilon) / len(self.levels))
+        self.part = _refuse_epsilon(self.epsilon, len(self.levels))
         self.tables = []
         for lvl, rows in zip(self.levels, self.rows.T):
             scale = float(np.linalg.norm(lvl, axis=1).max()) or 1.0

@@ -70,18 +70,21 @@ def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
     ["--mechanisms", "projection,chaining", "--rho", "0.5", "--alpha", "1.5"],
     ["--mechanisms", "lpm,projection", "--rho", "0", "--epsilon", "1"],
     ["--mechanisms", "projection,pmw", "--rho", "0.5", "--alpha", "nan"],
+    ["--mechanisms", "projection,lpm", "--rho", "0.5", "--epsilon", "5"],
 ])
 def test_bench_refuses_before_any_cell_runs(universe_file, argv, capsys,
-                                            monkeypatch):
+                                            monkeypatch, tmp_path):
     def no_cells(*args, **kwargs):
         pytest.fail("a cell ran before the configuration was refused")
 
     monkeypatch.setattr(harness, "measure_error", no_cells)
     grid = [] if "--n-grid" in argv else ["--n-grid", "20,40"]
+    out = tmp_path / "bench.csv"
     code = cli.main(["bench", "--universe", universe_file, *argv, *grid,
-                     "--trials", "1"])
+                     "--trials", "1", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_run_exits_3_on_an_uncertified_projection(universe_file, tmp_path,
