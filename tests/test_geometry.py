@@ -708,7 +708,7 @@ def reference_separated(pts, raw_t):
 
 
 def _tie_heavy_marginals():
-    # m = 28; t = 2^-j sqrt(28) puts pairs exactly at t^2 = 7 and 1.75.
+    # m = 28; t = 2^-j sqrt(28) puts pairs exactly at t^2 = 28 and 7.
     u = harness.gen_marginals2(8)
     return u.points, [2.0 ** -j * math.sqrt(28) for j in range(5)]
 
@@ -725,7 +725,8 @@ def _duplicate_rows():
 
 
 def _shifted_sphere():
-    # Norms near 1e6 make the band about 1e-3, so it holds many entries.
+    # Norms near 1e6 make the band about 0.06 in a squared distance, so
+    # it holds many entries.
     pts = harness.gen_random_sphere(6, 80, 1.0, seed=4).points + 1e6
     return pts, [1.0, 0.5, 0.25]
 
