@@ -37,10 +37,11 @@ from .privacy import PrivacyBudget, as_fraction
 class Dataset:
     """Multiset of universe rows; the estimation target is its mean.
 
-    ``counts`` says how many elements sit on each universe row, and it
-    is kept as a read-only copy.  It is all a central release reads: the
-    mean is ``counts @ points / n``, O(|X| * m) at any n.  The local
-    protocols read ``indices``, one row per party.
+    ``counts`` says how many elements sit on each universe row, less
+    than 2**63 in all, and it is kept as a read-only int64 copy.  It is
+    all a central release reads: the mean is ``counts @ points / n``,
+    O(|X| * m) at any n.  The local protocols read ``indices``, one row
+    per party.
     """
 
     universe: Universe
@@ -55,18 +56,24 @@ class Dataset:
                 np.isfinite(counts).all() and (counts >= 0).all()
                 and (counts == np.floor(counts)).all()):
             raise ValueError("dataset counts must be non-negative integers")
-        total = counts.sum()
-        if total < 1:
-            raise ValueError("dataset must contain at least one element")
+        # Clipped at 2**63, float counts cast exactly; a uint64 sum wraps
+        # only where the prefix sums fall.
+        wide = (np.minimum(counts, 2.0 ** 63) if counts.dtype.kind == "f"
+                else counts).astype(np.uint64)
+        prefix = np.cumsum(wide)
+        self.n = int(prefix[-1])
+        if not 1 <= self.n < 2 ** 63 or (prefix[1:] < prefix[:-1]).any():
+            raise ValueError("dataset counts must total at least 1 and fit "
+                             "an int64")
+        counts = counts.astype(np.int64, copy=False)
         counts.setflags(write=False)
         self.counts = counts
-        self.n = int(total)
 
     @cached_property
     def indices(self) -> np.ndarray:
         """Each element's universe row, grouped by row, built once and
         read-only: the local protocols' party i holds row ``indices[i]``."""
-        idx = np.repeat(np.arange(self.universe.size), self.counts.astype(int))
+        idx = np.repeat(np.arange(self.universe.size), self.counts)
         idx.setflags(write=False)
         return idx
 
@@ -133,12 +140,13 @@ def projection_mechanism(d: Dataset, rho, seed=None) -> MechanismOutput:
 def level_dataset(d: Dataset, dec: Decomposition, j: int) -> Dataset:
     """Dataset induced on level j by the decomposition's assignments.
 
-    Its counts add ``d``'s counts over the universe rows that level j
-    maps to each of its rows: O(|X|), whatever n is.
+    Its counts add ``d``'s counts, as integers, over the universe rows
+    that level j maps to each of its rows: O(|X|), whatever n is.
     """
     level = dec.level_universes[j]
-    return Dataset(universe=level, counts=np.bincount(
-        dec.assignments[:, j], weights=d.counts, minlength=level.size))
+    counts = np.zeros(level.size, dtype=np.int64)
+    np.add.at(counts, dec.assignments[:, j], d.counts)
+    return Dataset(universe=level, counts=counts)
 
 
 def decompose_and_run(d: Dataset, dec: Decomposition,

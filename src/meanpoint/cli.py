@@ -284,7 +284,7 @@ def _bench(args) -> int:
         raise ValueError("need at least one mechanism and one n value")
     # Refuse a bad mechanism, rate, split, level share or n before the
     # first cell runs (the cells reuse the memoised splits); a local row's
-    # epsilon / k must suit the sign channel.
+    # epsilon / k and its parties at the largest n must suit the channel.
     specs = [_spec(mech, args) for mech in mechs]
     for spec in specs:
         harness.make_mechanism(spec)
@@ -292,6 +292,7 @@ def _bench(args) -> int:
         dec = row.split(u, spec.get("alpha"))
         if row.privacy == "epsilon":
             local._refuse_epsilon(spec["epsilon"], dec.k)
+            local._refuse_parties(max(n_grid))
     datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)
                 for n in n_grid]
     # csv writes None as an empty field and a float as its repr.

@@ -31,8 +31,8 @@ the band, against a squared scale or against another entry, is the one
 the diff-form floats make.  Every entry inside the band, and every g
 that overflowed (it is NaN), is recomputed in diff form, so the
 diameter, nearest centres, greedy separated sets and the separation
-check return exactly the diff form's floats and indices.
-Sup-norm distances have no Gram form and are computed in diff form.
+check return exactly the diff form's floats and indices.  Sup-norm
+tiles are the exact diff-form distances with a zero band (``_tiles``).
 """
 
 from __future__ import annotations
@@ -187,29 +187,6 @@ class Decomposition:
 # distances
 
 
-def _distance_blocks(a: np.ndarray, b: np.ndarray, norm: Norm):
-    """Distances from the rows of ``a`` to the rows of ``b``, in tiles.
-
-    Yields ``(rows, cols, d)``, two slices and ``d[r, c]`` the distance
-    from ``a[rows][r]`` to ``b[cols][c]``, with the tiles of a row block
-    in column order.  A tile spans all of ``b`` when one row of it fits
-    ``BLOCK_ENTRIES``; each temporary holds at most ``BLOCK_ENTRIES``
-    floats, or one row's m if that is more.  Every entry is the
-    diff-form float ``_row_norms(a[i] - b[j])`` the untiled computation
-    gives.  The L2 decisions read ``_gram_blocks`` instead and recompute
-    only the entries inside its band in this form, by ``_pair_norms``.
-    """
-    (na, m), nb = a.shape, b.shape[0]
-    width = min(nb, max(1, BLOCK_ENTRIES // max(1, m)))
-    height = max(1, BLOCK_ENTRIES // max(1, width * m))
-    for i0 in range(0, na, height):
-        rows = slice(i0, min(i0 + height, na))
-        for j0 in range(0, nb, width):
-            cols = slice(j0, min(j0 + width, nb))
-            yield rows, cols, _row_norms(a[rows, None, :] - b[None, cols, :],
-                                         norm)
-
-
 def _gram_blocks(a: np.ndarray, b: np.ndarray,
                  rows: np.ndarray | None = None):
     """Gram-form squared L2 distances from rows of ``a`` to the rows of
@@ -224,10 +201,9 @@ def _gram_blocks(a: np.ndarray, b: np.ndarray,
     underflow).  A tile is at most isqrt(``BLOCK_ENTRIES``) columns
     wide, so it spans all of ``b`` when ``b`` has no more rows, and
     holds at most a quarter of ``BLOCK_ENTRIES`` entries, as does its
-    gather of rows of ``a`` (or one row's m if that is more): with the
-    few arrays of its size a caller derives, a tile stays within the
-    one ``BLOCK_ENTRIES`` temporary of the diff form.  ``g`` is the
-    caller's to modify.
+    gather of rows of ``a`` (or one row's m if that is more), so with
+    the few arrays of its size a caller derives it stays within one
+    ``BLOCK_ENTRIES`` temporary.  ``g`` is the caller's to modify.
     """
     m, nb = a.shape[1], b.shape[0]
     n = a.shape[0] if rows is None else len(rows)
@@ -257,18 +233,44 @@ def _gram_blocks(a: np.ndarray, b: np.ndarray,
             yield tile, cols, g, a_band + b_band[j]
 
 
-def _pair_norms(a: np.ndarray, b: np.ndarray, r: np.ndarray,
-                c: np.ndarray) -> np.ndarray:
-    """The diff-form L2 distance ``_row_norms(a[r] - b[c])`` of each pair
-    ``(r[i], c[i])``, in blocks of pairs whose two gathers together hold
-    at most ``BLOCK_ENTRIES`` floats."""
+def _tiles(a: np.ndarray, b: np.ndarray, norm: Norm,
+           rows: np.ndarray | None = None):
+    """Distances from rows of ``a`` to the rows of ``b`` under ``norm``,
+    tiled as by ``_gram_blocks``: ``(tile, cols, values, band)``, each
+    value compared with a scale t's ``_key``.  Sup-norm tiles have a zero
+    band: a maximum is exact, so the running maximum of |x_k - y_k| over
+    coordinates is ``_row_norms(x - y)``."""
+    if norm is Norm.L2:
+        yield from _gram_blocks(a, b, rows)
+        return
+    m, nb = a.shape[1], b.shape[0]
+    n = a.shape[0] if rows is None else len(rows)
+    width = min(nb, max(1, math.isqrt(BLOCK_ENTRIES)))
+    height = max(1, BLOCK_ENTRIES // 4 // max(width, m))
+    for i0 in range(0, n, height):
+        tile = slice(i0, min(i0 + height, n))
+        at = (a[tile] if rows is None else a[rows[tile]]).T[:, :, None]
+        for j0 in range(0, nb, width):
+            cols = slice(j0, min(j0 + width, nb))
+            d, t = np.zeros((2, at.shape[1], cols.stop - cols.start))
+            for x, y in zip(at, b[cols].T):
+                np.abs(np.subtract(x, y, out=t), out=t)
+                np.maximum(d, t, out=d)
+            yield tile, cols, d, 0.0
+
+
+def _pair_norms(a: np.ndarray, b: np.ndarray, r: np.ndarray, c: np.ndarray,
+                norm: Norm) -> np.ndarray:
+    """The diff-form distance ``_row_norms(a[r] - b[c], norm)`` of each
+    pair ``(r[i], c[i])``, in blocks of pairs whose two gathers together
+    hold at most ``BLOCK_ENTRIES`` floats."""
     out = np.empty(len(r))
     step = max(1, BLOCK_ENTRIES // (2 * a.shape[1]))
     for i0 in range(0, len(r), step):
         blk = slice(i0, i0 + step)
         diff = a[r[blk]]
         diff -= b[c[blk]]
-        out[blk] = _row_norms(diff, Norm.L2)
+        out[blk] = _row_norms(diff, norm)
     return out
 
 
@@ -280,10 +282,9 @@ def _squared(t):
         return np.minimum(np.square(t), _MAX)
 
 
-def _diagonal(rows: slice, cols: slice) -> tuple:
-    """Positions in a ``(rows, cols)`` tile of the pairs (i, i)."""
-    i = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-    return i - rows.start, i - cols.start
+def _key(t, norm: Norm):
+    """What ``_tiles`` values are compared with for the scale ``t``."""
+    return _squared(t) if norm is Norm.L2 else t
 
 
 def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
@@ -292,8 +293,10 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
     Under the sup norm it is the widest coordinate range: the pair of
     extremes in that coordinate attains it, and float subtraction is
     monotone, so the range is the same float as the pairwise maximum.
-    Under L2 the pairs within the band of a tile's largest Gram entry
-    are recomputed in diff form, and the largest of those is returned.
+    It is O(N m): 0.11 ms against 765 ms for the L2 body on sup-norm
+    tiles on ``gen_random_sphere(20, 2000)`` (best of 3).  Under L2 the
+    pairs within the band of a tile's largest Gram entry are recomputed
+    in diff form, and the largest of those is returned.
     """
 
     def build() -> float:
@@ -301,12 +304,12 @@ def diameter(u: Universe, norm: Norm = Norm.L2) -> float:
         if norm is Norm.LINF:
             return float(np.ptp(pts, axis=0).max())
         best = 0.0
-        for tile, cols, g, band in _gram_blocks(pts, pts):
+        for tile, cols, g, band in _tiles(pts, pts, norm):
             # Rounding is monotone, so this is the largest g - band.
             low = float((g.max(axis=1, keepdims=True) - band).max())
             r, c = np.nonzero(~(g + band < low))
-            best = max(best, float(_pair_norms(pts[tile], pts[cols], r,
-                                               c).max()))
+            best = max(best, float(_pair_norms(pts[tile], pts[cols], r, c,
+                                               norm).max()))
         return best
 
     return _memo(u, ("diameter", norm), build)
@@ -327,15 +330,12 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
     within the finest scale of the selection can never join and leaves
     the scan, so no distance is computed twice.
 
-    Under the sup norm ``near`` holds each live row's distance to the
-    selection: the first row with ``near`` above the scale joins, and
-    one distance row from it updates ``near``.  Under L2 only how a
-    row's distance compares with the scales matters, so each live row
-    keeps ``covered``, the number of scales its distance to the
-    selection is at most (always the coarsest ones), and is free at
-    scale k exactly when ``covered <= k``.  The free rows are
-    resolved a block at a time: the block's conflicts at the scale,
-    one matrix from ``_gram_blocks``, decide which rows join in index
+    Under L2 only how a row's distance compares with the scales
+    matters, so each live row keeps ``covered``, the number of scales
+    its distance to the selection is at most (always the coarsest ones),
+    and is free at scale k exactly when ``covered <= k``.  The free rows
+    are resolved a block at a time: the block's conflicts at the scale,
+    one matrix from ``_conflicts``, decide which rows join in index
     order (``_first_fit``), and one kernel call from the joined rows
     updates ``covered`` (``_scales_covering``).  Every decision is the
     diff-form one (module docstring).
@@ -349,7 +349,7 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
     ts2 = _squared(ts)
     live = np.arange(pts.shape[0])
     covered = np.zeros(live.size, dtype=int)
-    # One block's conflicts fill one tile of _gram_blocks.
+    # One block's conflicts fill one L2 tile of _tiles.
     block = max(1, min(math.isqrt(BLOCK_ENTRIES // 4),
                        BLOCK_ENTRIES // 4 // pts.shape[1]))
     sel: list[int] = []
@@ -359,7 +359,7 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
         free = np.flatnonzero(covered <= k)[:block]
         while free.size:
             cand = live[free]
-            joined = cand[_first_fit(_conflicts(pts[cand], raw_t, rest2[-1]))]
+            joined = cand[_first_fit(_conflicts(pts[cand], raw_t, norm))]
             sel.extend(joined.tolist())
             # Scales coarser than k no longer matter: a row free at k
             # is free at every finer scale.
@@ -374,6 +374,11 @@ def _greedy_cover(pts: np.ndarray, raw_ts: Sequence[float],
 
 def _greedy_cover_linf(pts: np.ndarray, raw_ts: Sequence[float]
                        ) -> tuple[np.ndarray, list[int]]:
+    """``_greedy_cover`` under the sup norm, one join and one distance row
+    at a time.  The L2 block scan on sup-norm tiles selects the same rows
+    but measured 2.5-4.3x slower on the workloads' universes (the
+    ``marginals2(8)`` alpha = 0.1 decomposition 29.6 -> 94.0 ms), only
+    15-22% faster at the ``marginals2(12)`` cap."""
     live = np.arange(pts.shape[0])
     near = np.full(live.size, np.inf)
     sel: list[int] = []
@@ -391,19 +396,20 @@ def _greedy_cover_linf(pts: np.ndarray, raw_ts: Sequence[float]
     return np.array(sel, dtype=int), sizes
 
 
-def _conflicts(c: np.ndarray, raw_t: float, t2: float) -> np.ndarray:
+def _conflicts(c: np.ndarray, raw_t: float, norm: Norm) -> np.ndarray:
     """``conflict[i, j]`` for j < i: whether rows i and j of ``c`` are
-    within L2 distance ``raw_t``, ``t2`` its square by ``_squared``.
-    Entries on and above the diagonal are not recomputed."""
+    within distance ``raw_t``.  Entries on and above the diagonal are
+    not recomputed."""
+    t2 = _key(raw_t, norm)
     out = np.empty((len(c), len(c)), dtype=bool)
-    for tile, cols, g, band in _gram_blocks(c, c):
+    for tile, cols, g, band in _tiles(c, c, norm):
         near = g + band < t2
         g -= band
         r, s = np.nonzero(~near & ~(g > t2))
         if r.size:
             below = s + cols.start < r + tile.start
             r, s = r[below], s[below]
-            near[r, s] = _pair_norms(c[tile], c[cols], r, s) <= raw_t
+            near[r, s] = _pair_norms(c[tile], c[cols], r, s, norm) <= raw_t
         out[tile, cols] = near
     return out
 
@@ -434,7 +440,7 @@ def _scales_covering(pts: np.ndarray, rows: np.ndarray, b: np.ndarray,
     entries whose band reaches below the least upper end, among them the
     nearest, are recomputed in diff form."""
     out = np.empty(len(rows), dtype=int)
-    for tile, _, g, band in _gram_blocks(pts, b, rows):
+    for tile, _, g, band in _tiles(pts, b, Norm.L2, rows):
         # Rounding is monotone, so hi and lo are each row's least g + band
         # and least g - band; a row with an overflowed g has a NaN hi.
         least = g.min(axis=1, keepdims=True)
@@ -445,7 +451,7 @@ def _scales_covering(pts: np.ndarray, rows: np.ndarray, b: np.ndarray,
                                 | (np.searchsorted(t2s, lo, "left") != at))
         if unsure.size:
             r, c = np.nonzero(~(g[unsure] - band[unsure] > hi[unsure, None]))
-            d = _pair_norms(pts, b, rows[tile][unsure][r], c)
+            d = _pair_norms(pts, b, rows[tile][unsure][r], c, Norm.L2)
             dmin = np.minimum.reduceat(d, np.searchsorted(
                 r, np.arange(unsure.size)))
             out[tile.start + unsure] = ts.size - np.searchsorted(ts, dmin,
@@ -489,20 +495,18 @@ def packing_number(u: Universe, t: float, norm: Norm = Norm.L2) -> int:
     """Exact separation number at scale t.
 
     Solves maximum independent set on the distance-at-most-t conflict
-    graph, capped at ``EXACT_PACKING_CAP`` points; a greedy estimate is
-    the size of ``greedy_separated_set``.
+    graph, the symmetrised lower triangle of ``_conflicts``, capped at
+    ``EXACT_PACKING_CAP`` points; a greedy estimate is the size of
+    ``greedy_separated_set``.
     """
     n = u.size
     if n > EXACT_PACKING_CAP:
         raise ValueError(f"exact packing capped at {EXACT_PACKING_CAP} "
                          f"points (universe has {n})")
-    raw_t = t * norm.unit(u.dim)
-    adj = [0] * n
-    for rows, cols, d in _distance_blocks(u.points, u.points, norm):
-        d[_diagonal(rows, cols)] = np.inf
-        for i, row in enumerate(d <= raw_t, rows.start):
-            adj[i] |= sum(1 << j for j in
-                          (np.flatnonzero(row) + cols.start).tolist())
+    conflict = np.tril(_conflicts(u.points, t * norm.unit(u.dim), norm), -1)
+    conflict |= conflict.T
+    adj = [int.from_bytes(row.tobytes(), "little") for row in
+           np.packbits(conflict, axis=1, bitorder="little")]
     lower = greedy_separated_set(u, t, norm).size
     return _mis_size(adj, n, lower=lower)
 
@@ -551,31 +555,21 @@ def _nearest(points: np.ndarray, centers: np.ndarray,
              norm: Norm) -> np.ndarray:
     """Row of the nearest center for every point, ties to the lowest.
 
-    Under L2 the centres within the band of a row's least Gram upper
-    end are recomputed in diff form, and the nearest of those wins."""
+    Per tile, the centres not above a row's least upper end (value plus
+    band) are recomputed in diff form, and the nearest of those wins."""
     idx = np.zeros(points.shape[0], dtype=int)
     best = np.full(points.shape[0], np.inf)
-    tiles = (((rows, cols, d.argmin(axis=1), d.min(axis=1))
-              for rows, cols, d in _distance_blocks(points, centers, norm))
-             if norm is Norm.LINF else _gram_nearest(points, centers))
-    for rows, cols, j, dj in tiles:
-        # Strictly nearer only: a tie keeps the earlier tile's centre.
-        nearer = dj < best[rows]
-        idx[rows] = np.where(nearer, j + cols.start, idx[rows])
-        best[rows] = np.where(nearer, dj, best[rows])
-    return idx
-
-
-def _gram_nearest(points: np.ndarray, centers: np.ndarray):
-    """Per L2 tile, each row's nearest centre in the tile, the lowest on
-    a tie, and its diff-form distance."""
-    for rows, cols, g, band in _gram_blocks(points, centers):
+    for rows, cols, g, band in _tiles(points, centers, norm):
         top = g.min(axis=1, keepdims=True) + band
         g -= band
         r, c = np.nonzero(~(g > top))
-        d = _pair_norms(points[rows], centers[cols], r, c)
+        d = _pair_norms(points[rows], centers[cols], r, c, norm)
         win = np.lexsort((c, d, r))[np.searchsorted(r, np.arange(len(top)))]
-        yield rows, cols, c[win], d[win]
+        # Strictly nearer only: a tie keeps the earlier tile's centre.
+        nearer = d[win] < best[rows]
+        idx[rows] = np.where(nearer, c[win] + cols.start, idx[rows])
+        best[rows] = np.where(nearer, d[win], best[rows])
+    return idx
 
 
 def _nearest_in_cover(pts: np.ndarray, rows: np.ndarray, cover: np.ndarray,
@@ -718,21 +712,16 @@ def verify_decomposition(u: Universe, dec: Decomposition) -> None:
 
 def _separated(sub: np.ndarray, raw_t: float, norm: Norm) -> bool:
     """Whether every two rows of ``sub`` are more than ``raw_t`` apart.
-    Only each row's own entry is exempt: a repeated row fails.  Under L2
-    only the pairs within the band of the scale are recomputed."""
-    if norm is Norm.LINF:
-        for rows, cols, d in _distance_blocks(sub, sub, norm):
-            d[_diagonal(rows, cols)] = np.inf
-            if not bool((d > raw_t).all()):
-                return False
-        return True
-    t2 = _squared(raw_t)
-    for rows, cols, g, band in _gram_blocks(sub, sub):
+    Only each row's own entry is exempt: a repeated row fails.  Only the
+    pairs within the band of the scale are recomputed."""
+    t2 = _key(raw_t, norm)
+    for rows, cols, g, band in _tiles(sub, sub, norm):
         g -= band
-        g[_diagonal(rows, cols)] = np.inf
+        i = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+        g[i - rows.start, i - cols.start] = np.inf
         if not g.min() > t2:
             r, c = np.nonzero(~(g > t2))
-            if not bool((_pair_norms(sub[rows], sub[cols], r, c)
+            if not bool((_pair_norms(sub[rows], sub[cols], r, c, norm)
                          > raw_t).all()):
                 return False
     return True

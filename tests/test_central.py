@@ -228,6 +228,21 @@ class TestCountForm:
                 level.counts,
                 np.bincount(gathered, minlength=dec.level_universes[j].size))
 
+    @pytest.mark.parametrize("name", sorted(COUNT_UNIVERSES))
+    def test_level_n_is_the_dataset_n_past_2_to_the_53(self, name):
+        # Float sums of counts round past 2^53: a one-hot 2^53 + 3 gave
+        # every level n + 1, and 2^60 uniform draws some levels a larger n.
+        u = COUNT_UNIVERSES[name]()
+        one_hot = np.zeros(u.size, dtype=np.int64)
+        one_hot[1] = 2 ** 53 + 3
+        dec = chaining_decomposition(u, 0.1)
+        for d in (Dataset(universe=u, counts=one_hot),
+                  *(harness.gen_dataset(u, 2 ** 60, seed=s)
+                    for s in range(4))):
+            for j in range(dec.k):
+                level = level_dataset(d, dec, j)
+                assert level.n == d.n and level.counts.dtype == np.int64
+
     def test_indices_are_one_read_only_view_of_the_counts(
             self, small_universe):
         counts = np.bincount([3, 0, 0], minlength=small_universe.size)
@@ -257,6 +272,11 @@ class TestCountForm:
             "matrix": counts[None, :],
             "zero total": np.zeros(size, dtype=int),
             "booleans": counts > 0,
+            # Four counts of 2^62 wrap an int64 sum back to 3.
+            "wrapping total": np.where(np.arange(size) >= size - 4, 2 ** 62,
+                                       counts.astype(np.int64)),
+            # Finite float counts can sum to inf.
+            "infinite total": np.where(np.arange(size) < 2, 1e308, counts),
         }
         for c in bad.values():
             with pytest.raises(ValueError):

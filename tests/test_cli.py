@@ -71,6 +71,8 @@ def test_unwritable_output_path_is_a_config_error(universe_file, tmp_path,
     ["--mechanisms", "lpm,projection", "--rho", "0", "--epsilon", "1"],
     ["--mechanisms", "projection,pmw", "--rho", "0.5", "--alpha", "nan"],
     ["--mechanisms", "projection,lpm", "--rho", "0.5", "--epsilon", "5"],
+    ["--mechanisms", "projection,lpm", "--rho", "0.5", "--epsilon", "1",
+     "--n-grid", "20,5000000000"],
 ])
 def test_bench_refuses_before_any_cell_runs(universe_file, argv, capsys,
                                             monkeypatch, tmp_path):

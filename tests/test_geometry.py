@@ -392,23 +392,34 @@ class TestVerifyDecomposition:
 @BOTH_NORMS
 @pytest.mark.parametrize("entries", [1, 7, 60, 200, 10_000])
 def test_distance_tiles_keep_the_entry_budget(monkeypatch, norm, entries):
-    """Tiles cover the distance matrix once with its untiled floats, and
-    each temporary holds at most BLOCK_ENTRIES floats, or one row's m;
-    the tiled nearest centres and diameter are the untiled ones, a tie
+    """Tiles cover the chosen rows' distances once, each tile and its
+    gather of rows within a quarter of BLOCK_ENTRIES floats (or one row's
+    m): sup-norm tiles hold the untiled floats with a zero band, and
+    every L2 value lies within its band of the diff-form square.  The
+    tiled nearest centres and diameter are the untiled ones, a tie
     across tiles going to the lowest centre."""
     rng = np.random.default_rng(3)
     a, b, c = rng.random((13, 5)), rng.random((11, 5)), rng.random((9, 5))
     b[7] = b[2]  # equal centres, in different tiles once tiles are narrow
     a[[0, 5]] = b[2]
+    rows = np.array([12, 0, 3, 3, 7, 1, 9, 4, 11])
     full = _row_norms(a[:, None, :] - b[None, :, :], norm)
     within = _row_norms(c[:, None, :] - c[None, :, :], norm)
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
-    got = np.full(full.shape, np.nan)
-    for rows, cols, d in geometry._distance_blocks(a, b, norm):
-        assert d.size * a.shape[1] <= max(entries, a.shape[1])
-        assert np.isnan(got[rows, cols]).all()
-        got[rows, cols] = d
-    assert got.tobytes() == full.tobytes()
+    got = np.full((len(rows), len(b)), np.nan)
+    for tile, cols, g, band in geometry._tiles(a, b, norm, rows):
+        height = tile.stop - tile.start
+        assert max(g.size, height * a.shape[1]) <= max(entries / 4,
+                                                       a.shape[1])
+        assert np.isnan(got[tile, cols]).all()
+        got[tile, cols] = g
+        if norm is Norm.LINF:
+            assert band == 0
+        else:
+            assert (np.abs(g - full[rows][tile, cols] ** 2) <= band).all()
+    if norm is Norm.LINF:
+        assert got.tobytes() == full[rows].tobytes()
+    assert not np.isnan(got).any()
     nearest = _nearest(a, b, norm)
     assert nearest.tolist() == full.argmin(axis=1).tolist()
     assert nearest[[0, 5]].tolist() == [2, 2]
@@ -671,21 +682,22 @@ class TestPreprocessingCache:
 
 
 # ---------------------------------------------------------------------------
-# Gram-form L2 kernels against their diff-form references
+# Tile kernels against their diff-form references: Gram-form L2, and the
+# sup norm's exact tiles
 
 
-def reference_diameter(pts):
-    """The diff-form L2 diameter: the largest ``_row_norms(a - b)``."""
-    return max(float(_row_norms(pts - row, Norm.L2).max()) for row in pts)
+def reference_diameter(pts, norm):
+    """The diff-form diameter: the largest ``_row_norms(a - b)``."""
+    return max(float(_row_norms(pts - row, norm).max()) for row in pts)
 
 
-def reference_nearest(points, centers):
+def reference_nearest(points, centers, norm):
     """Diff-form nearest centres, ties to the lowest."""
-    return [int(_row_norms(centers - p, Norm.L2).argmin()) for p in points]
+    return [int(_row_norms(centers - p, norm).argmin()) for p in points]
 
 
-def reference_greedy_cover(pts, raw_ts):
-    """The join-by-join diff-form scan the blocked L2 cover must match."""
+def reference_greedy_cover(pts, raw_ts, norm):
+    """The join-by-join diff-form scan each norm's cover must match."""
     live = np.arange(pts.shape[0])
     near = np.full(live.size, np.inf)
     sel, sizes = [], []
@@ -694,7 +706,7 @@ def reference_greedy_cover(pts, raw_ts):
         while free.any():
             i = int(live[free.argmax()])
             sel.append(i)
-            near = np.minimum(near, _row_norms(pts[live] - pts[i], Norm.L2))
+            near = np.minimum(near, _row_norms(pts[live] - pts[i], norm))
             keep = near > raw_ts[-1]
             live, near = live[keep], near[keep]
             free = near > raw_t
@@ -702,9 +714,22 @@ def reference_greedy_cover(pts, raw_ts):
     return sel, sizes
 
 
-def reference_separated(pts, raw_t):
-    return all(float(_row_norms(pts[i] - pts[j], Norm.L2)) > raw_t
+def reference_separated(pts, raw_t, norm):
+    return all(float(_row_norms(pts[i] - pts[j], norm)) > raw_t
                for i, j in itertools.combinations(range(len(pts)), 2))
+
+
+def reference_packing(pts, raw_t, norm):
+    """Largest strictly ``raw_t``-separated subset, by enumeration over
+    the diff-form floats at a raw scale (``brute_force_max_packing``
+    normalises L2 distances, which moves exact ties)."""
+    n = len(pts)
+    far = _row_norms(pts[:, None, :] - pts[None, :, :], norm) > raw_t
+    for size in range(n, 1, -1):
+        for combo in itertools.combinations(range(n), size):
+            if far[np.ix_(combo, combo)][np.triu_indices(size, 1)].all():
+                return size
+    return 1
 
 
 def _tie_heavy_marginals():
@@ -756,48 +781,77 @@ def _huge():
     return pts, [2e154, 1e154, 5e153]
 
 
-GRAM_CASES = {"marginals2_8": _tie_heavy_marginals,
-              "thresholds64": _thresholds_at_radius_4,
-              "duplicates": _duplicate_rows, "shifted_sphere": _shifted_sphere,
-              "shifted_near_ties": _shifted_near_ties, "huge": _huge}
+def _thresholds_at_the_unit():
+    # Every sup distance is 0 or 1, so t = 1 ties every pair and a row
+    # outside the centres ties with all of them.
+    return harness.gen_thresholds(64).points, [1.0, 0.5, 0.25]
+
+
+def _quarter_grid():
+    # Sup distances are multiples of 1/4, so they hit the scales.
+    pts = np.random.default_rng(34).integers(0, 5, (600, 8)) / 4
+    return pts, [0.75, 0.5, 0.25], pts[::10]
+
+
+# name: (case, norm); a case gives points, descending raw scales and
+# optionally centres (every third point by default).
+TILE_CASES = {"marginals2_8": (_tie_heavy_marginals, Norm.L2),
+              "thresholds64": (_thresholds_at_radius_4, Norm.L2),
+              "duplicates": (_duplicate_rows, Norm.L2),
+              "shifted_sphere": (_shifted_sphere, Norm.L2),
+              "shifted_near_ties": (_shifted_near_ties, Norm.L2),
+              "huge": (_huge, Norm.L2),
+              "thresholds64_linf": (_thresholds_at_the_unit, Norm.LINF),
+              "quarter_grid_linf": (_quarter_grid, Norm.LINF),
+              "duplicates_linf": (_duplicate_rows, Norm.LINF)}
 
 
 @pytest.fixture(scope="module")
-def gram_references():
+def tile_references():
     out = {}
-    for name, make in GRAM_CASES.items():
+    for name, (make, norm) in TILE_CASES.items():
         pts, ts, *centers = make()
         centers = centers[0] if centers else pts[::3]
-        sep = pts[greedy_separated_set(Universe(points=pts),
-                                       ts[1] / math.sqrt(pts.shape[1]))]
+        unit = norm.unit(pts.shape[1])
+        sep = pts[greedy_separated_set(Universe(points=pts), ts[1] / unit,
+                                       norm)]
         # The set's least distance, and the float below it: a tie fails.
-        least = min(float(_row_norms(a - b, Norm.L2))
+        least = min(float(_row_norms(a - b, norm))
                     for a, b in itertools.combinations(sep, 2))
         sep_ts = [*ts, least, float(np.nextafter(least, 0))]
+        # Exact packing on ten rows, at the same scales in units of the
+        # norm; rows 2 and 5 of the duplicates are equal.
+        pack_ts = [t / unit for t in sep_ts]
         out[name] = dict(
-            pts=pts, ts=ts, centers=centers, sep=sep, sep_ts=sep_ts,
-            diameter=reference_diameter(pts),
-            nearest=reference_nearest(pts, centers),
-            covers=[reference_greedy_cover(pts, ts),
-                    reference_greedy_cover(pts, ts[1:2])],
-            separated=[reference_separated(sep, t) for t in sep_ts])
+            pts=pts, ts=ts, norm=norm, centers=centers, sep=sep,
+            sep_ts=sep_ts, pack_ts=pack_ts,
+            diameter=reference_diameter(pts, norm),
+            nearest=reference_nearest(pts, centers, norm),
+            covers=[reference_greedy_cover(pts, ts, norm),
+                    reference_greedy_cover(pts, ts[1:2], norm)],
+            separated=[reference_separated(sep, t, norm) for t in sep_ts],
+            packing=[reference_packing(pts[:10], t * unit, norm)
+                     for t in pack_ts])
     return out
 
 
 @pytest.mark.parametrize("entries", [1, 7, 60, 10_000])
-@pytest.mark.parametrize("name", sorted(GRAM_CASES))
-def test_gram_kernels_equal_the_diff_form(gram_references, monkeypatch,
+@pytest.mark.parametrize("name", sorted(TILE_CASES))
+def test_gram_kernels_equal_the_diff_form(tile_references, monkeypatch,
                                           name, entries):
-    ref = gram_references[name]
-    pts, ts = ref["pts"], ref["ts"]
+    ref = tile_references[name]
+    pts, ts, norm = ref["pts"], ref["ts"], ref["norm"]
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
-    assert diameter(Universe(points=pts)) == ref["diameter"]
-    assert _nearest(pts, ref["centers"], Norm.L2).tolist() == ref["nearest"]
+    assert diameter(Universe(points=pts), norm) == ref["diameter"]
+    assert _nearest(pts, ref["centers"], norm).tolist() == ref["nearest"]
     for want, scales in zip(ref["covers"], [ts, ts[1:2]]):
-        sel, sizes = geometry._greedy_cover(pts, scales, Norm.L2)
+        sel, sizes = geometry._greedy_cover(pts, scales, norm)
         assert (sel.tolist(), sizes) == want
-    assert [geometry._separated(ref["sep"], t, Norm.L2)
+    assert [geometry._separated(ref["sep"], t, norm)
             for t in ref["sep_ts"]] == ref["separated"]
+    ten = Universe(points=pts[:10])
+    assert [packing_number(ten, t, norm)
+            for t in ref["pack_ts"]] == ref["packing"]
 
 
 @pytest.mark.parametrize("entries", [7, 10_000])
@@ -814,7 +868,7 @@ def test_cover_decisions_at_exact_ties(monkeypatch, entries):
     ts = np.unique(np.concatenate([d[below][::53], nearest[joined::4]]))
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", entries)
     for t in ts:
-        got = geometry._conflicts(pts, t, geometry._squared(t))
+        got = geometry._conflicts(pts, t, Norm.L2)
         assert (got[below] == (d <= t)[below]).all()
     covered = geometry._scales_covering(pts, np.arange(len(pts)),
                                         pts[:joined], ts,
@@ -827,9 +881,9 @@ def _recomputed(monkeypatch, run):
     checked = []
     real = geometry._pair_norms
 
-    def counting(a, b, r, c):
+    def counting(a, b, r, c, norm):
         checked.append(len(r))
-        return real(a, b, r, c)
+        return real(a, b, r, c, norm)
 
     monkeypatch.setattr(geometry, "_pair_norms", counting)
     run()
