@@ -18,8 +18,7 @@ import sys
 import tempfile
 
 from . import bounds as bounds_mod
-from . import geometry, harness, local
-from .central import as_seed_sequence
+from . import geometry, harness
 from .geometry import Norm
 
 EXIT_OK = 0
@@ -243,21 +242,19 @@ def _report_exit(report) -> int:
 
 def _run(args) -> int:
     """``run`` and ``local``: a mechanism or protocol's error report, and
-    for ``local --transcript`` the messages of the report's trial 0."""
+    for ``local --transcript`` the messages the report's trial 0 sends."""
     u = geometry.read_universe_csv(args.universe)
     spec = _spec(args.mechanism, args)
     d = _dataset_from_arg(u, args.dataset, args.n, args.seed)
-    report = harness.measure_error(d, spec, trials=args.trials, seed=args.seed)
-    if getattr(args, "transcript", None):
-        # Trial 0's seed is the first child of the run seed.
-        protocol = harness.level_protocol(d, spec)
-        trial0 = as_seed_sequence(args.seed).spawn(args.trials)[0]
-        with _atomic_file(args.transcript) as fh:
-            def write(first, releases):
-                fh.writelines(json.dumps({"party": first + t, "payload":
-                                          releases[:, t].tolist()}) + "\n"
-                              for t in range(releases.shape[1]))
-            local.simulate_protocol(protocol, trial0, sink=write)
+    path = getattr(args, "transcript", None)
+    with (_atomic_file(path) if path else contextlib.nullcontext()) as fh:
+        def write(first, releases):
+            fh.writelines(json.dumps({"party": first + t, "payload":
+                                      releases[:, t].tolist()}) + "\n"
+                          for t in range(releases.shape[1]))
+        report = harness.measure_error(
+            d, spec, trials=args.trials, seed=args.seed,
+            sink=write if path else None)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return _report_exit(report)
 
@@ -282,19 +279,18 @@ def _bench(args) -> int:
         raise ValueError("--n-grid must be comma-separated integers") from exc
     if not mechs or not n_grid:
         raise ValueError("need at least one mechanism and one n value")
-    # Refuse a bad mechanism, rate, split, level share or n before the
-    # first cell runs (the cells reuse the memoised splits); a local row's
-    # epsilon / k and its parties at the largest n must suit the channel.
+    # Refuse a bad mechanism, rate, split, level share, n or dataset before
+    # the first cell runs (the cells reuse the memoised splits); a local
+    # row's protocol on the largest dataset must suit the channel.
     specs = [_spec(mech, args) for mech in mechs]
-    for spec in specs:
-        harness.make_mechanism(spec)
-        row = harness.MECHANISMS[spec["mechanism"]]
-        dec = row.split(u, spec.get("alpha"))
-        if row.privacy == "epsilon":
-            local._refuse_epsilon(spec["epsilon"], dec.k)
-            local._refuse_parties(max(n_grid))
     datasets = [_dataset_from_arg(u, args.dataset, n, args.seed)
                 for n in n_grid]
+    largest = datasets[n_grid.index(max(n_grid))]
+    for spec in specs:
+        harness.make_mechanism(spec)
+        harness.MECHANISMS[spec["mechanism"]].split(u, spec.get("alpha"))
+        if spec["mechanism"] in harness.LOCAL_PROTOCOLS:
+            harness.level_protocol(largest, spec)
     # csv writes None as an empty field and a float as its repr.
     table = io.StringIO()
     rows = csv.writer(table, lineterminator="\n")

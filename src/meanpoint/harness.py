@@ -250,23 +250,24 @@ def level_protocol(d: Dataset, spec: dict) -> local.LevelProtocol:
 
 
 def make_mechanism(spec: dict) -> Callable[[Dataset, object], MechanismOutput]:
-    """Build a ``(dataset, seed) -> output`` runner from a config dict.
+    """Build a ``(dataset, seed, sink=None) -> output`` runner from a spec.
 
     The spec names a ``MECHANISMS`` row and carries its privacy
     parameter and, where the row needs it, ``alpha``; every other
     setting of the mechanism follows from those two.  Every row runs
-    over its split, a local row as its ``level_protocol``, and writes
-    one trace: ``{"mechanism", "k", "levels", "alpha", "remainder_radius"}``.
+    over its split, a local row as its ``level_protocol`` with ``sink``
+    (see ``local.simulate_protocol``), and writes one trace:
+    ``{"mechanism", "k", "levels", "alpha", "remainder_radius"}``.
     A central row's public level (``Decomposition.live`` false) has the
     level trace ``{"mechanism": "public", "sigma": 0.0, "sensitivity": 0.0}``.
     """
     row = _row(spec)
     name, alpha = spec["mechanism"], spec.get("alpha")
 
-    def run(d: Dataset, seed) -> MechanismOutput:
+    def run(d: Dataset, seed, sink=None) -> MechanismOutput:
         dec = row.split(d.universe, alpha)
         if row.level is None:
-            out = local.simulate_protocol(level_protocol(d, spec), seed)
+            out = local.simulate_protocol(level_protocol(d, spec), seed, sink)
         else:
             target = None if alpha is None else (alpha - dec.alpha / 2) / dec.k
             out = central.decompose_and_run(
@@ -333,23 +334,26 @@ class RunReport:
 
 
 def measure_error(d: Dataset, spec: dict, trials: int,
-                  seed: int | None = None) -> RunReport:
+                  seed: int | None = None, sink=None) -> RunReport:
     """Run a mechanism ``trials`` times with derived seeds and report.
 
     Per-trial errors are measured against the dataset mean; mechanism
     errors propagate.  Bound evaluations from the estimators are
-    attached when the spec carries an alpha.
+    attached when the spec carries an alpha.  A local row's trial 0
+    streams its messages to ``sink``; other trials call ``runner(d, seed)``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     runner = make_mechanism(spec)
+    if sink is not None and MECHANISMS[spec["mechanism"]].level is not None:
+        raise ValueError(f"{spec['mechanism']} sends no messages to stream")
     target = d.mean()
     m = d.universe.dim
     trial_seeds = as_seed_sequence(seed).spawn(trials)
     sq, inf, certified = [], [], []
     t0 = time.perf_counter()
-    for ts in trial_seeds:
-        out = runner(d, ts)
+    for t, ts in enumerate(trial_seeds):
+        out = runner(d, ts, sink) if sink and t == 0 else runner(d, ts)
         err = np.asarray(out.estimate) - target
         sq.append(float(err @ err) / m)
         inf.append(float(np.abs(err).max()))

@@ -955,3 +955,57 @@ class TestLedger:
         assert live == [True, False, False]
         assert len(sigma_calls) == 2 * sum(live)
         assert len(compose_calls) == 1
+
+
+# The universes of the split error-bound check, built once so every
+# case reuses their memoised decompositions.
+BOUND_UNIVERSES = {
+    "thresholds64": harness.gen_thresholds(64),
+    "marginals2_8": harness.gen_marginals2(8),
+    "sphere20": harness.gen_random_sphere(20, 500, 1.0, seed=1),
+    "cone64": harness.gen_cone(64, 0.05, density=300, seed=1),
+}
+
+
+def split_error_bound(dec, sigmas):
+    """Bound on sqrt(E ||e||^2) for a split release whose live level j
+    adds N(0, sigma_j^2 I) to its mean and projects onto its hull K_j.
+
+    For mu in K and p its projection of mu + z, ||p - mu||^2 <= <z, p -
+    mu> (Nikolov, Talwar and Zhang, STOC 2013), so E ||p - mu||^2 <=
+    sigma * E sup_{x, y in K} <g, x - y> = 2 sigma w(K), w the Gaussian
+    mean width.  The levels' errors add, and rounding each row to its
+    summands moves the mean by at most the remainder radius.  The width
+    is estimated by Monte Carlo and taken four standard errors high."""
+    total = dec.remainder_radius
+    for j, (level, sigma) in enumerate(zip(dec.level_universes, sigmas)):
+        width = gaussian_mean_width(level, samples=2000, seed=j)
+        total += math.sqrt(2.0 * sigma * (width.value + 4 * width.std_error))
+    return total
+
+
+class TestSplitErrorBound:
+    # At rho = 0.01 the unprojected noise exceeds the bound on the
+    # thresholds and cone cells at n = 100, so those cells fail when the
+    # hull projection is skipped; at rho = 0.5 no cell does.
+    @pytest.mark.parametrize("rho", [0.5, 0.01])
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("mech", ["projection", "coarse", "chaining"])
+    @pytest.mark.parametrize("name", sorted(BOUND_UNIVERSES))
+    def test_measured_error_is_within_the_split_bound(self, name, mech, n,
+                                                       rho):
+        u, trials = BOUND_UNIVERSES[name], 16
+        spec = {"mechanism": mech, "rho": rho, "alpha": 0.1}
+        row = harness.MECHANISMS[mech]
+        dec = row.split(u, spec["alpha"] if row.needs_alpha else None)
+        d = harness.gen_dataset(u, n, seed=3)
+        run = harness.make_mechanism(spec)
+        sq, sigmas = [], set()
+        for ts in as_seed_sequence(4).spawn(trials):
+            out = run(d, ts)
+            e = out.estimate - d.mean()
+            sq.append(float(e @ e))
+            sigmas.add(tuple(lv["sigma"] for lv in out.trace["levels"]))
+        assert len(sigmas) == 1
+        assert math.sqrt(sum(sq) / trials) <= split_error_bound(
+            dec, sigmas.pop())

@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from meanpoint import cli, geometry, harness, hull
+from meanpoint import central, cli, geometry, harness, hull, local
 
 
 @pytest.fixture
@@ -275,3 +275,38 @@ def test_write_failing_part_way_leaves_no_file(tmp_path):
             fh.write("{}\n")
             raise RuntimeError("the channel failed")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("protocol", harness.LOCAL_PROTOCOLS)
+@pytest.mark.parametrize("trials", [1, 3])
+def test_transcript_runs_the_protocol_once_per_trial(universe_file, tmp_path,
+                                                     monkeypatch, protocol,
+                                                     trials):
+    # The transcript is trial 0's messages, streamed by the reported run.
+    real, runs = local.simulate_protocol, []
+
+    def counting(level_protocol, seed=None, sink=None):
+        runs.append(sink is not None)
+        return real(level_protocol, seed, sink)
+
+    monkeypatch.setattr(local, "simulate_protocol", counting)
+    transcript = tmp_path / "t.ndjson"
+    code = cli.main(["local", "--universe", universe_file, "--protocol",
+                     protocol, "--epsilon", "1.0", "--alpha", "0.3",
+                     "--n", "30", "--trials", str(trials), "--transcript",
+                     str(transcript), "--out", str(tmp_path / "r.json")])
+    assert code == cli.EXIT_OK
+    assert runs == [True] + [False] * (trials - 1)
+    assert len(transcript.read_text().splitlines()) == 30
+
+
+def test_a_sink_on_a_central_row_is_refused_before_any_trial(monkeypatch):
+    def no_release(*args, **kwargs):
+        pytest.fail("a trial ran before the sink was refused")
+
+    monkeypatch.setattr(central, "decompose_and_run", no_release)
+    d = harness.gen_dataset(harness.gen_thresholds(8), 30, seed=0)
+    with pytest.raises(ValueError, match="no messages"):
+        harness.measure_error(d, {"mechanism": "chaining", "rho": 0.5,
+                                  "alpha": 0.3}, trials=2, seed=0,
+                              sink=lambda first, releases: None)

@@ -9,15 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from meanpoint import harness
+from meanpoint import harness, hull
 
 _SPANS = Path(__file__).resolve().parents[1] / "sweepbench" / "spans.py"
 
 
-def _wrapped_names() -> tuple[str, ...]:
+def _load_spans():
     spec = importlib.util.spec_from_file_location("_bench_spans", _SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _wrapped_names() -> tuple[str, ...]:
+    spans = _load_spans()
     return (*spans.SPAN_NAMES, *spans.COUNT_NAMES,
             "harness.make_mechanism", "hull.project_onto_hull")
 
@@ -76,3 +81,19 @@ def test_every_wrapped_name_is_looked_up_at_call_time(monkeypatch):
     assert [name for name in names
             if calls[name] == 0 and name not in UNCALLED] == []
     assert [name for name in UNCALLED if calls[name]] == []
+
+
+def test_capture_sees_one_release_per_trial_of_every_row(monkeypatch):
+    # The benchmark's Capture wraps each runner as ``run(d, seed)``, so
+    # measure_error must call the runner with two arguments when no sink
+    # is given.  Setting both wrapped names first lets teardown restore them.
+    monkeypatch.setattr(harness, "make_mechanism", harness.make_mechanism)
+    monkeypatch.setattr(hull, "project_onto_hull", hull.project_onto_hull)
+    capture = _load_spans().Capture()
+    d = harness.gen_dataset(harness.gen_thresholds(8), 20, seed=0)
+    for mech, row in harness.MECHANISMS.items():
+        capture.reset()
+        privacy = 0.5 if row.privacy == "rho" else 1.0
+        spec = {"mechanism": mech, row.privacy: privacy, "alpha": 0.3}
+        harness.measure_error(d, spec, trials=3, seed=0)
+        assert len(capture.releases) == 3, mech
